@@ -47,6 +47,11 @@ class ChiVector:
         return self.values.size
 
 
+def chi_values(chi) -> np.ndarray:
+    """The float values of a :class:`ChiVector` or of any array-like."""
+    return chi.values if isinstance(chi, ChiVector) else np.asarray(chi, dtype=float)
+
+
 @dataclass
 class ActivationTraces:
     """One activation-trace vector per record, plus predicted classes for DSA."""

@@ -18,6 +18,7 @@ from dataclasses import asdict
 
 from .draw import RandomStream
 from .harness import (
+    CLASSIFICATION_ONLY_AUX,
     DEFAULT_BUDGETS,
     EvalConfig,
     enumerate_expectation,
@@ -91,7 +92,7 @@ def cmd_run(args) -> int:
         failure_threshold=args.failure_threshold,
         record_trace=args.trace,
     )
-    if args.aux is not None and pop.task == REGRESSION and args.aux in ("confidence", "dsa"):
+    if args.aux is not None and pop.task == REGRESSION and args.aux in CLASSIFICATION_ONLY_AUX:
         raise ValueError(f"auxiliary variable {args.aux!r} is classification-only")
     oracle = LabelingOracle(pop)
     result = run_technique(pop, oracle, tc, RandomStream(args.seed))

@@ -7,15 +7,16 @@ rounding.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxvar import ChiVector
+from .auxvar import chi_values
 from .draw import RandomStream
 
 __all__ = ["PartitionMap", "Allocation", "kmeans_1d", "neyman_allocation"]
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -26,21 +27,15 @@ class PartitionMap:
     centroids: np.ndarray
     sizes: np.ndarray
     P: int
-
-    def members(self, p: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == p)
+    _members: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def member_lists(self) -> list:
-        order = np.argsort(self.assignment, kind="stable")
-        bounds = np.cumsum(self.sizes)[:-1]
-        return np.split(order, bounds)
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "partition"])
-            for i, p in enumerate(self.assignment):
-                writer.writerow([i, int(p)])
+        """Record ids of each partition, ascending; computed once per map."""
+        if self._members is None:
+            order = np.argsort(self.assignment, kind="stable")
+            order.flags.writeable = False  # the lists are shared by every caller
+            self._members = np.split(order, np.cumsum(self.sizes)[:-1])
+        return self._members
 
 
 @dataclass
@@ -51,8 +46,67 @@ class Allocation:
     total: int
 
 
-def _chi_values(chi) -> np.ndarray:
-    return chi.values if isinstance(chi, ChiVector) else np.asarray(chi, dtype=float)
+def _argmin_step(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """One Lloyd step by the full N x k distance matrix, re-seeding empty clusters.
+
+    Updates ``centroids`` in place and returns the assignment.
+    """
+    assignment = np.argmin(np.abs(values[:, None] - centroids[None, :]), axis=1)
+    for j in range(centroids.size):
+        mask = assignment == j
+        if not np.any(mask):
+            # Re-seed the empty cluster to the globally worst-fit point.
+            dist = np.abs(values - centroids[assignment])
+            far = int(np.argmax(dist))
+            centroids[j] = values[far]
+            assignment[far] = j
+            mask = assignment == j
+        centroids[j] = values[mask].mean()
+    return assignment
+
+
+def _means(values: np.ndarray, assignment: np.ndarray, p: int) -> np.ndarray:
+    """Cluster means summed in index order, as the N x k Lloyd takes them."""
+    return np.array([values[assignment == j].mean() for j in range(p)])
+
+
+def _decided(s: np.ndarray, c: np.ndarray, inner: np.ndarray, slack: np.ndarray) -> bool:
+    """Whether every boundary keeps its place for any centroids within ``slack`` of ``c``.
+
+    The elements on either side of a boundary are the closest calls between
+    two adjacent centroids, so their distance gaps are the ones to check.
+    """
+    for v in (s[inner - 1], s[inner]):
+        d_lo, d_hi = np.abs(v - c[:-1]), np.abs(v - c[1:])
+        if np.any(np.abs(d_hi - d_lo) <= slack[:-1] + slack[1:] + 2 * _EPS * (d_lo + d_hi)):
+            return False
+    return True
+
+
+def _boundaries(s: np.ndarray, c: np.ndarray, hi_wins_tie: np.ndarray) -> np.ndarray:
+    """Per i, the first position in sorted ``s`` going to ``c[i + 1]``, not ``c[i]``.
+
+    ``c`` is ascending.  The search starts at the float midpoints and each
+    boundary element is then settled by the same ``|v - c|`` comparison that
+    argmin makes.  argmin breaks a tie toward the lower centroid index;
+    ``hi_wins_tie[i]`` says whether that is the index of ``c[i + 1]``.
+    """
+
+    def goes_hi(v):
+        d_lo, d_hi = np.abs(v - c[:-1]), np.abs(v - c[1:])
+        return (d_hi < d_lo) | ((d_hi == d_lo) & hi_wins_tie)
+
+    n = s.size
+    b = np.searchsorted(s, 0.5 * (c[:-1] + c[1:]))
+    while True:
+        before, at = s[np.maximum(b - 1, 0)], s[np.minimum(b, n - 1)]
+        left = (b > 0) & goes_hi(before)
+        right = (b < n) & ~goes_hi(at)
+        if not (left.any() or right.any()):
+            return b
+        # Step over the whole run of an equal value: it goes to one side.
+        b = np.where(left, np.searchsorted(s, before, "left"), b)
+        b = np.where(right, np.searchsorted(s, at, "right"), b)
 
 
 def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
@@ -63,8 +117,19 @@ def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
     Empty clusters are re-seeded to the point farthest from its centroid.
     Output labels are sorted by centroid, so partition 0 holds the smallest
     chi values.
+
+    1-D clusters are contiguous in sorted order (Wang & Song 2011,
+    Ckmeans.1d.dp), so the values are sorted once and each iteration finds
+    k - 1 boundaries by binary search and the means from a prefix sum:
+    O(k log N) per iteration instead of the O(N k) distance matrix.  The
+    result is that of the distance-matrix Lloyd: a prefix-sum mean can
+    differ from a mean summed in index order by rounding, so when a boundary
+    element lies within that rounding of a tie, the means are recomputed in
+    index order (O(N k)) before it is settled, and so are the final
+    centroids.  An iteration that leaves a cluster empty runs the O(N k)
+    step with its re-seeding.
     """
-    values = _chi_values(chi)
+    values = chi_values(chi)
     n = values.size
     if n == 0:
         raise ValueError("empty input")
@@ -76,33 +141,76 @@ def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
     rng = RandomStream(seed)
     centroids = np.empty(p)
     centroids[0] = distinct[int(rng.integers(0, distinct.size))]
+    gaps = np.abs(distinct - centroids[0])
     for j in range(1, p):
-        gaps = np.min(np.abs(distinct[:, None] - centroids[None, :j]), axis=1)
         centroids[j] = distinct[int(np.argmax(gaps))]
+        gaps = np.minimum(gaps, np.abs(distinct - centroids[j]))
     centroids.sort()
 
-    assignment = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
-        new_assignment = np.argmin(np.abs(values[:, None] - centroids[None, :]), axis=1)
-        for j in range(p):
-            mask = new_assignment == j
-            if not np.any(mask):
-                # Re-seed the empty cluster to the globally worst-fit point.
-                dist = np.abs(values - centroids[new_assignment])
-                far = int(np.argmax(dist))
-                centroids[j] = values[far]
-                new_assignment[far] = j
-                mask = new_assignment == j
-            centroids[j] = values[mask].mean()
-        if np.array_equal(new_assignment, assignment):
-            break
-        assignment = new_assignment
+    order = np.argsort(values, kind="stable")
+    s = values[order]
+    prefix = np.concatenate(([0.0], np.cumsum(s)))
+    # prefix[i] is off by at most about i * eps * (sum of |s| up to i).
+    drift = np.arange(n + 1) * np.concatenate(([0.0], np.cumsum(np.abs(s))))
 
-    order = np.argsort(centroids, kind="stable")
+    def labels(state):
+        # An assignment is a label array, or (centroid indices in ascending
+        # order, boundaries of their runs in sorted order).
+        if not isinstance(state, tuple):
+            return state
+        ranked, bounds = state
+        out = np.empty(n, dtype=np.int64)
+        out[order] = np.repeat(ranked, np.diff(bounds))
+        return out
+
+    def same(a, b):
+        if b is None:
+            return False
+        if isinstance(a, tuple) and isinstance(b, tuple):
+            return all(np.array_equal(x, y) for x, y in zip(a, b))
+        return np.array_equal(labels(a), labels(b))
+
+    # While ``exact``, the centroids are those the N x k Lloyd holds at this
+    # point; otherwise they come from the prefix sum and each lies within
+    # ``slack`` of it.
+    exact, slack = True, np.zeros(p)
+    previous = None
+    for _ in range(max_iter):
+        while True:
+            ranked = np.argsort(centroids, kind="stable")
+            c = centroids[ranked]
+            inner = _boundaries(s, c, ranked[1:] < ranked[:-1])
+            bounds = np.concatenate(([0], inner, [n]))
+            counts = np.diff(bounds)
+            if exact or (np.all(counts > 0) and _decided(s, c, inner, slack[ranked])):
+                break
+            # A boundary element is too close to call: take the exact means.
+            centroids = _means(values, labels(previous), p)
+            exact = True
+        if np.all(counts > 0):
+            a, b = bounds[:-1], bounds[1:]
+            centroids[ranked] = (prefix[b] - prefix[a]) / counts
+            # Rounding bound of the prefix-sum mean plus that of a mean summed
+            # in index order, whose terms are at most the run's widest value.
+            widest = np.maximum(np.abs(s[a]), np.abs(s[b - 1]))
+            slack[ranked] = _EPS * ((drift[a] + drift[b]) / counts + (counts + 4) * widest)
+            exact = False
+            current = (ranked, bounds)
+        else:
+            current = _argmin_step(values, centroids)
+            exact = True
+        if same(current, previous):
+            break
+        previous = current
+    assignment = labels(current)
+    if not exact:
+        centroids = _means(values, assignment, p)
+
+    by_centroid = np.argsort(centroids, kind="stable")
     relabel = np.empty(p, dtype=np.int64)
-    relabel[order] = np.arange(p)
+    relabel[by_centroid] = np.arange(p)
     assignment = relabel[assignment]
-    centroids = centroids[order]
+    centroids = centroids[by_centroid]
     sizes = np.bincount(assignment, minlength=p)
     return PartitionMap(assignment=assignment, centroids=centroids, sizes=sizes, P=p)
 
@@ -127,7 +235,7 @@ def neyman_allocation(pm: PartitionMap, chi, n: int) -> Allocation:
     every partition has zero chi spread, falls back to allocation
     proportional to partition size.
     """
-    values = _chi_values(chi)
+    values = chi_values(chi)
     if n < 1:
         raise ValueError("budget must be >= 1")
     total = values.size
@@ -137,9 +245,8 @@ def neyman_allocation(pm: PartitionMap, chi, n: int) -> Allocation:
     norm = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
 
     raw = np.empty(pm.P)
-    for p in range(pm.P):
-        members = norm[pm.assignment == p]
-        spread = members.std()
+    for p, members in enumerate(pm.member_lists()):
+        spread = norm[members].std()
         if spread < 1e-12:  # constant partition up to rounding noise
             spread = 0.0
         raw[p] = pm.sizes[p] * spread

@@ -36,7 +36,10 @@ REGRESSION = "regression"
 
 @dataclass
 class PopulationRecord:
-    """One operational example: prediction, hidden truth, auxiliary scores."""
+    """One operational example: prediction, hidden truth, auxiliary scores.
+
+    Record-at-a-time input for :class:`Population`, which stores columns.
+    """
 
     id: int
     task: str
@@ -61,46 +64,89 @@ class PopulationRecord:
         else:
             raise ValueError(f"unknown task {self.task!r}")
 
-    @property
-    def outcome(self):
-        """z (misclassification flag) or delta (absolute offset)."""
-        if self.task == CLASSIFICATION:
-            return int(self.predicted_label != self.true_label)
-        return abs(self.true_value - self.predicted_value)
-
 
 class Population:
-    """The full operational dataset D; immutable after construction."""
+    """The full operational dataset D as columns; immutable after construction.
+
+    Holds the true and predicted columns (labels for classification, values
+    for regression), a dict of auxiliary columns and an optional feature
+    matrix, all in record-id order.  ``Population(records, task)`` adapts
+    :class:`PopulationRecord` input; :meth:`from_columns` takes the columns.
+    """
 
     def __init__(self, records: list, task: str):
         if not records:
             raise ValueError("population must contain at least one record")
-        self.records = list(records)
-        self.task = task
-        self.N = len(self.records)
-        ids = np.array([r.id for r in self.records])
-        if not np.array_equal(np.sort(ids), np.arange(self.N)):
-            raise ValueError("record ids must be unique and dense in [0, N)")
-        if np.any(ids != np.arange(self.N)):
-            self.records.sort(key=lambda r: r.id)
-        for r in self.records:
-            if r.task != task:
-                raise ValueError("mixed tasks within one population")
-        self._outcomes = np.array([r.outcome for r in self.records], dtype=float)
-        aux_names = set()
-        for r in self.records:
-            aux_names.update(r.aux)
-        self._aux = {}
-        for name in aux_names:
-            col = np.array([r.aux.get(name, np.nan) for r in self.records], dtype=float)
-            if not np.all(np.isfinite(col)):
-                bad = int(np.flatnonzero(~np.isfinite(col))[0])
-                raise ValueError(f"non-finite auxiliary value at row {bad}")
-            self._aux[name] = col
-        if self.records[0].features is not None:
-            self._features = np.array([r.features for r in self.records], dtype=float)
+        if any(r.task != task for r in records):
+            raise ValueError("mixed tasks within one population")
+        if task == CLASSIFICATION:
+            true = [r.true_label for r in records]
+            predicted = [r.predicted_label for r in records]
         else:
-            self._features = None
+            true = [r.true_value for r in records]
+            predicted = [r.predicted_value for r in records]
+        names = set().union(*(r.aux for r in records))
+        aux = {name: [r.aux.get(name, np.nan) for r in records] for name in names}
+        features = None
+        if records[0].features is not None:
+            features = [r.features for r in records]
+        self._set_columns(task, [r.id for r in records], true, predicted, aux, features)
+
+    @classmethod
+    def from_columns(cls, task, ids, true, predicted, aux=None, features=None) -> Population:
+        """Population from per-record columns; row k of every column is one record.
+
+        ``ids`` must be a permutation of 0..N-1; rows are reordered by id.  A
+        non-finite value or auxiliary value is refused with its row number.
+        """
+        pop = cls.__new__(cls)
+        pop._set_columns(task, ids, true, predicted, aux or {}, features)
+        return pop
+
+    def _set_columns(self, task, ids, true, predicted, aux, features):
+        if task not in (CLASSIFICATION, REGRESSION):
+            raise ValueError(f"unknown task {task!r}")
+        ids = np.asarray(ids, dtype=np.int64)
+        N = ids.size
+        if N == 0:
+            raise ValueError("population must contain at least one record")
+        if task == CLASSIFICATION:
+            true, predicted = np.asarray(true), np.asarray(predicted)
+            if true.dtype.kind not in "biu" or predicted.dtype.kind not in "biu":
+                raise ValueError("class labels must be integers")
+            true, predicted = true.astype(np.int64), predicted.astype(np.int64)
+        else:
+            true, predicted = np.asarray(true, dtype=float), np.asarray(predicted, dtype=float)
+        aux = {name: np.asarray(col, dtype=float) for name, col in aux.items()}
+        if features is not None:
+            features = np.asarray(features, dtype=float)
+        if any(col.shape != (N,) for col in (true, predicted, *aux.values())) or (
+            features is not None and (features.ndim != 2 or len(features) != N)
+        ):
+            raise ValueError(f"every column must hold one entry per record ({N})")
+        if task == REGRESSION:
+            _require_finite(true, "non-finite true_value")
+            _require_finite(predicted, "non-finite predicted_value")
+        if aux:
+            _require_finite(np.vstack(list(aux.values())), "non-finite auxiliary value")
+        if not np.array_equal(np.sort(ids), np.arange(N)):
+            raise ValueError("record ids must be unique and dense in [0, N)")
+        if np.any(ids != np.arange(N)):
+            by_id = np.argsort(ids)
+            true, predicted = true[by_id], predicted[by_id]
+            aux = {name: col[by_id] for name, col in aux.items()}
+            features = None if features is None else features[by_id]
+        self.task = task
+        self.N = N
+        self._true = true
+        self._predicted = predicted
+        self._aux = aux
+        self._features = features
+        # Outcome: z (misclassification flag) or delta (absolute offset).
+        if task == CLASSIFICATION:
+            self._outcomes = (predicted != true).astype(float)
+        else:
+            self._outcomes = np.abs(true - predicted)
 
     @property
     def aux_names(self):
@@ -118,6 +164,14 @@ class Population:
     def _true_outcomes(self) -> np.ndarray:
         """Full ground truth; evaluation-side only, never handed to techniques."""
         return self._outcomes
+
+
+def _require_finite(columns: np.ndarray, what: str):
+    """Refuse the first row (last axis) holding a non-finite entry in any column."""
+    bad = ~np.isfinite(columns)
+    if bad.any():
+        row = int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
+        raise ValueError(f"{what} at row {row}")
 
 
 class LabelingOracle:
@@ -206,7 +260,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Population:
         chi_latent = np.exp(config.chi_skew * chi_latent)
     chi = min_max_normalize(chi_latent)
 
-    records = []
     if config.task == CLASSIFICATION:
         target = 1.0 - config.target_accuracy
         v = rng.random(config.N)
@@ -227,34 +280,18 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Population:
         a = min((lo, 0.5 * (lo + hi), hi), key=lambda c: abs(realized(c) - target))
         if abs(realized(a) - target) > 1.0 / math.sqrt(config.N):
             raise ValueError("infeasible calibration: cannot reach target accuracy")
-        z = v < _sigmoid(a + b * u)
-        for i in range(config.N):
-            records.append(
-                PopulationRecord(
-                    id=i,
-                    task=CLASSIFICATION,
-                    predicted_label=0,
-                    true_label=int(z[i]),
-                    aux={"chi": float(chi[i])},
-                )
-            )
+        true = (v < _sigmoid(a + b * u)).astype(np.int64)
+        predicted = np.zeros(config.N, dtype=np.int64)
     else:
         base = np.exp(config.offset_scale * u)
         scale = math.sqrt((1.0 - config.target_accuracy) / float(np.mean(base**2)))
         delta = scale * base
         sign = np.where(rng.random(config.N) < 0.5, -1.0, 1.0)
-        true_vals = rng.standard_normal(config.N)
-        for i in range(config.N):
-            records.append(
-                PopulationRecord(
-                    id=i,
-                    task=REGRESSION,
-                    true_value=float(true_vals[i]),
-                    predicted_value=float(true_vals[i] + sign[i] * delta[i]),
-                    aux={"chi": float(chi[i])},
-                )
-            )
-    return Population(records, config.task)
+        true = rng.standard_normal(config.N)
+        predicted = true + sign * delta
+    return Population.from_columns(
+        config.task, np.arange(config.N), true, predicted, aux={"chi": chi}
+    )
 
 
 def true_accuracy(population: Population) -> float:
@@ -275,59 +312,44 @@ _CLASS_COLS = ("id", "true_label", "predicted_label")
 _REG_COLS = ("id", "true_value", "predicted_value")
 
 
-def _coerce_rows(rows: list, schema: dict | None) -> Population:
+def _population_from_columns(columns: dict, schema: dict | None) -> Population:
+    """Population from file columns (name -> list of raw cell values, file order)."""
     schema = dict(schema or {})
-    if not rows:
-        raise ValueError("empty population file")
-    columns = list(rows[0].keys())
+    names = list(columns)
 
     def actual(name):
         return schema.get(name, name)
 
-    have_class = all(actual(c) in columns for c in _CLASS_COLS[1:])
-    have_reg = all(actual(c) in columns for c in _REG_COLS[1:])
+    have_class = all(actual(c) in names for c in _CLASS_COLS[1:])
+    have_reg = all(actual(c) in names for c in _REG_COLS[1:])
     if have_class and have_reg:
         raise ValueError("mixed task columns: both label and value pairs present")
     if not have_class and not have_reg:
-        missing = [c for c in _CLASS_COLS[1:] + _REG_COLS[1:] if actual(c) not in columns]
+        missing = [c for c in _CLASS_COLS[1:] + _REG_COLS[1:] if actual(c) not in names]
         raise ValueError(f"missing column(s): no complete task pair among {missing}")
-    if actual("id") not in columns:
+    if actual("id") not in names:
         raise ValueError(f"missing column: {actual('id')}")
     task = CLASSIFICATION if have_class else REGRESSION
-    reserved = {actual(c) for c in (_CLASS_COLS if have_class else _REG_COLS)}
+    id_col, true_col, pred_col = (actual(c) for c in (_CLASS_COLS if have_class else _REG_COLS))
     feat_cols = sorted(
-        (c for c in columns if c.startswith("feat_")),
+        (c for c in names if c.startswith("feat_")),
         key=lambda c: int(c.split("_", 1)[1]),
     )
-    aux_cols = [c for c in columns if c not in reserved and c not in feat_cols]
+    reserved = {id_col, true_col, pred_col, *feat_cols}
 
-    records = []
-    for k, row in enumerate(rows):
-        aux = {}
-        for c in aux_cols:
-            value = float(row[c])
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite auxiliary value at row {k}")
-            aux[c] = value
-        features = np.array([float(row[c]) for c in feat_cols]) if feat_cols else None
-        common = dict(id=int(row[actual("id")]), task=task, aux=aux, features=features)
-        if task == CLASSIFICATION:
-            records.append(
-                PopulationRecord(
-                    true_label=int(row[actual("true_label")]),
-                    predicted_label=int(row[actual("predicted_label")]),
-                    **common,
-                )
-            )
-        else:
-            records.append(
-                PopulationRecord(
-                    true_value=float(row[actual("true_value")]),
-                    predicted_value=float(row[actual("predicted_value")]),
-                    **common,
-                )
-            )
-    return Population(records, task)
+    def floats(name):
+        return np.array(list(map(float, columns[name])), dtype=float)
+
+    # int() per cell keeps Python's message for a non-integer label.
+    convert = (lambda name: list(map(int, columns[name]))) if have_class else floats
+    return Population.from_columns(
+        task,
+        list(map(int, columns[id_col])),
+        convert(true_col),
+        convert(pred_col),
+        aux={c: floats(c) for c in names if c not in reserved},
+        features=np.column_stack([floats(c) for c in feat_cols]) if feat_cols else None,
+    )
 
 
 def load_population(path, schema: dict | None = None) -> Population:
@@ -336,39 +358,46 @@ def load_population(path, schema: dict | None = None) -> Population:
     ``schema`` maps canonical column names (id, true_label, predicted_label,
     true_value, predicted_value) to the file's actual column names.  Any
     other column is an auxiliary variable, except feat_0..feat_m which form
-    the feature matrix.
+    the feature matrix.  A non-finite true/predicted value or auxiliary value
+    is refused with its row number (0-based, header excluded).
     """
     path = str(path)
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
             rows = json.load(fh)
-        rows = [{k: v for k, v in row.items()} for row in rows]
+        if not rows:
+            raise ValueError("empty population file")
+        columns = {c: [row[c] for row in rows] for c in rows[0]}
     else:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-    return _coerce_rows(rows, schema)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
+        if not rows:
+            raise ValueError("empty population file")
+        if set(map(len, rows)) != {len(header)}:
+            k = next(k for k, row in enumerate(rows) if len(row) != len(header))
+            raise ValueError(f"row {k} has {len(rows[k])} fields, the header {len(header)}")
+        columns = dict(zip(header, zip(*rows)))
+    return _population_from_columns(columns, schema)
 
 
 def write_population_csv(population: Population, path):
     """Inverse of load_population for the canonical column layout."""
     aux_names = population.aux_names
     feats = population.features_matrix()
+    if population.task == CLASSIFICATION:
+        head = ["id", "true_label", "predicted_label"]
+    else:
+        head = ["id", "true_value", "predicted_value"]
+    head += aux_names
+    # tolist() gives Python ints and floats, which csv writes as their repr.
+    columns = [range(population.N), population._true.tolist(), population._predicted.tolist()]
+    columns += [population._aux[a].tolist() for a in aux_names]
+    if feats is not None:
+        head += [f"feat_{j}" for j in range(feats.shape[1])]
+        columns += feats.T.tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if population.task == CLASSIFICATION:
-            head = ["id", "true_label", "predicted_label"]
-        else:
-            head = ["id", "true_value", "predicted_value"]
-        head += aux_names
-        if feats is not None:
-            head += [f"feat_{j}" for j in range(feats.shape[1])]
         writer.writerow(head)
-        for r in population.records:
-            if population.task == CLASSIFICATION:
-                row = [r.id, r.true_label, r.predicted_label]
-            else:
-                row = [r.id, repr(r.true_value), repr(r.predicted_value)]
-            row += [repr(r.aux[a]) for a in aux_names]
-            if feats is not None:
-                row += [repr(float(x)) for x in feats[r.id]]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

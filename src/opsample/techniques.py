@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxvar import ChiVector, selection_probabilities
+from .auxvar import chi_values, selection_probabilities
 from .draw import (
     DrawTrace,
     RandomStream,
@@ -124,10 +124,6 @@ class TechniqueResult:
                 for (s, i, p, tag) in self.trace.entries
             ]
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _chi_values(chi) -> np.ndarray:
-    return chi.values if isinstance(chi, ChiVector) else np.asarray(chi, dtype=float)
 
 
 def _estimand(pop: Population, outcomes: np.ndarray) -> np.ndarray:
@@ -252,7 +248,7 @@ def _ces_features(pop: Population, chi) -> np.ndarray:
     if feats is not None:
         return feats
     if chi is not None:
-        return _chi_values(chi)[:, None]
+        return chi_values(chi)[:, None]
     if pop.aux_names:
         return np.column_stack([pop.aux_vector(a).values for a in pop.aux_names])
     raise ValueError("CES needs feature columns or at least one auxiliary variable")
@@ -416,7 +412,7 @@ def run_deepest(
     (1/n) * sum_j w_j * y_j with w_j = (N + n + 1 - 2j) / N for the j-th
     label.  It is unbiased, but it is not the plain sample mean.
     """
-    chi_v = _chi_values(chi)
+    chi_v = chi_values(chi)
     if chi_v.sum() <= 0:
         raise ValueError("all-zero chi vector")
     threshold = float(np.quantile(chi_v, threshold_quantile))
@@ -551,7 +547,7 @@ def run_ssrs(
     """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws."""
     if n > pop.N:
         raise ValueError(f"budget {n} exceeds population size {pop.N}")
-    chi_v = _chi_values(chi)
+    chi_v = chi_values(chi)
     pm = partition if partition is not None else kmeans_1d(chi_v, k, partition_seed)
     alloc = ssrs_allocation(pm, chi_v, n)
     flags = []
@@ -602,7 +598,7 @@ def run_gbs(
     variances are smoothed with one pseudo-observation and floored so
     unexplored heterogeneity keeps every partition eligible.
     """
-    chi_v = _chi_values(chi)
+    chi_v = chi_values(chi)
     pm = partition if partition is not None else kmeans_1d(chi_v, k, partition_seed)
     flags = []
     trace = DrawTrace() if record_trace else None
@@ -681,7 +677,7 @@ def run_twoups(
     shrinking without-replacement pool; an exhausted pool is restored (and
     flagged), falling back to with-replacement reuse.
     """
-    chi_v = _chi_values(chi)
+    chi_v = chi_values(chi)
     pi = selection_probabilities(chi_v)
     pm = partition if partition is not None else kmeans_1d(chi_v, k, partition_seed)
     members = pm.member_lists()

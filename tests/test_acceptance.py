@@ -255,7 +255,7 @@ def test_criterion_6_degenerations(main_pop, main_chi):
         details.append(f"{label} KS p={p:.3g}")
         ok = ok and p > 0.001
 
-    z = np.array([r.outcome for r in main_pop.records])
+    z = main_pop._true_outcomes()
 
     # DeepEST at r = 0 selects uniformly without replacement, but its per-step
     # estimator weights the j-th label by w_j = (N + n + 1 - 2j) / N, so its

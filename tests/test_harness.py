@@ -24,6 +24,7 @@ from opsample.population import (
     CLASSIFICATION,
     REGRESSION,
     LabelingOracle,
+    Population,
     true_accuracy,
 )
 from opsample.techniques import TechniqueConfig, run_technique
@@ -231,8 +232,11 @@ def test_run_experiment_skips_missing_aux(grid_pop):
 
 def test_run_experiment_skips_classification_only_aux_on_regression():
     rng = np.random.default_rng(3)
-    pop = make_regression(rng.random(20), rng.random(20))
-    pop.records[0].aux["confidence"] = 0.5  # present but classification-only
+    pop = Population.from_columns(
+        REGRESSION, np.arange(20), np.zeros(20), rng.random(20),
+        aux={"chi": rng.random(20), "confidence": np.full(20, 0.5)},
+    )
+    assert "confidence" in pop.aux_names  # present but classification-only
     config = EvalConfig(techniques=["sups"], aux=["confidence"], budgets=[4], repetitions=2)
     report = run_experiment(pop, config)
     assert not report.cells

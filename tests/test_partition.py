@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from opsample.partition import kmeans_1d, neyman_allocation
+from opsample.draw import RandomStream
+from opsample.partition import _boundaries, kmeans_1d, neyman_allocation
 
 
 def brute_force_best_split_sizes(values, k):
@@ -24,7 +27,113 @@ def brute_force_best_split_sizes(values, k):
     return best_sizes
 
 
+def reference_kmeans_1d(values, k, seed=0, max_iter=300):
+    """Lloyd with the full N x k distance matrix: (assignment, centroids, sizes).
+
+    The O(N k)-per-iteration form that kmeans_1d's sort-once Lloyd must
+    reproduce: same seeding, same argmin tie-break, same re-seeding.
+    """
+    n = values.size
+    distinct = np.unique(values)
+    p = min(k, distinct.size)
+    rng = RandomStream(seed)
+    centroids = np.empty(p)
+    centroids[0] = distinct[int(rng.integers(0, distinct.size))]
+    for j in range(1, p):
+        gaps = np.min(np.abs(distinct[:, None] - centroids[None, :j]), axis=1)
+        centroids[j] = distinct[int(np.argmax(gaps))]
+    centroids.sort()
+    assignment = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iter):
+        new_assignment = np.argmin(np.abs(values[:, None] - centroids[None, :]), axis=1)
+        for j in range(p):
+            mask = new_assignment == j
+            if not np.any(mask):
+                dist = np.abs(values - centroids[new_assignment])
+                far = int(np.argmax(dist))
+                centroids[j] = values[far]
+                new_assignment[far] = j
+                mask = new_assignment == j
+            centroids[j] = values[mask].mean()
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    order = np.argsort(centroids, kind="stable")
+    relabel = np.empty(p, dtype=np.int64)
+    relabel[order] = np.arange(p)
+    assignment = relabel[assignment]
+    return assignment, centroids[order], np.bincount(assignment, minlength=p)
+
+
+SKEWS = {
+    "linear": lambda v: v,
+    "power4": lambda v: v**4,
+    "power12": lambda v: v**12,
+    "exp6": lambda v: np.exp(6.0 * v),
+}
+
+
+@st.composite
+def chi_vectors(draw):
+    """Unsorted vectors with duplicates, skewed values and constant runs.
+
+    Small integers and tenths put values at or next to midpoints between
+    centroids, where argmin's tie-break and rounding decide.
+    """
+    value = st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, 8).map(float),
+        st.integers(0, 10).map(lambda x: x / 10),
+    )
+    pool = draw(st.lists(value, min_size=1, max_size=30))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=150))
+    runs = draw(st.lists(st.integers(1, 20), min_size=len(picks), max_size=len(picks)))
+    skew = SKEWS[draw(st.sampled_from(sorted(SKEWS)))]
+    return skew(np.repeat(np.array(pool)[picks], runs))
+
+
 class TestKmeans1D:
+    @settings(max_examples=300, deadline=None)
+    @given(values=chi_vectors(), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    @example(values=np.array([0.0, 1.0, 2.0]), k=2, seed=0)  # 1.0 ties between 0 and 2
+    # The prefix sum rounds the mean of the two 1 + 4 ulp values down to 1.0.
+    @example(values=np.array([1.0] * 20 + [1.0000000000000009] * 2), k=2, seed=0)
+    # Prefix-sum means that would settle a boundary element on the wrong side.
+    @example(values=np.array([0.7, 0.17789229916566074, 0.5, 0.6, 0.3792312703656151,
+                              0.8, 0.6, 0.6, 0.17789229916566074]), k=4, seed=59)
+    @example(values=np.array([7 / 3, 7 / 3, 2.0, 0.7299015178694915, 4 / 3, 0.7299015178694915,
+                              5 / 3, 0.7299015178694915, -3e7, -3e7, -3e7]), k=4, seed=12)
+    def test_matches_distance_matrix_lloyd(self, values, k, seed):
+        assignment, centroids, sizes = reference_kmeans_1d(values, k, seed)
+        pm = kmeans_1d(values, k, seed)
+        np.testing.assert_array_equal(pm.assignment, assignment)
+        np.testing.assert_array_equal(pm.sizes, sizes)
+        np.testing.assert_array_equal(pm.centroids, centroids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.integers(0, 16), min_size=1, max_size=60),
+        centroids=st.lists(st.integers(0, 16), min_size=1, max_size=6, unique=True),
+    )
+    def test_boundaries_match_argmin_in_any_centroid_order(self, values, centroids):
+        # Halves keep every distance exact, so values often tie between two
+        # centroids; centroids in any index order reach the tie-break both ways.
+        s = np.sort(np.array(values) / 2.0)
+        c = np.array(centroids) / 2.0
+        ranked = np.argsort(c, kind="stable")
+        inner = _boundaries(s, c[ranked], ranked[1:] < ranked[:-1])
+        labels = np.repeat(ranked, np.diff(np.concatenate(([0], inner, [s.size]))))
+        np.testing.assert_array_equal(labels, np.argmin(np.abs(s[:, None] - c[None, :]), axis=1))
+
+    def test_member_lists_are_ascending_ids_per_partition(self):
+        values = np.random.default_rng(4).random(300) ** 3
+        pm = kmeans_1d(values, 7, seed=2)
+        members = pm.member_lists()
+        assert members is pm.member_lists()  # computed once per map
+        assert len(members) == pm.P
+        for p, ids in enumerate(members):
+            np.testing.assert_array_equal(ids, np.flatnonzero(pm.assignment == p))
+
     def test_separated_clusters(self):
         pm = kmeans_1d(np.array([0.0, 0.1, 0.9, 1.0]), 2, seed=0)
         assert list(pm.assignment) == [0, 0, 1, 1]

@@ -57,6 +57,44 @@ class TestLoad:
         with pytest.raises(ValueError, match="non-finite auxiliary value at row 1"):
             load_population(path)
 
+    @pytest.mark.parametrize("column", ["true_value", "predicted_value"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_outcome_rejected(self, tmp_path, column, bad):
+        row = {"true_value": "1.5", "predicted_value": "1.0"}
+        row[column] = bad
+        path = tmp_path / "pop.csv"
+        path.write_text(
+            "id,true_value,predicted_value\n0,1.5,1.0\n"
+            f"1,{row['true_value']},{row['predicted_value']}\n"
+        )
+        with pytest.raises(ValueError, match=f"non-finite {column} at row 1"):
+            load_population(path)
+
+    def test_non_integer_label_rejected(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,true_label,predicted_label\n0,1,1\n1,0.5,1\n")
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            load_population(path)
+
+    def test_rows_reordered_by_id(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,true_label,predicted_label,chi\n1,1,0,0.25\n0,0,0,0.75\n")
+        pop = load_population(path)
+        np.testing.assert_array_equal(pop._true_outcomes(), [0.0, 1.0])
+        np.testing.assert_array_equal(pop.aux_vector("chi").values, [0.75, 0.25])
+
+    def test_sparse_ids_rejected(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,true_label,predicted_label\n0,1,0\n2,0,0\n")
+        with pytest.raises(ValueError, match="dense"):
+            load_population(path)
+
+    def test_ragged_row_rejected(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,true_label,predicted_label,chi\n0,1,0,0.5\n1,0,0\n")
+        with pytest.raises(ValueError, match="row 1 has 3 fields"):
+            load_population(path)
+
     def test_regression_csv(self, tmp_path):
         path = tmp_path / "pop.csv"
         path.write_text("id,true_value,predicted_value\n0,1.5,1.0\n1,2.0,2.25\n")
@@ -106,6 +144,42 @@ class TestLoad:
         np.testing.assert_allclose(
             back.aux_vector("chi").values, pop.aux_vector("chi").values
         )
+
+
+class TestColumns:
+    def test_record_adapter_matches_columns(self):
+        records = [
+            PopulationRecord(id=1, task=REGRESSION, true_value=0.5, predicted_value=0.0,
+                             aux={"chi": 0.2}, features=np.array([1.0, 2.0])),
+            PopulationRecord(id=0, task=REGRESSION, true_value=0.0, predicted_value=0.25,
+                             aux={"chi": 0.9}, features=np.array([3.0, 4.0])),
+        ]
+        a = Population(records, REGRESSION)
+        b = Population.from_columns(
+            REGRESSION, [1, 0], [0.5, 0.0], [0.0, 0.25], aux={"chi": [0.2, 0.9]},
+            features=[[1.0, 2.0], [3.0, 4.0]],
+        )
+        for pop in (a, b):
+            np.testing.assert_array_equal(pop._true_outcomes(), [0.25, 0.5])
+            np.testing.assert_array_equal(pop.aux_vector("chi").values, [0.9, 0.2])
+            np.testing.assert_array_equal(pop.features_matrix(), [[3.0, 4.0], [1.0, 2.0]])
+
+    def test_missing_aux_in_one_record_rejected(self):
+        records = [
+            PopulationRecord(id=0, task=CLASSIFICATION, predicted_label=0, true_label=0,
+                             aux={"chi": 0.5}),
+            PopulationRecord(id=1, task=CLASSIFICATION, predicted_label=0, true_label=1),
+        ]
+        with pytest.raises(ValueError, match="non-finite auxiliary value at row 1"):
+            Population(records, CLASSIFICATION)
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            Population.from_columns(CLASSIFICATION, [0, 1], [0.0, 1.0], [0, 0])
+
+    def test_column_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one entry per record"):
+            Population.from_columns(REGRESSION, [0, 1], [0.0, 1.0], [0.0], aux={})
 
 
 class TestRecordValidation:
