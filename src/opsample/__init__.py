@@ -15,7 +15,6 @@ from .draw import (
     DrawTrace,
     RandomStream,
     derive_seed,
-    pps_draw,
     pps_with_replacement,
     random_grouping,
     srs_with_replacement,

@@ -22,6 +22,7 @@ from .harness import (
     DEFAULT_BUDGETS,
     EvalConfig,
     enumerate_expectation,
+    rmse,
     run_experiment,
 )
 from .population import (
@@ -99,7 +100,7 @@ def cmd_run(args) -> int:
     print(f"xi_hat = {result.xi_hat:.6f}")
     print(f"distinct labels used = {result.distinct_labeled}")
     print(f"failures exposed = {result.failures}")
-    if args.technique in ("ssrs",):
+    if "allocation" in result.knobs:
         print(f"allocation = {result.knobs['allocation']}")
     out = _out_dir(args)
     path = os.path.join(out, f"result_{args.technique}.json")
@@ -146,15 +147,10 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     report.write_summary_csv(os.path.join(out, "summary.csv"))
     report.write_raw_csv(os.path.join(out, "raw.csv"))
-    manifest_path = os.path.join(out, "manifest.json")
-    report.write_manifest_json(manifest_path)
     # The manifest must be able to reproduce this run byte-for-byte.
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    manifest["population"] = os.path.abspath(pop_path)
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report.write_manifest_json(
+        os.path.join(out, "manifest.json"), population=os.path.abspath(pop_path)
+    )
     print(f"wrote {out}/summary.csv, {out}/raw.csv, {out}/manifest.json")
     if report.skipped:
         print(f"skipped {len(report.skipped)} incompatible cell(s)")
@@ -199,11 +195,10 @@ def cmd_report(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["technique", "aux", "budget", "rmse", "mean_failures"])
         for (technique, aux, budget), cell_rows in sorted(groups.items()):
-            errs = [(true_xi - float(r["xi_hat"])) ** 2 for r in cell_rows]
             fails = [float(r["failures"]) for r in cell_rows]
             writer.writerow(
                 [technique, aux, budget,
-                 repr((sum(errs) / len(errs)) ** 0.5),
+                 repr(rmse([float(r["xi_hat"]) for r in cell_rows], true_xi)),
                  repr(sum(fails) / len(fails))]
             )
 

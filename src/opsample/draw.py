@@ -8,7 +8,6 @@ not depend on machine word size or threading.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field
 
@@ -20,7 +19,6 @@ __all__ = [
     "derive_seed",
     "srs_with_replacement",
     "srs_without_replacement",
-    "pps_draw",
     "pps_with_replacement",
     "random_grouping",
 ]
@@ -81,13 +79,6 @@ class DrawTrace:
     def __len__(self):
         return len(self.entries)
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "id", "probability", "scheme"])
-            for row in self.entries:
-                writer.writerow([row[0], row[1], repr(row[2]), row[3]])
-
 
 def srs_with_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:
     """n independent uniform draws from ids; duplicates allowed."""
@@ -128,21 +119,12 @@ def _cumulative(weights) -> np.ndarray:
     return cum
 
 
-def pps_draw(ids, weights, rng: RandomStream):
-    """One draw with probability proportional to weight.
+def pps_with_replacement(ids, weights, n: int, rng: RandomStream) -> np.ndarray:
+    """n independent PPS draws (multiset).
 
     Cumulative sums plus binary search; chosen over alias tables so the
     mapping from uniforms to ids is identical on every platform.
     """
-    ids = np.asarray(ids)
-    cum = _cumulative(weights)
-    r = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, r, side="right"))
-    return ids[min(idx, ids.size - 1)]
-
-
-def pps_with_replacement(ids, weights, n: int, rng: RandomStream) -> np.ndarray:
-    """n independent PPS draws (multiset)."""
     ids = np.asarray(ids)
     if n < 1:
         raise ValueError("sample size must be >= 1")

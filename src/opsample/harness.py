@@ -13,6 +13,7 @@ import csv
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
@@ -23,7 +24,7 @@ from .draw import RandomStream, derive_seed
 from .partition import kmeans_1d
 from .population import CLASSIFICATION, REGRESSION, LabelingOracle, Population, true_accuracy
 from .techniques import (
-    CHI_TECHNIQUES,
+    REGISTRY,
     TechniqueConfig,
     deepest_step_probabilities,
     run_technique,
@@ -215,10 +216,8 @@ def _enum_deepest(pop, chi, n, config):
             chi_v,
             unselected,
             float(chi_v[selected].sum()),
-            int(np.count_nonzero(chi_v[selected] > threshold)),
             config.r,
             threshold,
-            config.deepest_transposed_weights,
         )
         sel_sum = float(y[selected].sum())
         for idx, i in enumerate(unselected):
@@ -302,6 +301,8 @@ class EvalConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         if list(self.budgets) != sorted(self.budgets):
             raise ValueError("budgets must be ascending")
         if list(self.offset_thresholds) != sorted(self.offset_thresholds):
@@ -392,7 +393,8 @@ class EvalReport:
                     out += [int(x) for x in row["offset_counts"]]
                 writer.writerow(out)
 
-    def write_manifest_json(self, path):
+    def write_manifest_json(self, path, population=None):
+        """Write the run's manifest; ``population`` (a CSV path) is recorded when given."""
         manifest = {
             "config": asdict(self.config),
             "true_xi": self.true_xi,
@@ -402,6 +404,8 @@ class EvalReport:
                 for c in self.cells
             ],
         }
+        if population is not None:
+            manifest["population"] = population
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -423,7 +427,9 @@ def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
     return TechniqueConfig(**kwargs)
 
 
-def _run_cell(pop, config: EvalConfig, technique, aux, budget, partition):
+def _execute_cell_worker(args):
+    """Raw rows of one grid cell; the same function runs in-process and in pool workers."""
+    pop, config, technique, aux, budget, partition = args
     tc = _make_config(config, technique, aux, budget)
     chi = pop.aux_vector(aux) if aux is not None else None
     rows = []
@@ -448,68 +454,56 @@ def _run_cell(pop, config: EvalConfig, technique, aux, budget, partition):
     return rows
 
 
+def _skip_reason(pop: Population, technique, aux) -> str | None:
+    """Why a (technique, aux) pair is not run, or None when it is."""
+    if not REGISTRY[technique].needs_chi:
+        # SRS/CES ignore chi for selection probabilities; run them once
+        # under aux=None only.
+        return None if aux is None else "technique does not use an auxiliary variable"
+    if aux is None:
+        return "technique requires an auxiliary variable"
+    if pop.task == REGRESSION and aux in CLASSIFICATION_ONLY_AUX:
+        return f"{aux} is classification-only"
+    if aux not in pop.aux_names:
+        return f"auxiliary variable {aux!r} not present"
+    return None
+
+
 def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
-    """Execute the full grid with independently seeded repetitions."""
+    """Execute the full grid with independently seeded repetitions.
+
+    Each needed partition map is computed once, here, so every cell that
+    stratifies on the same aux uses the same map whatever the worker count.
+    """
     xi = true_accuracy(pop)
-    cells = []
-    raw_rows = []
+    grid = []
     skipped = []
+    for technique, aux, budget in itertools.product(config.techniques, config.aux, config.budgets):
+        reason = _skip_reason(pop, technique, aux)
+        if reason is None:
+            grid.append((technique, aux, budget))
+        else:
+            skipped.append({"technique": technique, "aux": aux, "budget": budget, "reason": reason})
 
     partitions = {}
-
-    def partition_for(aux):
-        if aux not in partitions:
-            chi = pop.aux_vector(aux).values
+    for technique, aux, _ in grid:
+        if REGISTRY[technique].partitioned and aux not in partitions:
             seed = derive_seed(config.master_seed, "partition", aux, config.k)
-            partitions[aux] = kmeans_1d(chi, config.k, seed)
-        return partitions[aux]
-
-    grid = []
-    for technique, aux, budget in itertools.product(config.techniques, config.aux, config.budgets):
-        if technique in CHI_TECHNIQUES:
-            if aux is None:
-                skipped.append(
-                    {"technique": technique, "aux": aux, "budget": budget,
-                     "reason": "technique requires an auxiliary variable"}
-                )
-                continue
-            if pop.task == REGRESSION and aux in CLASSIFICATION_ONLY_AUX:
-                skipped.append(
-                    {"technique": technique, "aux": aux, "budget": budget,
-                     "reason": f"{aux} is classification-only"}
-                )
-                continue
-            if aux not in pop.aux_names:
-                skipped.append(
-                    {"technique": technique, "aux": aux, "budget": budget,
-                     "reason": f"auxiliary variable {aux!r} not present"}
-                )
-                continue
-        elif aux is not None:
-            # SRS/CES ignore chi for selection probabilities; run them once
-            # under aux=None only.
-            skipped.append(
-                {"technique": technique, "aux": aux, "budget": budget,
-                 "reason": "technique does not use an auxiliary variable"}
-            )
-            continue
-        grid.append((technique, aux, budget))
-
-    def execute(args):
-        technique, aux, budget = args
-        partition = (
-            partition_for(aux) if technique in ("ssrs", "gbs", "twoups") and aux else None
-        )
-        return _run_cell(pop, config, technique, aux, budget, partition)
-
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool_exec:
-            all_rows = list(pool_exec.map(_execute_cell_worker, [
-                (pop, config, technique, aux, budget) for technique, aux, budget in grid
-            ]))
+            partitions[aux] = kmeans_1d(pop.aux_vector(aux).values, config.k, seed)
+    cell_args = [
+        (pop, config, technique, aux, budget,
+         partitions[aux] if REGISTRY[technique].partitioned else None)
+        for technique, aux, budget in grid
+    ]
+    workers = min(config.jobs, os.cpu_count() or 1, len(cell_args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
+            all_rows = list(pool_exec.map(_execute_cell_worker, cell_args))
     else:
-        all_rows = [execute(args) for args in grid]
+        all_rows = list(map(_execute_cell_worker, cell_args))
 
+    cells = []
+    raw_rows = []
     for (technique, aux, budget), rows in zip(grid, all_rows):
         raw_rows.extend(rows)
         estimates = np.array([r["xi_hat"] for r in rows])
@@ -534,16 +528,6 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
             )
         )
     return EvalReport(config=config, true_xi=xi, cells=cells, raw_rows=raw_rows, skipped=skipped)
-
-
-def _execute_cell_worker(args):
-    pop, config, technique, aux, budget = args
-    partition = None
-    if technique in ("ssrs", "gbs", "twoups") and aux is not None:
-        chi = pop.aux_vector(aux).values
-        seed = derive_seed(config.master_seed, "partition", aux, config.k)
-        partition = kmeans_1d(chi, config.k, seed)
-    return _run_cell(pop, config, technique, aux, budget, partition)
 
 
 def sensitivity_summary(report: EvalReport) -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +29,9 @@ from .partition import Allocation, PartitionMap, kmeans_1d, neyman_allocation
 from .population import CLASSIFICATION, LabelingOracle, Population
 
 __all__ = [
+    "REGISTRY",
     "TECHNIQUES",
+    "Technique",
     "TechniqueConfig",
     "TechniqueResult",
     "run_technique",
@@ -44,12 +47,6 @@ __all__ = [
     "deepest_step_probabilities",
 ]
 
-TECHNIQUES = ("srs", "sups", "rhcs", "ces", "deepest", "ssrs", "gbs", "twoups")
-
-#: Techniques that consume an auxiliary variable.
-CHI_TECHNIQUES = ("sups", "rhcs", "deepest", "ssrs", "gbs", "twoups")
-
-
 @dataclass
 class TechniqueConfig:
     """All technique knobs with their documented defaults."""
@@ -60,7 +57,6 @@ class TechniqueConfig:
     # DeepEST
     r: float = 0.8
     threshold_quantile: float = 0.7
-    deepest_transposed_weights: bool = False
     deepest_verbatim_regression: bool = False
     # CES
     ces_initial: int = 30
@@ -357,32 +353,23 @@ def deepest_step_probabilities(
     chi: np.ndarray,
     unselected: np.ndarray,
     chi_selected_sum: float,
-    selected_above: int,
     r: float,
     threshold: float,
-    transposed: bool,
 ):
     """Marginal per-step selection probabilities for the adaptive sampler.
 
     Returns (q over `unselected`, fell_back) where q mixes the weight-based
     branch (probability r) with the uniform branch (probability 1 - r).
-    With the literal weight reading, the weight-based branch is uniform over
-    the unselected records whose chi exceeds the threshold; the transposed
-    reading makes it PPS on chi over all unselected records.
+    The weight-based branch is uniform over the unselected records whose
+    chi exceeds the threshold.
     """
     u = unselected.size
     uniform = np.full(u, 1.0 / u)
-    if transposed:
-        total = chi[unselected].sum()
-        if selected_above == 0 or total <= 0:
-            return uniform, True
-        wbs = chi[unselected] / total
-    else:
-        above = chi[unselected] > threshold
-        m = int(above.sum())
-        if m == 0 or chi_selected_sum <= 0:
-            return uniform, True
-        wbs = np.where(above, 1.0 / m, 0.0)
+    above = chi[unselected] > threshold
+    m = int(above.sum())
+    if m == 0 or chi_selected_sum <= 0:
+        return uniform, True
+    wbs = np.where(above, 1.0 / m, 0.0)
     return r * wbs + (1.0 - r) * uniform, False
 
 
@@ -394,7 +381,6 @@ def run_deepest(
     rng: RandomStream,
     r: float = 0.8,
     threshold_quantile: float = 0.7,
-    transposed_weights: bool = False,
     verbatim_regression: bool = False,
     failure_threshold: float = 12.5,
     record_trace: bool = False,
@@ -451,7 +437,6 @@ def run_deepest(
         trace.append(0, first, 1.0 / pop.N, "srs-first")
 
     chi_sel_sum = float(chi_v[first])
-    sel_above = int(chi_v[first] > threshold)
     y_sel_sum = y_first
     step_total = 0.0
 
@@ -460,19 +445,10 @@ def run_deepest(
         if u == 0:
             raise ValueError(f"budget {n} exceeds population size {pop.N}")
         # Determine the branch, then the marginal probability of the pick.
-        if transposed_weights:
-            chi_unsel_total = float(chi_v[unsel[:u]].sum())
-            fallback = sel_above == 0 or chi_unsel_total <= 0
-        else:
-            fallback = n_above == 0 or chi_sel_sum <= 0
+        fallback = n_above == 0 or chi_sel_sum <= 0
         use_wbs = (not fallback) and (rng.random() < r)
         if use_wbs:
-            if transposed_weights:
-                cum = np.cumsum(chi_v[unsel[:u]])
-                j = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), u - 1)
-                pick = int(unsel[j])
-            else:
-                pick = int(above[int(rng.integers(0, n_above))])
+            pick = int(above[int(rng.integers(0, n_above))])
             tag = "wbs"
         else:
             pick = int(unsel[int(rng.integers(0, u))])
@@ -480,8 +456,6 @@ def run_deepest(
         if fallback:
             q = 1.0 / u
             flags.append(f"step {k}: all weights zero, uniform fallback")
-        elif transposed_weights:
-            q = r * chi_v[pick] / chi_unsel_total + (1.0 - r) / u
         else:
             wbs_p = (1.0 / n_above) if chi_v[pick] > threshold else 0.0
             q = r * wbs_p + (1.0 - r) / u
@@ -497,7 +471,6 @@ def run_deepest(
         remove(pick)
         selected.append(pick)
         chi_sel_sum += float(chi_v[pick])
-        sel_above += int(chi_v[pick] > threshold)
         y_sel_sum += y_pick
 
     estimate = (y_first + step_total / pop.N) / n
@@ -506,7 +479,7 @@ def run_deepest(
         "r": r,
         "threshold_quantile": threshold_quantile,
         "threshold": threshold,
-        "transposed_weights": transposed_weights,
+        "transposed_weights": False,  # kept so result files keep their keys
         "verbatim_regression": verbatim_regression,
     }
     return _finalize(
@@ -715,6 +688,51 @@ def run_twoups(
     )
 
 
+@dataclass(frozen=True)
+class Technique:
+    """A registry entry: one sampling design with its estimator, and what it reads.
+
+    ``chi`` is "required", "optional" (ces falls back to features or every
+    aux column) or "unused".  ``knobs`` pairs each :class:`TechniqueConfig`
+    field the run function reads with its keyword.
+    """
+
+    run: Callable[..., TechniqueResult]
+    chi: str
+    partitioned: bool = False  # takes a PartitionMap of k-means strata on chi
+    knobs: tuple = ()
+
+    @property
+    def needs_chi(self) -> bool:
+        return self.chi == "required"
+
+
+_CES_KNOBS = (
+    ("ces_initial", "initial"), ("ces_group", "group"),
+    ("ces_candidates", "candidates"), ("ces_bins", "bins"),
+)
+_DEEPEST_KNOBS = (
+    ("r", "r"), ("threshold_quantile", "threshold_quantile"),
+    ("deepest_verbatim_regression", "verbatim_regression"),
+)
+_PARTITION_KNOBS = (("k", "k"), ("partition_seed", "partition_seed"))
+_GBS_KNOBS = (("gbs_prior_variance", "prior_variance"), ("gbs_variance_floor", "variance_floor"))
+
+#: Every technique, in report order.
+REGISTRY = {
+    "srs": Technique(run_srs, "unused"),
+    "sups": Technique(run_sups, "required"),
+    "rhcs": Technique(run_rhcs, "required"),
+    "ces": Technique(run_ces, "optional", knobs=_CES_KNOBS),
+    "deepest": Technique(run_deepest, "required", knobs=_DEEPEST_KNOBS),
+    "ssrs": Technique(run_ssrs, "required", True, _PARTITION_KNOBS),
+    "gbs": Technique(run_gbs, "required", True, _PARTITION_KNOBS + _GBS_KNOBS),
+    "twoups": Technique(run_twoups, "required", True, _PARTITION_KNOBS),
+}
+
+TECHNIQUES = tuple(REGISTRY)
+
+
 def run_technique(
     pop: Population,
     oracle: LabelingOracle,
@@ -723,62 +741,18 @@ def run_technique(
     chi=None,
     partition: PartitionMap | None = None,
 ) -> TechniqueResult:
-    """Dispatch a configured technique run."""
-    name = config.technique
-    n = config.budget
+    """Run a configured technique through its registry entry."""
+    entry = REGISTRY[config.technique]
     if chi is None and config.aux is not None:
         chi = pop.aux_vector(config.aux)
-    if name in CHI_TECHNIQUES and chi is None:
-        raise ValueError(f"technique {name!r} needs an auxiliary variable")
-    common = dict(failure_threshold=config.failure_threshold, record_trace=config.record_trace)
-    if name == "srs":
-        return run_srs(pop, oracle, n, rng, **common)
-    if name == "sups":
-        return run_sups(pop, oracle, n, chi, rng, **common)
-    if name == "rhcs":
-        return run_rhcs(pop, oracle, n, chi, rng, **common)
-    if name == "ces":
-        return run_ces(
-            pop,
-            oracle,
-            n,
-            rng,
-            chi=chi,
-            initial=config.ces_initial,
-            group=config.ces_group,
-            candidates=config.ces_candidates,
-            bins=config.ces_bins,
-            **common,
-        )
-    if name == "deepest":
-        return run_deepest(
-            pop,
-            oracle,
-            n,
-            chi,
-            rng,
-            r=config.r,
-            threshold_quantile=config.threshold_quantile,
-            transposed_weights=config.deepest_transposed_weights,
-            verbatim_regression=config.deepest_verbatim_regression,
-            **common,
-        )
-    if name == "ssrs":
-        return run_ssrs(
-            pop, oracle, n, chi, config.k, rng,
-            partition=partition, partition_seed=config.partition_seed, **common,
-        )
-    if name == "gbs":
-        return run_gbs(
-            pop, oracle, n, chi, config.k, rng,
-            partition=partition, partition_seed=config.partition_seed,
-            prior_variance=config.gbs_prior_variance,
-            variance_floor=config.gbs_variance_floor,
-            **common,
-        )
-    if name == "twoups":
-        return run_twoups(
-            pop, oracle, n, chi, config.k, rng,
-            partition=partition, partition_seed=config.partition_seed, **common,
-        )
-    raise ValueError(f"unknown technique {name!r}")
+    kwargs = {kw: getattr(config, name) for name, kw in entry.knobs}
+    if entry.chi != "unused":
+        if entry.needs_chi and chi is None:
+            raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
+        kwargs["chi"] = chi
+    if entry.partitioned:
+        kwargs["partition"] = partition
+    return entry.run(
+        pop, oracle, config.budget, rng=rng,
+        failure_threshold=config.failure_threshold, record_trace=config.record_trace, **kwargs,
+    )

@@ -30,7 +30,13 @@ from opsample.population import (
     generate_synthetic,
     true_accuracy,
 )
-from opsample.techniques import TechniqueConfig, run_ssrs, run_technique, ssrs_allocation
+from opsample.techniques import (
+    REGISTRY,
+    TechniqueConfig,
+    run_ssrs,
+    run_technique,
+    ssrs_allocation,
+)
 
 
 def report(num, ok, detail):
@@ -131,7 +137,7 @@ def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_chi, main_partition
     for name, kwargs in ALL_CONFIGS.items():
         config = TechniqueConfig(budget=200, **kwargs)
         chi = main_chi if kwargs.get("aux") else None
-        partition = main_partition if name in ("ssrs", "gbs", "twoups") else None
+        partition = main_partition if REGISTRY[name].partitioned else None
         seeds = [derive_seed(0, "c2", name, rep) for rep in range(R)]
         est = estimates_for(main_pop, config, seeds, chi=chi, partition=partition)
         xi_hat = 1.0 - est

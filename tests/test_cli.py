@@ -169,8 +169,8 @@ def test_oracle_rejects_non_enumerable(micro_csv, capsys):
 def test_report_round_trip(tiny_csv, tmp_path):
     out = tmp_path / "eval"
     main(
-        ["eval", "--population", tiny_csv, "--techniques", "srs",
-         "--aux", "none", "--budgets", "5,10", "--reps", "4",
+        ["eval", "--population", tiny_csv, "--techniques", "srs,sups,ssrs",
+         "--aux", "none,chi", "--budgets", "5,10", "--reps", "30",
          "--seed", "2", "--out", str(out)]
     )
     rep = tmp_path / "report"
@@ -181,9 +181,12 @@ def test_report_round_trip(tiny_csv, tmp_path):
     assert rc == 0
     with open(rep / "rmse_vs_budget.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [(r["technique"], r["budget"]) for r in rows] == [("srs", "5"), ("srs", "10")]
+    assert sorted((r["technique"], r["aux"], r["budget"]) for r in rows) == sorted(
+        [("srs", "", b) for b in ("5", "10")]
+        + [(t, "chi", b) for t in ("sups", "ssrs") for b in ("5", "10")]
+    )
     # RMSE recomputed from raw rows must match the summary file exactly.
     with open(out / "summary.csv", newline="") as fh:
-        summary = {r["budget"]: r["rmse"] for r in csv.DictReader(fh)}
+        summary = {(r["technique"], r["aux"], r["budget"]): r["rmse"] for r in csv.DictReader(fh)}
     for r in rows:
-        assert float(r["rmse"]) == pytest.approx(float(summary[r["budget"]]), abs=1e-15)
+        assert r["rmse"] == summary[(r["technique"], r["aux"], r["budget"])]

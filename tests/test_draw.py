@@ -5,7 +5,6 @@ from scipy import stats
 from opsample.draw import (
     RandomStream,
     derive_seed,
-    pps_draw,
     pps_with_replacement,
     random_grouping,
     srs_with_replacement,
@@ -72,7 +71,7 @@ def test_srs_wor_pair_frequencies():
 
 def test_pps_draw_degenerate_weight():
     for seed in range(20):
-        assert pps_draw([10, 11], [1.0, 0.0], RandomStream(seed)) == 10
+        assert list(pps_with_replacement([10, 11], [1.0, 0.0], 1, RandomStream(seed))) == [10]
 
 
 def test_pps_frequencies():
@@ -97,9 +96,9 @@ def test_pps_concentrated_weight_dominates():
 
 def test_pps_errors():
     with pytest.raises(ValueError):
-        pps_draw([0, 1], [0.0, 0.0], RandomStream(0))
+        pps_with_replacement([0, 1], [0.0, 0.0], 1, RandomStream(0))
     with pytest.raises(ValueError):
-        pps_draw([0, 1], [-1.0, 2.0], RandomStream(0))
+        pps_with_replacement([0, 1], [-1.0, 2.0], 1, RandomStream(0))
 
 
 def test_grouping_even_split():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_classification, make_regression, random_tiny_population
 
+from opsample import harness
 from opsample.draw import RandomStream
 from opsample.harness import (
     EvalConfig,
@@ -313,10 +314,55 @@ def test_manifest_round_trip(grid_pop, tmp_path):
     assert manifest["cells"] == [{"technique": "srs", "aux": None, "budget": 5}]
 
 
-def test_parallel_jobs_match_serial(grid_pop):
+def test_parallel_jobs_match_serial(grid_pop, monkeypatch):
+    # Two workers even on a one-core machine, so the pool path always runs.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     base = dict(
-        techniques=["srs", "sups"], aux=[None, "chi"], budgets=[5], repetitions=3, master_seed=8
+        techniques=["srs", "sups", "ssrs", "gbs", "twoups"], aux=[None, "chi"], budgets=[5, 12],
+        repetitions=3, master_seed=8,
     )
     serial = run_experiment(grid_pop, EvalConfig(**base, jobs=1))
     parallel = run_experiment(grid_pop, EvalConfig(**base, jobs=2))
-    assert [r["xi_hat"] for r in serial.raw_rows] == [r["xi_hat"] for r in parallel.raw_rows]
+    assert len(serial.raw_rows) == 5 * 2 * 3
+    assert serial.raw_rows == parallel.raw_rows
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_eval_config_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        EvalConfig(jobs=jobs)
+
+
+@pytest.mark.parametrize(
+    "budgets, cpus, expected",
+    [
+        ([5, 6, 7, 8, 9, 10], 4, [4]),  # capped by the CPU count
+        ([5, 6, 7], 4, [3]),  # capped by the number of cells
+        ([5], 4, []),  # one cell runs in-process
+        ([5, 6, 7], None, []),  # unknown CPU count: in-process
+    ],
+)
+def test_pool_size_is_bounded(grid_pop, monkeypatch, budgets, cpus, expected):
+    created = []
+
+    class FakePool:
+        """Records the requested pool size and runs cells in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    base = dict(techniques=["srs"], aux=[None], budgets=budgets, repetitions=2)
+    huge = run_experiment(grid_pop, EvalConfig(**base, jobs=10_000))
+    assert created == expected
+    assert huge.raw_rows == run_experiment(grid_pop, EvalConfig(**base)).raw_rows

@@ -9,7 +9,7 @@ from opsample.auxvar import selection_probabilities
 from opsample.draw import RandomStream
 from opsample.population import LabelingOracle
 from opsample.techniques import (
-    CHI_TECHNIQUES,
+    REGISTRY,
     TECHNIQUES,
     TechniqueConfig,
     run_ces,
@@ -327,10 +327,10 @@ def test_twoups_pool_exhaustion_flagged():
 
 @pytest.mark.parametrize("name", TECHNIQUES)
 def test_budget_and_determinism(name, pop6):
-    kwargs = {"aux": "chi"} if name in CHI_TECHNIQUES else {}
+    kwargs = {"aux": "chi"} if REGISTRY[name].needs_chi else {}
     if name == "ces":
         kwargs.update(ces_initial=2, ces_group=2, ces_candidates=20, ces_bins=4)
-    if name in ("ssrs", "gbs", "twoups"):
+    if REGISTRY[name].partitioned:
         kwargs["k"] = 2
     a = run_named(name, pop6, 4, 99, **kwargs)
     b = run_named(name, pop6, 4, 99, **kwargs)
@@ -343,11 +343,32 @@ def test_budget_and_determinism(name, pop6):
     assert list(a.selected_ids) != list(c.selected_ids) or a.technique == name
 
 
-@pytest.mark.parametrize("name", CHI_TECHNIQUES)
+@pytest.mark.parametrize("name", [t for t in TECHNIQUES if REGISTRY[t].needs_chi])
 def test_chi_techniques_require_aux(name, pop6):
     config = TechniqueConfig(technique=name, budget=2, k=2)
     with pytest.raises(ValueError, match="auxiliary"):
         run_technique(pop6, LabelingOracle(pop6), config, RandomStream(0))
+
+
+def test_every_config_field_is_read(pop6):
+    """A TechniqueConfig field that no dispatch reads is a dead knob."""
+
+    class Recorder:
+        def __init__(self, config):
+            self._config = config
+
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(self._config, name)
+
+    read = set()
+    for name in TECHNIQUES:
+        kwargs = dict(ces_initial=2, ces_group=2, ces_candidates=20, ces_bins=4, k=2)
+        config = TechniqueConfig(technique=name, aux="chi", budget=4, **kwargs)
+        run_technique(pop6, LabelingOracle(pop6), Recorder(config), RandomStream(0))
+    fields = set(TechniqueConfig.__dataclass_fields__)
+    assert read == fields
+    assert {f for entry in REGISTRY.values() for f, _ in entry.knobs} <= fields
 
 
 def test_regression_failures_use_threshold():
