@@ -50,15 +50,7 @@ from .techniques import (
     TECHNIQUES,
     TechniqueConfig,
     TechniqueResult,
-    run_ces,
-    run_deepest,
-    run_gbs,
-    run_rhcs,
-    run_srs,
-    run_ssrs,
-    run_sups,
     run_technique,
-    run_twoups,
     ssrs_allocation,
 )
 

@@ -192,7 +192,7 @@ def selection_probabilities(chi, zero_floor: float = 1e-9) -> np.ndarray:
     added to every value first: the unequal-probability estimators are only
     unbiased over the whole population when every record is selectable.
     """
-    values = chi.values if isinstance(chi, ChiVector) else np.asarray(chi, dtype=float)
+    values = chi_values(chi)
     if np.any(values < 0):
         raise ValueError("chi values must be nonnegative")
     top = values.max() if values.size else 0.0

@@ -14,12 +14,11 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .draw import RandomStream
 from .harness import (
     CLASSIFICATION_ONLY_AUX,
-    DEFAULT_BUDGETS,
     EvalConfig,
     enumerate_expectation,
     rmse,
@@ -111,30 +110,26 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _eval_config_from(args) -> EvalConfig:
+def _eval_config_from(args) -> tuple[EvalConfig, dict]:
+    """The grid from the config file and the flags: flags win, EvalConfig's defaults fill in."""
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(key, default)
-
-    return EvalConfig(
-        techniques=pick(args.techniques, "techniques", ["srs"]),
-        aux=pick(args.aux, "aux", [None]),
-        budgets=pick(args.budgets, "budgets", list(DEFAULT_BUDGETS)),
-        repetitions=pick(args.reps, "repetitions", 30),
-        master_seed=pick(args.seed, "master_seed", 0),
-        offset_thresholds=pick(args.thresholds, "offset_thresholds", None)
-        or [2.5 * i for i in range(11)],
-        failure_threshold=pick(args.failure_threshold, "failure_threshold", 12.5),
-        k=pick(args.k, "k", 10),
-        technique_overrides=file_cfg.get("technique_overrides", {}),
-        jobs=pick(args.jobs, "jobs", 1),
-    ), file_cfg
+    kwargs = {f.name: file_cfg[f.name] for f in fields(EvalConfig) if f.name in file_cfg}
+    flags = {
+        "techniques": args.techniques,
+        "aux": args.aux,
+        "budgets": args.budgets,
+        "repetitions": args.reps,
+        "master_seed": args.seed,
+        "offset_thresholds": args.thresholds,
+        "failure_threshold": args.failure_threshold,
+        "k": args.k,
+        "jobs": args.jobs,
+    }
+    kwargs.update((key, value) for key, value in flags.items() if value is not None)
+    return EvalConfig(**kwargs), file_cfg
 
 
 def cmd_eval(args) -> int:

@@ -73,9 +73,6 @@ class DrawTrace:
 
     entries: list = field(default_factory=list)
 
-    def append(self, step: int, record_id: int, probability: float, scheme: str):
-        self.entries.append((int(step), int(record_id), float(probability), scheme))
-
     def __len__(self):
         return len(self.entries)
 

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -281,6 +281,8 @@ def enumerate_expectation(pop: Population, config: TechniqueConfig, n: int) -> f
 
 DEFAULT_BUDGETS = (50, 100, 200, 400, 800)
 DEFAULT_THRESHOLDS = tuple(2.5 * i for i in range(11))  # 0 to 25 step 2.5
+_TECHNIQUE_FIELDS = {f.name for f in fields(TechniqueConfig)}
+_GRID_KEYS = ("technique", "aux", "budget", "partition_seed")
 
 
 @dataclass
@@ -307,6 +309,17 @@ class EvalConfig:
             raise ValueError("budgets must be ascending")
         if list(self.offset_thresholds) != sorted(self.offset_thresholds):
             raise ValueError("offset thresholds must be ascending")
+        for technique, overrides in self.technique_overrides.items():
+            if technique not in REGISTRY:
+                raise ValueError(f"technique_overrides: unknown technique {technique!r}")
+            where = f"technique_overrides[{technique!r}]"
+            for key in overrides:
+                if key in _GRID_KEYS:
+                    # The grid sets these per cell (the partition seed comes from
+                    # the master seed), so an override would be ignored or break it.
+                    raise ValueError(f"{where}: {key!r} is set by the grid")
+                if key not in _TECHNIQUE_FIELDS:
+                    raise ValueError(f"{where}: unknown knob {key!r}")
 
 
 @dataclass
@@ -411,10 +424,6 @@ class EvalReport:
             fh.write("\n")
 
 
-def _cell_seed(master_seed, technique, aux, budget, repetition) -> int:
-    return derive_seed(master_seed, technique, aux, budget, repetition)
-
-
 def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
     kwargs = dict(
         technique=technique,
@@ -429,12 +438,12 @@ def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
 
 def _execute_cell_worker(args):
     """Raw rows of one grid cell; the same function runs in-process and in pool workers."""
-    pop, config, technique, aux, budget, partition = args
-    tc = _make_config(config, technique, aux, budget)
+    pop, config, tc, partition = args
+    technique, aux, budget = tc.technique, tc.aux, tc.budget
     chi = pop.aux_vector(aux) if aux is not None else None
     rows = []
     for rep in range(config.repetitions):
-        seed = _cell_seed(config.master_seed, technique, aux, budget, rep)
+        seed = derive_seed(config.master_seed, technique, aux, budget, rep)
         oracle = LabelingOracle(pop)
         result = run_technique(pop, oracle, tc, RandomStream(seed), chi=chi, partition=partition)
         row = {
@@ -472,8 +481,9 @@ def _skip_reason(pop: Population, technique, aux) -> str | None:
 def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
     """Execute the full grid with independently seeded repetitions.
 
-    Each needed partition map is computed once, here, so every cell that
-    stratifies on the same aux uses the same map whatever the worker count.
+    Each needed partition map is computed once, here, for each (aux, k)
+    pair that a stratified cell's config asks for, so cells that stratify
+    alike share one map whatever the worker count.
     """
     xi = true_accuracy(pop)
     grid = []
@@ -486,15 +496,17 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
             skipped.append({"technique": technique, "aux": aux, "budget": budget, "reason": reason})
 
     partitions = {}
-    for technique, aux, _ in grid:
-        if REGISTRY[technique].partitioned and aux not in partitions:
-            seed = derive_seed(config.master_seed, "partition", aux, config.k)
-            partitions[aux] = kmeans_1d(pop.aux_vector(aux).values, config.k, seed)
-    cell_args = [
-        (pop, config, technique, aux, budget,
-         partitions[aux] if REGISTRY[technique].partitioned else None)
-        for technique, aux, budget in grid
-    ]
+    cell_args = []
+    for technique, aux, budget in grid:
+        tc = _make_config(config, technique, aux, budget)
+        partition = None
+        if REGISTRY[technique].partitioned:
+            key = (aux, tc.k)
+            if key not in partitions:
+                seed = derive_seed(config.master_seed, "partition", aux, tc.k)
+                partitions[key] = kmeans_1d(pop.aux_vector(aux).values, tc.k, seed)
+            partition = partitions[key]
+        cell_args.append((pop, config, tc, partition))
     workers = min(config.jobs, os.cpu_count() or 1, len(cell_args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:

@@ -1,9 +1,11 @@
 """The eight sampling-and-estimation techniques.
 
-Each technique consumes a population view (predictions and auxiliary values
-only), a labeling oracle, a budget n, and a random stream, and produces a
-:class:`TechniqueResult` with the selected sample, the point estimate, and
-the failures it exposed.  Estimates are reported raw: the
+Each technique is a sampling law: it consumes a population view
+(predictions and auxiliary values only), a labeling oracle, its
+:class:`TechniqueConfig` and a random stream, and returns its draws with
+their selection probabilities and the point estimate.  :func:`run_technique`
+is the one path that turns a law's draws into a :class:`TechniqueResult`
+with the trace and the failures exposed.  Estimates are reported raw: the
 unequal-probability estimators can leave [0, 1] on unlucky paths, and
 clamping would break unbiasedness.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,15 +37,7 @@ __all__ = [
     "TechniqueConfig",
     "TechniqueResult",
     "run_technique",
-    "run_srs",
-    "run_sups",
-    "run_rhcs",
-    "run_ces",
-    "run_deepest",
-    "run_ssrs",
     "ssrs_allocation",
-    "run_gbs",
-    "run_twoups",
     "deepest_step_probabilities",
 ]
 
@@ -129,101 +123,59 @@ def _estimand(pop: Population, outcomes: np.ndarray) -> np.ndarray:
     return outcomes**2
 
 
-def _finalize(
-    pop: Population,
-    oracle: LabelingOracle,
-    technique: str,
-    selected: np.ndarray,
-    estimate: float,
-    trace: DrawTrace | None,
-    flags: list,
-    failure_threshold: float,
-    knobs: dict,
-) -> TechniqueResult:
-    labeled_ids, labeled_outcomes = oracle.labeled_outcomes()
-    if pop.task == CLASSIFICATION:
-        failures = int(labeled_outcomes.sum())
-        offsets = None
-    else:
-        failures = int(np.count_nonzero(labeled_outcomes >= failure_threshold))
-        offsets = labeled_outcomes
-    return TechniqueResult(
-        technique=technique,
-        selected_ids=np.asarray(selected),
-        distinct_labeled=oracle.reveal_count,
-        estimate=float(estimate),
-        xi_hat=1.0 - float(estimate),
-        failures=failures,
-        offsets=offsets,
-        trace=trace,
-        flags=flags,
-        knobs=knobs,
-    )
+class Draws(NamedTuple):
+    """What a sampling law returns: its draws in order and what it noted.
+
+    ``probabilities`` holds one selection probability per draw, and
+    ``schemes`` is either one scheme tag for every draw or one tag per draw.
+    """
+
+    selected: np.ndarray
+    estimate: float
+    probabilities: np.ndarray
+    schemes: str | list
+    flags: list
+    knobs: dict
 
 
-def run_srs(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    rng: RandomStream,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+# Every law has the signature law(pop, oracle, config, rng, chi, partition):
+# chi is the float array of the auxiliary variable (or None) and partition
+# the k-means map of the stratified techniques (or None).
+
+
+def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Simple random sampling with replacement; estimate is the sample mean."""
+    n = config.budget
     selected = srs_with_replacement(np.arange(pop.N), n, rng)
     y = _estimand(pop, oracle.reveal_many(selected))
-    trace = None
-    if record_trace:
-        trace = DrawTrace()
-        for step, rid in enumerate(selected):
-            trace.append(step, rid, 1.0 / pop.N, "srs-wr")
-    return _finalize(pop, oracle, "srs", selected, y.mean(), trace, [], failure_threshold, {"n": n})
+    return Draws(selected, y.mean(), np.full(n, 1.0 / pop.N), "srs-wr", [], {"n": n})
 
 
-def run_sups(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    chi,
-    rng: RandomStream,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
     """PPS with replacement; Hansen-Hurwitz estimator reweights by 1/probability."""
+    n = config.budget
     pi = selection_probabilities(chi)
     selected = pps_with_replacement(np.arange(pop.N), pi, n, rng)
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y / pi[selected])) / (n * pop.N)
-    trace = None
-    if record_trace:
-        trace = DrawTrace()
-        for step, rid in enumerate(selected):
-            trace.append(step, rid, float(pi[rid]), "pps-wr")
-    return _finalize(pop, oracle, "sups", selected, estimate, trace, [], failure_threshold, {"n": n})
+    return Draws(selected, estimate, pi[selected], "pps-wr", [], {"n": n})
 
 
-def run_rhcs(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    chi,
-    rng: RandomStream,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Random grouping, one PPS draw per group, group-total reweighting.
 
     The drawn unit in group r is rescaled by q_r/pi_r where q_r is the
     group's total selection probability, which makes the scheme
     without-replacement overall while keeping the estimator unbiased.
     """
+    n = config.budget
     if n > pop.N:
         raise ValueError(f"budget {n} exceeds population size {pop.N}")
     pi = selection_probabilities(chi)
     groups = random_grouping(np.arange(pop.N), n, rng)
     selected = np.empty(n, dtype=np.int64)
     weights = np.empty(n)
-    trace = DrawTrace() if record_trace else None
+    probabilities = np.empty(n)
     for r, group in enumerate(groups):
         w = pi[group]
         q_r = w.sum()
@@ -232,11 +184,10 @@ def run_rhcs(
         j = min(int(np.searchsorted(cum, u, side="right")), group.size - 1)
         selected[r] = group[j]
         weights[r] = q_r / pi[group[j]]
-        if trace is not None:
-            trace.append(r, group[j], float(pi[group[j]] / q_r), "rhc-pps")
+        probabilities[r] = pi[group[j]] / q_r
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y * weights)) / pop.N
-    return _finalize(pop, oracle, "rhcs", selected, estimate, trace, [], failure_threshold, {"n": n})
+    return Draws(selected, estimate, probabilities, "rhc-pps", [], {"n": n})
 
 
 def _ces_features(pop: Population, chi) -> np.ndarray:
@@ -244,25 +195,13 @@ def _ces_features(pop: Population, chi) -> np.ndarray:
     if feats is not None:
         return feats
     if chi is not None:
-        return chi_values(chi)[:, None]
+        return chi[:, None]
     if pop.aux_names:
         return np.column_stack([pop.aux_vector(a).values for a in pop.aux_names])
     raise ValueError("CES needs feature columns or at least one auxiliary variable")
 
 
-def run_ces(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    rng: RandomStream,
-    chi=None,
-    initial: int = 30,
-    group: int = 5,
-    candidates: int = 300,
-    bins: int = 10,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     """Cross-entropy sampling: grow a sample that imitates the feature distribution.
 
     Starting from a random initial set, repeatedly add the candidate group
@@ -270,8 +209,8 @@ def run_ces(
     smoothed cross-entropy between the operational and selected per-feature
     histograms.  The estimate is the plain sample mean.
     """
-    if n < initial:
-        raise ValueError(f"CES budget {n} is below the initial set size {initial}")
+    n, initial, group = config.budget, config.ces_initial, config.ces_group
+    candidates, bins = config.ces_candidates, config.ces_bins
     X = _ces_features(pop, chi)
     n_dims = X.shape[1]
     # Equal-width bins per dimension over the operational range.
@@ -303,11 +242,7 @@ def run_ces(
     remove(selected)
     for rid in selected:
         sel_counts[np.arange(n_dims), bin_idx[rid]] += 1
-
-    trace = DrawTrace() if record_trace else None
-    if trace is not None:
-        for step, rid in enumerate(selected):
-            trace.append(step, rid, 1.0 / pop.N, "ces-initial")
+    probabilities = [1.0 / pop.N] * initial
 
     pop_flat = pop_dist.ravel()
     sel_flat = sel_counts.ravel()
@@ -338,15 +273,15 @@ def run_ces(
         best = cand[int(np.argmin(ce))]
         for rid in best:
             sel_flat[flat_idx[rid]] += 1
-            if trace is not None:
-                trace.append(len(selected), rid, 1.0 / n_unsel, "ces-group")
             selected.append(int(rid))
+        probabilities.extend([1.0 / n_unsel] * g)
         remove(best)
 
     selected = np.array(selected, dtype=np.int64)
     y = _estimand(pop, oracle.reveal_many(selected))
+    schemes = ["ces-initial"] * initial + ["ces-group"] * (n - initial)
     knobs = {"n": n, "initial": initial, "group": group, "candidates": candidates, "bins": bins}
-    return _finalize(pop, oracle, "ces", selected, y.mean(), trace, [], failure_threshold, knobs)
+    return Draws(selected, y.mean(), probabilities, schemes, [], knobs)
 
 
 def deepest_step_probabilities(
@@ -373,18 +308,7 @@ def deepest_step_probabilities(
     return r * wbs + (1.0 - r) * uniform, False
 
 
-def run_deepest(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    chi,
-    rng: RandomStream,
-    r: float = 0.8,
-    threshold_quantile: float = 0.7,
-    verbatim_regression: bool = False,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     """Adaptive failure-seeking sampler with step-by-step unbiased estimates.
 
     The first example is uniform; each later step uses weight-based sampling
@@ -398,18 +322,18 @@ def run_deepest(
     (1/n) * sum_j w_j * y_j with w_j = (N + n + 1 - 2j) / N for the j-th
     label.  It is unbiased, but it is not the plain sample mean.
     """
-    chi_v = chi_values(chi)
-    if chi_v.sum() <= 0:
+    n, r = config.budget, config.r
+    verbatim_regression = config.deepest_verbatim_regression
+    if chi.sum() <= 0:
         raise ValueError("all-zero chi vector")
-    threshold = float(np.quantile(chi_v, threshold_quantile))
-    trace = DrawTrace() if record_trace else None
+    threshold = float(np.quantile(chi, config.threshold_quantile))
     flags = []
 
     # Swap-remove pools for the unselected set and its above-threshold subset.
     unsel = np.arange(pop.N)
     pos = np.arange(pop.N)
     n_unsel = pop.N
-    above_ids = np.flatnonzero(chi_v > threshold)
+    above_ids = np.flatnonzero(chi > threshold)
     above = above_ids.copy()
     above_pos = np.full(pop.N, -1, dtype=np.int64)
     above_pos[above] = np.arange(above.size)
@@ -433,10 +357,10 @@ def run_deepest(
     y_first = float(_estimand(pop, np.array([oracle.reveal(first)]))[0])
     selected = [first]
     remove(first)
-    if trace is not None:
-        trace.append(0, first, 1.0 / pop.N, "srs-first")
+    probabilities = [1.0 / pop.N]
+    schemes = ["srs-first"]
 
-    chi_sel_sum = float(chi_v[first])
+    chi_sel_sum = float(chi[first])
     y_sel_sum = y_first
     step_total = 0.0
 
@@ -449,18 +373,17 @@ def run_deepest(
         use_wbs = (not fallback) and (rng.random() < r)
         if use_wbs:
             pick = int(above[int(rng.integers(0, n_above))])
-            tag = "wbs"
+            schemes.append("wbs")
         else:
             pick = int(unsel[int(rng.integers(0, u))])
-            tag = "srs-step"
+            schemes.append("srs-step")
         if fallback:
             q = 1.0 / u
             flags.append(f"step {k}: all weights zero, uniform fallback")
         else:
-            wbs_p = (1.0 / n_above) if chi_v[pick] > threshold else 0.0
+            wbs_p = (1.0 / n_above) if chi[pick] > threshold else 0.0
             q = r * wbs_p + (1.0 - r) / u
-        if trace is not None:
-            trace.append(k - 1, pick, float(q), tag)
+        probabilities.append(q)
 
         y_pick = float(_estimand(pop, np.array([oracle.reveal(pick)]))[0])
         if pop.task == CLASSIFICATION or not verbatim_regression:
@@ -470,21 +393,19 @@ def run_deepest(
 
         remove(pick)
         selected.append(pick)
-        chi_sel_sum += float(chi_v[pick])
+        chi_sel_sum += float(chi[pick])
         y_sel_sum += y_pick
 
     estimate = (y_first + step_total / pop.N) / n
     knobs = {
         "n": n,
         "r": r,
-        "threshold_quantile": threshold_quantile,
+        "threshold_quantile": config.threshold_quantile,
         "threshold": threshold,
         "transposed_weights": False,  # kept so result files keep their keys
         "verbatim_regression": verbatim_regression,
     }
-    return _finalize(
-        pop, oracle, "deepest", np.array(selected), estimate, trace, flags, failure_threshold, knobs
-    )
+    return Draws(np.array(selected), estimate, probabilities, schemes, flags, knobs)
 
 
 def ssrs_allocation(pm: PartitionMap, chi_v: np.ndarray, n: int):
@@ -505,29 +426,16 @@ def ssrs_allocation(pm: PartitionMap, chi_v: np.ndarray, n: int):
     return Allocation(n_p=n_p, total=alloc.total)
 
 
-def run_ssrs(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    chi,
-    k: int,
-    rng: RandomStream,
-    partition: PartitionMap | None = None,
-    partition_seed: int = 0,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws."""
+    n, pm = config.budget, partition
     if n > pop.N:
         raise ValueError(f"budget {n} exceeds population size {pop.N}")
-    chi_v = chi_values(chi)
-    pm = partition if partition is not None else kmeans_1d(chi_v, k, partition_seed)
-    alloc = ssrs_allocation(pm, chi_v, n)
+    alloc = ssrs_allocation(pm, chi, n)
     flags = []
-    trace = DrawTrace() if record_trace else None
     selected = []
+    probabilities = []
     estimate = 0.0
-    step = 0
     members = pm.member_lists()
     for p in range(pm.P):
         n_p = int(alloc.n_p[p])
@@ -538,31 +446,15 @@ def run_ssrs(
         y = _estimand(pop, oracle.reveal_many(draw))
         estimate += pm.sizes[p] * y.mean()
         selected.extend(int(i) for i in draw)
-        if trace is not None:
-            for j, rid in enumerate(draw):
-                trace.append(step, rid, 1.0 / (pm.sizes[p] - j), "ssrs-wor")
-                step += 1
+        probabilities.append(1.0 / (pm.sizes[p] - np.arange(n_p)))
     estimate /= pop.N
-    knobs = {"n": n, "k": k, "P": pm.P, "allocation": [int(x) for x in alloc.n_p]}
-    return _finalize(
-        pop, oracle, "ssrs", np.array(selected), estimate, trace, flags, failure_threshold, knobs
+    knobs = {"n": n, "k": config.k, "P": pm.P, "allocation": [int(x) for x in alloc.n_p]}
+    return Draws(
+        np.array(selected), estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs
     )
 
 
-def run_gbs(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    chi,
-    k: int,
-    rng: RandomStream,
-    partition: PartitionMap | None = None,
-    partition_seed: int = 0,
-    prior_variance: float = 0.25,
-    variance_floor: float = 1e-6,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Adaptive stratified sampling chasing the steepest variance reduction.
 
     After a one-draw-per-partition warm-up, each step adds a with-replacement
@@ -571,10 +463,8 @@ def run_gbs(
     variances are smoothed with one pseudo-observation and floored so
     unexplored heterogeneity keeps every partition eligible.
     """
-    chi_v = chi_values(chi)
-    pm = partition if partition is not None else kmeans_1d(chi_v, k, partition_seed)
+    n, pm, prior_variance = config.budget, partition, config.gbs_prior_variance
     flags = []
-    trace = DrawTrace() if record_trace else None
     members = pm.member_lists()
     weight_sq = (pm.sizes / pop.N) ** 2
 
@@ -582,19 +472,16 @@ def run_gbs(
     sums = np.zeros(pm.P)
     sq_sums = np.zeros(pm.P)
     selected = []
-    step = 0
+    probabilities = []
 
     def draw_from(p):
-        nonlocal step
         rid = int(members[p][int(rng.integers(0, pm.sizes[p]))])
         y = float(_estimand(pop, np.array([oracle.reveal(rid)]))[0])
         counts[p] += 1
         sums[p] += y
         sq_sums[p] += y * y
         selected.append(rid)
-        if trace is not None:
-            trace.append(step, rid, 1.0 / pm.sizes[p], "gbs-wr")
-        step += 1
+        probabilities.append(1.0 / pm.sizes[p])
 
     warm = pm.P
     if n < pm.P:
@@ -610,7 +497,7 @@ def run_gbs(
         mean = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
         raw_var = np.where(counts > 0, sq_sums / np.maximum(counts, 1) - mean**2, 0.0)
         s2 = (counts * raw_var + prior_variance) / (counts + 1)
-        s2 = np.maximum(s2, variance_floor)
+        s2 = np.maximum(s2, config.gbs_variance_floor)
         with np.errstate(divide="ignore"):
             gain = weight_sq * s2 * (1.0 / counts - 1.0 / (counts + 1))
         gain[counts == 0] = np.inf  # unexplored partitions first
@@ -625,24 +512,11 @@ def run_gbs(
             continue
         estimate += pm.sizes[p] * (sums[p] / counts[p])
     estimate /= pop.N
-    knobs = {"n": n, "k": k, "P": pm.P, "prior_variance": prior_variance}
-    return _finalize(
-        pop, oracle, "gbs", np.array(selected), estimate, trace, flags, failure_threshold, knobs
-    )
+    knobs = {"n": n, "k": config.k, "P": pm.P, "prior_variance": prior_variance}
+    return Draws(np.array(selected), estimate, probabilities, "gbs-wr", flags, knobs)
 
 
-def run_twoups(
-    pop: Population,
-    oracle: LabelingOracle,
-    n: int,
-    chi,
-    k: int,
-    rng: RandomStream,
-    partition: PartitionMap | None = None,
-    partition_seed: int = 0,
-    failure_threshold: float = 12.5,
-    record_trace: bool = False,
-) -> TechniqueResult:
+def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     """Two-stage sampling: PPS over partitions, then WOR within the partition.
 
     Partition selection probability is the partition's share of total
@@ -650,20 +524,19 @@ def run_twoups(
     shrinking without-replacement pool; an exhausted pool is restored (and
     flagged), falling back to with-replacement reuse.
     """
-    chi_v = chi_values(chi)
-    pi = selection_probabilities(chi_v)
-    pm = partition if partition is not None else kmeans_1d(chi_v, k, partition_seed)
+    n, pm = config.budget, partition
+    pi = selection_probabilities(chi)
     members = pm.member_lists()
     psi = np.array([pi[m].sum() for m in members])
     psi = psi / psi.sum()
 
     flags = []
-    trace = DrawTrace() if record_trace else None
     pools = [m.copy() for m in members]
     remaining = [m.size for m in members]
     stage_partitions = pps_with_replacement(np.arange(pm.P), psi, n, rng)
     selected = np.empty(n, dtype=np.int64)
     scale = np.empty(n)
+    probabilities = np.empty(n)
     for step, p in enumerate(stage_partitions):
         p = int(p)
         if remaining[p] == 0:
@@ -678,56 +551,40 @@ def run_twoups(
         remaining[p] -= 1
         selected[step] = rid
         scale[step] = pm.sizes[p] / psi[p]
-        if trace is not None:
-            trace.append(step, rid, float(psi[p] / (remaining[p] + 1)), "twoups")
+        probabilities[step] = psi[p] / (remaining[p] + 1)
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y * scale)) / (pop.N * n)
-    knobs = {"n": n, "k": k, "P": pm.P, "psi": [float(x) for x in psi]}
-    return _finalize(
-        pop, oracle, "twoups", selected, estimate, trace, flags, failure_threshold, knobs
-    )
+    knobs = {"n": n, "k": config.k, "P": pm.P, "psi": [float(x) for x in psi]}
+    return Draws(selected, estimate, probabilities, "twoups", flags, knobs)
 
 
 @dataclass(frozen=True)
 class Technique:
-    """A registry entry: one sampling design with its estimator, and what it reads.
+    """A registry entry: one sampling law, and what :func:`run_technique` hands it.
 
     ``chi`` is "required", "optional" (ces falls back to features or every
-    aux column) or "unused".  ``knobs`` pairs each :class:`TechniqueConfig`
-    field the run function reads with its keyword.
+    aux column) or "unused".
     """
 
-    run: Callable[..., TechniqueResult]
+    law: Callable[..., Draws]
     chi: str
     partitioned: bool = False  # takes a PartitionMap of k-means strata on chi
-    knobs: tuple = ()
 
     @property
     def needs_chi(self) -> bool:
         return self.chi == "required"
 
 
-_CES_KNOBS = (
-    ("ces_initial", "initial"), ("ces_group", "group"),
-    ("ces_candidates", "candidates"), ("ces_bins", "bins"),
-)
-_DEEPEST_KNOBS = (
-    ("r", "r"), ("threshold_quantile", "threshold_quantile"),
-    ("deepest_verbatim_regression", "verbatim_regression"),
-)
-_PARTITION_KNOBS = (("k", "k"), ("partition_seed", "partition_seed"))
-_GBS_KNOBS = (("gbs_prior_variance", "prior_variance"), ("gbs_variance_floor", "variance_floor"))
-
 #: Every technique, in report order.
 REGISTRY = {
-    "srs": Technique(run_srs, "unused"),
-    "sups": Technique(run_sups, "required"),
-    "rhcs": Technique(run_rhcs, "required"),
-    "ces": Technique(run_ces, "optional", knobs=_CES_KNOBS),
-    "deepest": Technique(run_deepest, "required", knobs=_DEEPEST_KNOBS),
-    "ssrs": Technique(run_ssrs, "required", True, _PARTITION_KNOBS),
-    "gbs": Technique(run_gbs, "required", True, _PARTITION_KNOBS + _GBS_KNOBS),
-    "twoups": Technique(run_twoups, "required", True, _PARTITION_KNOBS),
+    "srs": Technique(_srs, "unused"),
+    "sups": Technique(_sups, "required"),
+    "rhcs": Technique(_rhcs, "required"),
+    "ces": Technique(_ces, "optional"),
+    "deepest": Technique(_deepest, "required"),
+    "ssrs": Technique(_ssrs, "required", True),
+    "gbs": Technique(_gbs, "required", True),
+    "twoups": Technique(_twoups, "required", True),
 }
 
 TECHNIQUES = tuple(REGISTRY)
@@ -741,18 +598,51 @@ def run_technique(
     chi=None,
     partition: PartitionMap | None = None,
 ) -> TechniqueResult:
-    """Run a configured technique through its registry entry."""
+    """Run a configured technique: the one path from a config to a result.
+
+    ``chi`` defaults to the population's ``config.aux`` column, and a
+    stratified technique without ``partition`` stratifies on k-means over
+    chi with ``config.k`` and ``config.partition_seed``.  The law draws;
+    this function records the trace (when ``config.record_trace`` is set)
+    and counts the failures among the labels the oracle revealed.
+    """
     entry = REGISTRY[config.technique]
     if chi is None and config.aux is not None:
         chi = pop.aux_vector(config.aux)
-    kwargs = {kw: getattr(config, name) for name, kw in entry.knobs}
-    if entry.chi != "unused":
-        if entry.needs_chi and chi is None:
-            raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
-        kwargs["chi"] = chi
-    if entry.partitioned:
-        kwargs["partition"] = partition
-    return entry.run(
-        pop, oracle, config.budget, rng=rng,
-        failure_threshold=config.failure_threshold, record_trace=config.record_trace, **kwargs,
+    if entry.needs_chi and chi is None:
+        raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
+    chi_v = None if chi is None else chi_values(chi)
+    if entry.partitioned and partition is None:
+        partition = kmeans_1d(chi_v, config.k, config.partition_seed)
+    draws = entry.law(pop, oracle, config, rng, chi_v, partition)
+
+    trace = None
+    if config.record_trace:
+        schemes = draws.schemes
+        if isinstance(schemes, str):
+            schemes = [schemes] * len(draws.selected)
+        trace = DrawTrace([
+            (step, int(rid), float(p), tag)
+            for step, (rid, p, tag) in enumerate(
+                zip(draws.selected, draws.probabilities, schemes)
+            )
+        ])
+    _, labeled_outcomes = oracle.labeled_outcomes()
+    if pop.task == CLASSIFICATION:
+        failures = int(labeled_outcomes.sum())
+        offsets = None
+    else:
+        failures = int(np.count_nonzero(labeled_outcomes >= config.failure_threshold))
+        offsets = labeled_outcomes
+    return TechniqueResult(
+        technique=config.technique,
+        selected_ids=np.asarray(draws.selected),
+        distinct_labeled=oracle.reveal_count,
+        estimate=float(draws.estimate),
+        xi_hat=1.0 - float(draws.estimate),
+        failures=failures,
+        offsets=offsets,
+        trace=trace,
+        flags=draws.flags,
+        knobs=draws.knobs,
     )

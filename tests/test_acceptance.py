@@ -33,7 +33,6 @@ from opsample.population import (
 from opsample.techniques import (
     REGISTRY,
     TechniqueConfig,
-    run_ssrs,
     run_technique,
     ssrs_allocation,
 )
@@ -301,11 +300,9 @@ def test_criterion_6_degenerations(main_pop, main_chi):
 
     # SSRS with a single partition must equal the plain sample mean path by path.
     exact = True
+    ssrs1 = TechniqueConfig(technique="ssrs", budget=200, k=1)
     for i in range(200):
-        res = run_ssrs(
-            main_pop, LabelingOracle(main_pop), 200, main_chi, 1,
-            RandomStream(derive_seed(0, "c6", "ssrs1", i)),
-        )
+        res = run_once(main_pop, ssrs1, derive_seed(0, "c6", "ssrs1", i), chi=main_chi)
         exact = exact and abs(res.estimate - z[res.selected_ids].mean()) < 1e-15
     details.append(f"ssrs/k=1 per-path equality: {exact}")
     ok = ok and exact

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import make_classification
 
 from opsample.cli import main
+from opsample.harness import EvalConfig
 from opsample.population import load_population, write_population_csv
 
 
@@ -124,6 +126,23 @@ def test_eval_config_file_with_flag_override(tiny_csv, tmp_path):
     with open(out / "raw.csv", newline="") as fh:
         raw = list(csv.DictReader(fh))
     assert len(raw) == 4  # flag wins over the file's repetitions=2
+
+
+def test_eval_unset_keys_take_eval_config_defaults(tiny_csv, tmp_path):
+    out = tmp_path / "defaults"
+    rc = main(["eval", "--population", tiny_csv, "--budgets", "5", "--reps", "2",
+               "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == asdict(EvalConfig(budgets=[5], repetitions=2))
+
+
+def test_eval_refuses_ignored_override(tiny_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"technique_overrides": {"ssrs": {"partition_seed": 4}}}))
+    rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "'partition_seed'" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_eval_requires_population(tmp_path, capsys):

@@ -314,6 +314,40 @@ def test_manifest_round_trip(grid_pop, tmp_path):
     assert manifest["cells"] == [{"technique": "srs", "aux": None, "budget": 5}]
 
 
+def test_k_override_stratifies_on_its_own_k(grid_pop):
+    base = dict(
+        techniques=["ssrs", "twoups"], aux=["chi"], budgets=[5, 10], repetitions=4, master_seed=3,
+    )
+    overridden = run_experiment(
+        grid_pop, EvalConfig(**base, technique_overrides={"ssrs": {"k": 3}})
+    )
+    grid_k3 = run_experiment(grid_pop, EvalConfig(**base, k=3))
+    grid_k10 = run_experiment(grid_pop, EvalConfig(**base))
+
+    def rows(report, technique):
+        return [r for r in report.raw_rows if r["technique"] == technique]
+
+    assert rows(overridden, "ssrs") == rows(grid_k3, "ssrs")
+    assert rows(overridden, "ssrs") != rows(grid_k10, "ssrs")
+    assert rows(overridden, "twoups") == rows(grid_k10, "twoups")
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"ssrs": {"technique": "srs"}}, "technique"),
+        ({"ssrs": {"aux": "chi"}}, "aux"),
+        ({"ssrs": {"budget": 5}}, "budget"),
+        ({"ssrs": {"partition_seed": 1}}, "partition_seed"),
+        ({"stratified": {"k": 3}}, "stratified"),
+        ({"ssrs": {"clusters": 3}}, "clusters"),
+    ],
+)
+def test_eval_config_refuses_overrides_the_grid_ignores(overrides, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        EvalConfig(technique_overrides=overrides)
+
+
 def test_parallel_jobs_match_serial(grid_pop, monkeypatch):
     # Two workers even on a one-core machine, so the pool path always runs.
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)

@@ -12,15 +12,8 @@ from opsample.techniques import (
     REGISTRY,
     TECHNIQUES,
     TechniqueConfig,
-    run_ces,
-    run_deepest,
-    run_gbs,
-    run_rhcs,
-    run_srs,
-    run_ssrs,
-    run_sups,
+    deepest_step_probabilities,
     run_technique,
-    run_twoups,
 )
 
 
@@ -31,6 +24,7 @@ def run_named(name, pop, n, seed, chi=None, **kwargs):
 
 CHI = np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2])
 Z = np.array([1, 0, 1, 0, 0, 1])
+SMALL_CES = dict(ces_initial=2, ces_group=2, ces_candidates=20, ces_bins=4)
 
 
 @pytest.fixture
@@ -43,13 +37,13 @@ def pop6():
 
 
 def test_srs_estimate_is_sample_mean(pop6):
-    res = run_srs(pop6, LabelingOracle(pop6), 4, RandomStream(7))
+    res = run_named("srs", pop6, 4, 7)
     assert res.estimate == pytest.approx(Z[res.selected_ids].mean(), abs=1e-15)
     assert res.xi_hat == pytest.approx(1.0 - res.estimate, abs=1e-15)
 
 
 def test_srs_failures_count_distinct_failures_only(pop6):
-    res = run_srs(pop6, LabelingOracle(pop6), 12, RandomStream(3))
+    res = run_named("srs", pop6, 12, 3)
     distinct = np.unique(res.selected_ids)
     assert res.failures == int(Z[distinct].sum())
     assert res.distinct_labeled == distinct.size
@@ -61,7 +55,7 @@ def test_srs_failures_count_distinct_failures_only(pop6):
 
 def test_sups_estimate_matches_reweighting_formula(pop6):
     pi = selection_probabilities(CHI)
-    res = run_sups(pop6, LabelingOracle(pop6), 3, CHI, RandomStream(11))
+    res = run_named("sups", pop6, 3, 11, chi=CHI)
     expected = np.sum(Z[res.selected_ids] / pi[res.selected_ids]) / (3 * 6)
     assert res.estimate == pytest.approx(expected, abs=1e-15)
 
@@ -72,7 +66,7 @@ def test_sups_single_draw_hand_values():
     pop = make_classification([1, 0], [3.0, 1.0])
     seen = set()
     for seed in range(40):
-        res = run_sups(pop, LabelingOracle(pop), 1, np.array([3.0, 1.0]), RandomStream(seed))
+        res = run_named("sups", pop, 1, seed, chi=np.array([3.0, 1.0]))
         if res.selected_ids[0] == 0:
             assert res.estimate == pytest.approx(2.0 / 3.0, abs=1e-15)
         else:
@@ -83,7 +77,7 @@ def test_sups_single_draw_hand_values():
 
 def test_sups_uniform_chi_reduces_to_sample_mean(pop6):
     chi = np.ones(6)
-    res = run_sups(pop6, LabelingOracle(pop6), 5, chi, RandomStream(2))
+    res = run_named("sups", pop6, 5, 2, chi=chi)
     assert res.estimate == pytest.approx(Z[res.selected_ids].mean(), abs=1e-12)
 
 
@@ -93,7 +87,7 @@ def test_sups_uniform_chi_reduces_to_sample_mean(pop6):
 
 def test_rhcs_full_budget_recovers_truth_exactly(pop6):
     # n = N puts every record in its own group; the estimate is the census mean.
-    res = run_rhcs(pop6, LabelingOracle(pop6), 6, CHI, RandomStream(5))
+    res = run_named("rhcs", pop6, 6, 5, chi=CHI)
     assert res.estimate == pytest.approx(Z.mean(), abs=1e-12)
     assert sorted(res.selected_ids) == list(range(6))
 
@@ -102,20 +96,20 @@ def test_rhcs_single_group_matches_single_pps_draw(pop6):
     # n = 1: one group holding everyone, total probability 1, so the
     # estimate is z_i / (N * pi_i) for the drawn record.
     pi = selection_probabilities(CHI)
-    res = run_rhcs(pop6, LabelingOracle(pop6), 1, CHI, RandomStream(9))
+    res = run_named("rhcs", pop6, 1, 9, chi=CHI)
     i = int(res.selected_ids[0])
     assert res.estimate == pytest.approx(Z[i] / (6 * pi[i]), abs=1e-12)
 
 
 def test_rhcs_is_without_replacement(pop6):
     for seed in range(20):
-        res = run_rhcs(pop6, LabelingOracle(pop6), 4, CHI, RandomStream(seed))
+        res = run_named("rhcs", pop6, 4, seed, chi=CHI)
         assert len(np.unique(res.selected_ids)) == 4
 
 
 def test_rhcs_budget_above_population_rejected(pop6):
     with pytest.raises(ValueError, match="exceeds population size"):
-        run_rhcs(pop6, LabelingOracle(pop6), 7, CHI, RandomStream(0))
+        run_named("rhcs", pop6, 7, 0, chi=CHI)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +117,7 @@ def test_rhcs_budget_above_population_rejected(pop6):
 
 
 def test_ces_estimate_is_sample_mean_and_without_replacement(pop6):
-    res = run_ces(pop6, LabelingOracle(pop6), 5, RandomStream(4), chi=CHI, initial=2, group=2, candidates=20, bins=4)
+    res = run_named("ces", pop6, 5, 4, chi=CHI, **SMALL_CES)
     assert len(res.selected_ids) == 5
     assert len(np.unique(res.selected_ids)) == 5
     assert res.estimate == pytest.approx(Z[res.selected_ids].mean(), abs=1e-15)
@@ -138,15 +132,15 @@ def test_ces_tracks_feature_distribution():
     pop = make_classification(z, chi)
     high_fracs = []
     for seed in range(10):
-        res = run_ces(pop, LabelingOracle(pop), 50, RandomStream(seed), chi=chi,
-                      initial=10, group=5, candidates=100, bins=10)
+        res = run_named("ces", pop, 50, seed, chi=chi,
+                        ces_initial=10, ces_group=5, ces_candidates=100, ces_bins=10)
         high_fracs.append(np.mean(chi[res.selected_ids] > 0.5))
     assert abs(np.mean(high_fracs) - 0.2) < 0.08
 
 
 def test_ces_budget_below_initial_rejected(pop6):
     with pytest.raises(ValueError, match="initial"):
-        run_ces(pop6, LabelingOracle(pop6), 3, RandomStream(0), chi=CHI, initial=4)
+        run_named("ces", pop6, 3, 0, chi=CHI, ces_initial=4)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ def test_deepest_two_record_hand_enumeration():
     chi = np.array([1.0, 2.0])
     seen = set()
     for seed in range(40):
-        res = run_deepest(pop, LabelingOracle(pop), 2, chi, RandomStream(seed), r=0.0)
+        res = run_named("deepest", pop, 2, seed, chi=chi, r=0.0)
         first = int(res.selected_ids[0])
         assert res.estimate == pytest.approx(0.75 if first == 0 else 0.25, abs=1e-15)
         seen.add(first)
@@ -169,7 +163,7 @@ def test_deepest_two_record_hand_enumeration():
 
 def test_deepest_is_without_replacement_and_respects_budget(pop6):
     for seed in range(20):
-        res = run_deepest(pop6, LabelingOracle(pop6), 4, CHI, RandomStream(seed))
+        res = run_named("deepest", pop6, 4, seed, chi=CHI)
         assert len(res.selected_ids) == 4
         assert len(np.unique(res.selected_ids)) == 4
         assert res.distinct_labeled == 4
@@ -185,23 +179,21 @@ def test_deepest_guidance_prefers_high_chi():
     threshold = np.quantile(chi, 0.7)
     fracs = []
     for seed in range(30):
-        res = run_deepest(pop, LabelingOracle(pop), 20, chi, RandomStream(seed), r=0.95)
+        res = run_named("deepest", pop, 20, seed, chi=chi, r=0.95)
         fracs.append(np.mean(chi[res.selected_ids] > threshold))
     assert np.mean(fracs) > 0.6  # uniform would give about 0.3
 
 
 def test_deepest_rejects_all_zero_chi(pop6):
     with pytest.raises(ValueError, match="all-zero"):
-        run_deepest(pop6, LabelingOracle(pop6), 2, np.zeros(6), RandomStream(0))
+        run_named("deepest", pop6, 2, 0, chi=np.zeros(6))
 
 
 def test_deepest_regression_variants_differ():
     pop = make_regression([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4])
     chi = np.array([0.1, 0.2, 0.3, 0.4])
-    default = run_deepest(pop, LabelingOracle(pop), 3, chi, RandomStream(8))
-    verbatim = run_deepest(
-        pop, LabelingOracle(pop), 3, chi, RandomStream(8), verbatim_regression=True
-    )
+    default = run_named("deepest", pop, 3, 8, chi=chi)
+    verbatim = run_named("deepest", pop, 3, 8, chi=chi, deepest_verbatim_regression=True)
     assert list(default.selected_ids) == list(verbatim.selected_ids)
     assert default.estimate != verbatim.estimate
 
@@ -211,7 +203,7 @@ def test_deepest_regression_variants_differ():
 
 
 def test_ssrs_full_budget_recovers_truth_exactly(pop6):
-    res = run_ssrs(pop6, LabelingOracle(pop6), 6, CHI, 2, RandomStream(1))
+    res = run_named("ssrs", pop6, 6, 1, chi=CHI, k=2)
     assert res.estimate == pytest.approx(Z.mean(), abs=1e-12)
 
 
@@ -225,7 +217,7 @@ def test_ssrs_two_strata_hand_case():
     z = np.array([0, 1, 0, 1, 1])
     pop = make_classification(z, chi)
     for seed in range(10):
-        res = run_ssrs(pop, LabelingOracle(pop), 4, chi, 2, RandomStream(seed))
+        res = run_named("ssrs", pop, 4, seed, chi=chi, k=2)
         assert res.knobs["allocation"] == [2, 2]
         m = z[[i for i in res.selected_ids if chi[i] < 0.5]].mean()
         assert res.estimate == pytest.approx((3 * m + 2) / 5, abs=1e-12)
@@ -234,12 +226,12 @@ def test_ssrs_two_strata_hand_case():
 def test_ssrs_zero_allocation_is_flagged():
     chi = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     pop = make_classification(np.zeros(6, dtype=int), chi)
-    res = run_ssrs(pop, LabelingOracle(pop), 1, chi, 2, RandomStream(0))
+    res = run_named("ssrs", pop, 1, 0, chi=chi, k=2)
     assert any("zero allocation" in f for f in res.flags)
 
 
 def test_ssrs_respects_allocation_budget(pop6):
-    res = run_ssrs(pop6, LabelingOracle(pop6), 4, CHI, 3, RandomStream(6))
+    res = run_named("ssrs", pop6, 4, 6, chi=CHI, k=3)
     assert sum(res.knobs["allocation"]) == 4
     assert len(res.selected_ids) == 4
     assert len(np.unique(res.selected_ids)) == 4
@@ -250,13 +242,13 @@ def test_ssrs_respects_allocation_budget(pop6):
 
 
 def test_gbs_single_partition_is_with_replacement_mean(pop6):
-    res = run_gbs(pop6, LabelingOracle(pop6), 8, CHI, 1, RandomStream(3))
+    res = run_named("gbs", pop6, 8, 3, chi=CHI, k=1)
     assert len(res.selected_ids) == 8
     assert res.estimate == pytest.approx(Z[res.selected_ids].mean(), abs=1e-12)
 
 
 def test_gbs_warm_up_covers_every_partition(pop6):
-    res = run_gbs(pop6, LabelingOracle(pop6), 6, CHI, 3, RandomStream(4))
+    res = run_named("gbs", pop6, 6, 4, chi=CHI, k=3)
     assert res.knobs["P"] == 3
     # with budget >= P every partition receives at least one draw, so no
     # zero-draw flag is raised
@@ -264,7 +256,7 @@ def test_gbs_warm_up_covers_every_partition(pop6):
 
 
 def test_gbs_truncated_warm_up_flagged(pop6):
-    res = run_gbs(pop6, LabelingOracle(pop6), 2, CHI, 3, RandomStream(4))
+    res = run_named("gbs", pop6, 2, 4, chi=CHI, k=3)
     assert any("warm-up truncated" in f for f in res.flags)
     assert len(res.selected_ids) == 2
 
@@ -279,7 +271,7 @@ def test_gbs_steers_draws_toward_heterogeneous_partitions():
     pop = make_classification(z, chi)
     counts = []
     for seed in range(20):
-        res = run_gbs(pop, LabelingOracle(pop), 40, chi, 2, RandomStream(seed))
+        res = run_named("gbs", pop, 40, seed, chi=chi, k=2)
         counts.append(np.mean(chi[res.selected_ids] < 0.5))
     assert np.mean(counts) > 0.7
 
@@ -289,13 +281,13 @@ def test_gbs_steers_draws_toward_heterogeneous_partitions():
 
 
 def test_twoups_single_partition_reduces_to_sample_mean(pop6):
-    res = run_twoups(pop6, LabelingOracle(pop6), 4, CHI, 1, RandomStream(5))
+    res = run_named("twoups", pop6, 4, 5, chi=CHI, k=1)
     assert res.estimate == pytest.approx(Z[res.selected_ids].mean(), abs=1e-12)
     assert len(np.unique(res.selected_ids)) == 4
 
 
 def test_twoups_estimate_matches_two_stage_formula(pop6):
-    res = run_twoups(pop6, LabelingOracle(pop6), 3, CHI, 2, RandomStream(12))
+    res = run_named("twoups", pop6, 3, 12, chi=CHI, k=2)
     pi = selection_probabilities(CHI)
     # reconstruct psi and sizes from the recorded knobs
     psi = np.array(res.knobs["psi"])
@@ -314,7 +306,7 @@ def test_twoups_pool_exhaustion_flagged():
     pop = make_classification([0, 1], chi)
     flagged = False
     for seed in range(30):
-        res = run_twoups(pop, LabelingOracle(pop), 2, chi, 2, RandomStream(seed))
+        res = run_named("twoups", pop, 2, seed, chi=chi, k=2)
         flagged = flagged or any("reused with replacement" in f for f in res.flags)
         assert len(res.selected_ids) == 2
     # n=2 over two singleton partitions double-hits one partition often
@@ -329,7 +321,7 @@ def test_twoups_pool_exhaustion_flagged():
 def test_budget_and_determinism(name, pop6):
     kwargs = {"aux": "chi"} if REGISTRY[name].needs_chi else {}
     if name == "ces":
-        kwargs.update(ces_initial=2, ces_group=2, ces_candidates=20, ces_bins=4)
+        kwargs.update(SMALL_CES)
     if REGISTRY[name].partitioned:
         kwargs["k"] = 2
     a = run_named(name, pop6, 4, 99, **kwargs)
@@ -362,18 +354,17 @@ def test_every_config_field_is_read(pop6):
             return getattr(self._config, name)
 
     read = set()
-    for name in TECHNIQUES:
-        kwargs = dict(ces_initial=2, ces_group=2, ces_candidates=20, ces_bins=4, k=2)
-        config = TechniqueConfig(technique=name, aux="chi", budget=4, **kwargs)
-        run_technique(pop6, LabelingOracle(pop6), Recorder(config), RandomStream(0))
-    fields = set(TechniqueConfig.__dataclass_fields__)
-    assert read == fields
-    assert {f for entry in REGISTRY.values() for f, _ in entry.knobs} <= fields
+    # failure_threshold is read only on regression populations.
+    for pop in (pop6, make_regression(5.0 * np.arange(6), CHI)):
+        for name in TECHNIQUES:
+            config = TechniqueConfig(technique=name, aux="chi", budget=4, k=2, **SMALL_CES)
+            run_technique(pop, LabelingOracle(pop), Recorder(config), RandomStream(0))
+    assert read == set(TechniqueConfig.__dataclass_fields__)
 
 
 def test_regression_failures_use_threshold():
     pop = make_regression([5.0, 20.0, 14.0], [0.2, 0.5, 0.3])
-    res = run_srs(pop, LabelingOracle(pop), 6, RandomStream(1), failure_threshold=12.5)
+    res = run_named("srs", pop, 6, 1, failure_threshold=12.5)
     labeled = np.unique(res.selected_ids)
     deltas = np.array([5.0, 20.0, 14.0])[labeled]
     assert res.failures == int(np.count_nonzero(deltas >= 12.5))
@@ -384,16 +375,50 @@ def test_regression_failures_use_threshold():
 
 
 def test_trace_recording(pop6):
-    res = run_srs(pop6, LabelingOracle(pop6), 3, RandomStream(0), record_trace=True)
+    res = run_named("srs", pop6, 3, 0, record_trace=True)
     assert res.trace is not None
     assert len(res.trace.entries) == 3
     assert all(p == pytest.approx(1 / 6) for (_, _, p, _) in res.trace.entries)
 
 
+# Zeros in chi make some deepest paths start with a chi-zero pick, so its
+# uniform fallback is traced too.
+CHI12 = np.array([0.0, 0.9, 0.1, 0.0, 0.5, 0.3, 0.7, 0.2, 0.0, 0.8, 0.4, 0.6])
+Z12 = np.array([1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0])
+
+
+@pytest.mark.parametrize("name", TECHNIQUES)
+def test_trace_follows_selection(name):
+    """Entry s of the trace is draw s; deepest's q is its step law for that state."""
+    pop = make_classification(Z12, CHI12)
+    config = TechniqueConfig(
+        technique=name, aux="chi" if REGISTRY[name].needs_chi else None,
+        budget=5, k=3, record_trace=True, **SMALL_CES,
+    )
+    threshold = np.quantile(CHI12, config.threshold_quantile)
+    fell_back = set()
+    for seed in range(40):
+        res = run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
+        assert len(res.trace) == len(res.selected_ids)
+        for s, (step, rid, q, _) in enumerate(res.trace.entries):
+            assert (step, rid) == (s, res.selected_ids[s])
+            assert 0.0 < q <= 1.0
+            if name == "deepest" and s > 0:
+                before = res.selected_ids[:s]
+                unselected = np.setdiff1d(np.arange(pop.N), before)
+                law, fallback = deepest_step_probabilities(
+                    CHI12, unselected, float(CHI12[before].sum()), config.r, threshold
+                )
+                assert q == pytest.approx(law[unselected == rid][0], rel=1e-12, abs=0)
+                fell_back.add(fallback)
+    if name == "deepest":
+        assert fell_back == {False, True}
+
+
 def test_result_json_round_trip(pop6):
     import json
 
-    res = run_srs(pop6, LabelingOracle(pop6), 3, RandomStream(0), record_trace=True)
+    res = run_named("srs", pop6, 3, 0, record_trace=True)
     payload = json.loads(res.to_json(include_trace=True))
     assert payload["technique"] == "srs"
     assert len(payload["selected_ids"]) == 3
