@@ -5,9 +5,9 @@ repetitions and prints the summary statistics the harness computes (RMSE,
 failure counts, the failures ratio between the largest and smallest budget,
 and the budget-sensitivity flags).
 
-Part 2 shows the exact oracle: on a tiny population it enumerates every
-possible sample path of a technique and verifies that the estimator's
-expectation equals the true failure rate to floating-point precision.
+Part 2 shows the exact oracle: on a tiny population it re-runs each
+technique's own sampling law over every possible sample path and prints
+the estimator's exact expectation next to the true failure rate.
 """
 
 import numpy as np
@@ -66,7 +66,7 @@ records = [
 tiny = Population(records, CLASSIFICATION)
 theta = float(np.mean([r.true_label for r in records]))
 print(f"\ntiny population: N=4, true failure rate {theta}")
-for name in ("srs", "sups", "rhcs", "deepest"):
-    tc = TechniqueConfig(technique=name, aux="chi", budget=2)
+for name in ("srs", "sups", "rhcs", "deepest", "gbs"):
+    tc = TechniqueConfig(technique=name, aux="chi", budget=2, k=2)
     exact = enumerate_expectation(tiny, tc, 2)
     print(f"  {name:<8} exact E[estimate] over all sample paths = {exact:.15f}")

@@ -51,6 +51,13 @@ def _float_list(text):
     return [float(x) for x in text.split(",") if x]
 
 
+def _technique_config(args, **extra) -> TechniqueConfig:
+    """The TechniqueConfig of the subcommand's flags that are named after its fields."""
+    names = {f.name for f in fields(TechniqueConfig)}
+    knobs = {name: value for name, value in vars(args).items() if name in names}
+    return TechniqueConfig(**knobs, **extra)
+
+
 def cmd_gen(args) -> int:
     config = SyntheticConfig(
         task=args.task,
@@ -78,20 +85,7 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     pop = load_population(args.population)
-    tc = TechniqueConfig(
-        technique=args.technique,
-        aux=args.aux,
-        budget=args.budget,
-        r=args.r,
-        threshold_quantile=args.threshold_quantile,
-        ces_initial=args.ces_initial,
-        ces_group=args.ces_group,
-        ces_candidates=args.ces_candidates,
-        ces_bins=args.ces_bins,
-        k=args.k,
-        failure_threshold=args.failure_threshold,
-        record_trace=args.trace,
-    )
+    tc = _technique_config(args, record_trace=args.trace)
     if args.aux is not None and pop.task == REGRESSION and args.aux in CLASSIFICATION_ONLY_AUX:
         raise ValueError(f"auxiliary variable {args.aux!r} is classification-only")
     oracle = LabelingOracle(pop)
@@ -154,14 +148,7 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     pop = load_population(args.population)
-    tc = TechniqueConfig(
-        technique=args.technique,
-        aux=args.aux,
-        budget=args.budget,
-        r=args.r,
-        threshold_quantile=args.threshold_quantile,
-        k=args.k,
-    )
+    tc = _technique_config(args)
     expectation = enumerate_expectation(pop, tc, args.budget)
     truth = 1.0 - true_accuracy(pop)  # theta or Delta
     gap = abs(expectation - truth)
@@ -210,6 +197,17 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _add_technique_flags(p, budget: int, k: int):
+    """The population and technique flags that run and oracle share."""
+    p.add_argument("--population", required=True)
+    p.add_argument("--technique", choices=TECHNIQUES, required=True)
+    p.add_argument("--aux", default=None)
+    p.add_argument("--budget", type=int, default=budget)
+    p.add_argument("--k", type=int, default=k)
+    p.add_argument("--r", type=float, default=0.8)
+    p.add_argument("--threshold-quantile", type=float, default=0.7)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opsample",
@@ -229,14 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="run one technique once")
-    p.add_argument("--population", required=True)
-    p.add_argument("--technique", choices=TECHNIQUES, required=True)
-    p.add_argument("--aux", default=None)
-    p.add_argument("--budget", type=int, default=200)
+    _add_technique_flags(p, budget=200, k=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--r", type=float, default=0.8)
-    p.add_argument("--threshold-quantile", type=float, default=0.7)
     p.add_argument("--ces-initial", type=int, default=30)
     p.add_argument("--ces-group", type=int, default=5)
     p.add_argument("--ces-candidates", type=int, default=300)
@@ -266,13 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle", help="exact estimator expectation on a tiny population")
-    p.add_argument("--population", required=True)
-    p.add_argument("--technique", choices=TECHNIQUES, required=True)
-    p.add_argument("--aux", default=None)
-    p.add_argument("--budget", type=int, default=2)
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--r", type=float, default=0.8)
-    p.add_argument("--threshold-quantile", type=float, default=0.7)
+    _add_technique_flags(p, budget=2, k=2)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="plot-ready CSVs from raw per-repetition rows")

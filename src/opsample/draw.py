@@ -1,20 +1,27 @@
 """Seedable random-selection primitives shared by all sampling techniques.
 
-Every technique draws through the functions in this module so that a run is
-fully determined by its :class:`RandomStream` seed, on every platform.  The
-underlying generator is Philox, a counter-based generator whose output does
-not depend on machine word size or threading.
+Every random choice a technique makes goes through four primitives of
+:class:`RandomStream`: a uniform index (``integers``), a Bernoulli trial,
+an index by a cumulative weight vector and a random grouping into given
+sizes.  A run is fully determined by its seed on every platform: the
+generator is Philox, whose output does not depend on machine word size or
+threading.  :class:`EnumeratingStream` makes each primitive a branch point
+with exact probabilities, so the exact oracle can replay a technique's own
+law over every sample path.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "RandomStream",
+    "EnumeratingStream",
+    "NotEnumerableError",
     "DrawTrace",
     "derive_seed",
     "srs_with_replacement",
@@ -63,8 +70,111 @@ class RandomStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
+    def bernoulli(self, p: float) -> bool:
+        """True with probability p."""
+        return self.random() < p
+
+    def weighted_index(self, cum, size=None):
+        """Index i with probability (cum[i] - cum[i-1]) / cum[-1]; ``size`` draws a vector.
+
+        Cumulative sums plus binary search; chosen over alias tables so the
+        mapping from uniforms to indices is identical on every platform.
+        """
+        u = self.random(size) * cum[-1]
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+        return idx if size is not None else int(idx)
+
+    def grouping(self, size: int, sizes) -> list:
+        """Uniform random split of range(size) into groups of the given sizes, in order."""
+        return np.split(self.permutation(size), np.cumsum(sizes)[:-1])
+
     def __repr__(self):
         return f"RandomStream(seed={self.seed})"
+
+
+class NotEnumerableError(ValueError):
+    """Technique whose path space cannot be enumerated; use Monte Carlo."""
+
+
+class EnumeratingStream:
+    """Stand-in for :class:`RandomStream` that replays one sample path per run.
+
+    Every primitive call is a branch point whose alternatives carry their
+    exact probabilities; zero-probability alternatives are skipped.  A run
+    takes the alternatives named by the current choice prefix (the first
+    one past its end), and :meth:`next_path` advances the prefix like an
+    odometer, so re-running a law until :meth:`next_path` returns False
+    visits every path once, depth first.  ``probability`` is the product of
+    the current path's branch probabilities.  Draws that bypass the
+    primitives (``random``, ``permutation``, ``standard_normal``) raise
+    :class:`NotEnumerableError`.
+    """
+
+    def __init__(self):
+        self._prefix = []  # chosen alternative per branch point, in call order
+        self._arity = []  # number of alternatives at each of those branch points
+        self._depth = 0
+        self.probability = 1.0
+
+    def _choose(self, probabilities) -> int:
+        """Index of the alternative this path takes at the next branch point."""
+        if self._depth == len(self._prefix):
+            self._prefix.append(0)
+            self._arity.append(len(probabilities))
+        i = self._prefix[self._depth]
+        self._depth += 1
+        self.probability *= probabilities[i]
+        return i
+
+    def next_path(self) -> bool:
+        """Move to the next path; False once every path has been visited."""
+        while self._prefix and self._prefix[-1] + 1 == self._arity[-1]:
+            self._prefix.pop()
+            self._arity.pop()
+        if self._prefix:
+            self._prefix[-1] += 1
+        self._depth = 0
+        self.probability = 1.0
+        return bool(self._prefix)
+
+    def _vector(self, draw, size):
+        if size is None:
+            return draw()
+        return np.array([draw() for _ in range(int(np.prod(size)))]).reshape(size)
+
+    def integers(self, low, high, size=None):
+        low, high = int(low), int(high)
+        p = [1.0 / (high - low)] * (high - low)
+        return self._vector(lambda: low + self._choose(p), size)
+
+    def bernoulli(self, p: float) -> bool:
+        return self.weighted_index([p, 1.0]) == 0  # weights p and 1 - p
+
+    def weighted_index(self, cum, size=None):
+        cum = np.asarray(cum, dtype=float).tolist()  # tiny vectors: plain floats are faster
+        weights = [c - prev for prev, c in zip([0.0] + cum, cum)]
+        support = [i for i, w in enumerate(weights) if w > 0]
+        p = [weights[i] / cum[-1] for i in support]
+        return self._vector(lambda: support[self._choose(p)], size)
+
+    def grouping(self, size: int, sizes) -> list:
+        """Branches over ordered set compositions, each with probability prod(s_i!) / size!.
+
+        Each group is one branch point over the combinations of the ids not
+        yet grouped, so the size! orderings of a permutation are never visited.
+        """
+        rest, groups = list(range(size)), []
+        for s in sizes:
+            blocks = list(itertools.combinations(rest, int(s)))
+            block = blocks[self._choose([1.0 / len(blocks)] * len(blocks))]
+            groups.append(np.array(block))
+            rest = [i for i in rest if i not in block]
+        return groups
+
+    def _refuse(self, *args, **kwargs):
+        raise NotEnumerableError("draw bypasses the enumerable primitives")
+
+    random = permutation = standard_normal = _refuse
 
 
 @dataclass
@@ -117,18 +227,11 @@ def _cumulative(weights) -> np.ndarray:
 
 
 def pps_with_replacement(ids, weights, n: int, rng: RandomStream) -> np.ndarray:
-    """n independent PPS draws (multiset).
-
-    Cumulative sums plus binary search; chosen over alias tables so the
-    mapping from uniforms to ids is identical on every platform.
-    """
+    """n independent PPS draws (multiset)."""
     ids = np.asarray(ids)
     if n < 1:
         raise ValueError("sample size must be >= 1")
-    cum = _cumulative(weights)
-    r = rng.random(n) * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, r, side="right"), ids.size - 1)
-    return ids[idx]
+    return ids[rng.weighted_index(_cumulative(weights), n)]
 
 
 def random_grouping(ids, n_groups: int, rng: RandomStream) -> list:
@@ -143,12 +246,6 @@ def random_grouping(ids, n_groups: int, rng: RandomStream) -> list:
         raise ValueError("need at least one group")
     if n_groups > size:
         raise ValueError(f"cannot split {size} ids into {n_groups} groups")
-    perm = ids[rng.permutation(size)]
     base, rem = divmod(size, n_groups)
-    groups = []
-    start = 0
-    for g in range(n_groups):
-        length = base + 1 if g < rem else base
-        groups.append(perm[start : start + length])
-        start += length
-    return groups
+    sizes = [base + 1] * rem + [base] * (n_groups - rem)
+    return [ids[g] for g in rng.grouping(size, sizes)]

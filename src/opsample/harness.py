@@ -1,8 +1,8 @@
 """Evaluation harness: metrics, the Monte Carlo grid, and the exact oracle.
 
-The exact oracle enumerates every sample path of a technique on a tiny
-population and returns the estimator's exact expectation; it is the
-independent check behind the unbiasedness claims.  Everything else here is
+The exact oracle re-runs a technique's own sampling law over every sample
+path on a tiny population and returns the estimator's exact expectation;
+it is the check behind the unbiasedness claims.  Everything else here is
 repeated-run machinery: RMSE/RMedSE, failure statistics, offset histograms,
 and budget-sensitivity summaries.
 """
@@ -12,24 +12,16 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .auxvar import selection_probabilities
-from .draw import RandomStream, derive_seed
+from .draw import EnumeratingStream, NotEnumerableError, RandomStream, derive_seed
 from .partition import kmeans_1d
-from .population import CLASSIFICATION, REGRESSION, LabelingOracle, Population, true_accuracy
-from .techniques import (
-    REGISTRY,
-    TechniqueConfig,
-    deepest_step_probabilities,
-    run_technique,
-    ssrs_allocation,
-)
+from .population import REGRESSION, LabelingOracle, Population, true_accuracy
+from .techniques import REGISTRY, TechniqueConfig, run_technique
 
 __all__ = [
     "EvalConfig",
@@ -78,189 +70,45 @@ def offset_histogram(offsets, thresholds) -> np.ndarray:
 # Exact enumeration oracle
 
 
-class NotEnumerableError(ValueError):
-    """Technique whose path space depends on observed data; use Monte Carlo."""
-
-
 class IntractableError(ValueError):
     """Population/budget too large for exhaustive path enumeration."""
 
 
-def _outcome_values(pop: Population) -> np.ndarray:
-    y = pop._true_outcomes()
-    return y if pop.task == CLASSIFICATION else y**2
-
-
-def _chi_for(pop: Population, config: TechniqueConfig) -> np.ndarray:
-    if config.aux is not None:
-        return pop.aux_vector(config.aux).values
-    if "chi" in pop.aux_names:
-        return pop.aux_vector("chi").values
-    raise ValueError("enumeration needs an auxiliary variable for this technique")
-
-
-def _enum_srs(pop, n):
-    y = _outcome_values(pop)
-    p = (1.0 / pop.N) ** n
-    for tup in itertools.product(range(pop.N), repeat=n):
-        yield p, float(np.mean(y[list(tup)]))
-
-
-def _enum_sups(pop, chi, n):
-    y = _outcome_values(pop)
-    pi = selection_probabilities(chi)
-    for tup in itertools.product(range(pop.N), repeat=n):
-        idx = list(tup)
-        prob = float(np.prod(pi[idx]))
-        est = float(np.sum(y[idx] / pi[idx])) / (n * pop.N)
-        yield prob, est
-
-
-def _compositions(ids, sizes):
-    """All ordered set-compositions of ids with the given block sizes."""
-    if not sizes:
-        yield []
-        return
-    first, rest = sizes[0], sizes[1:]
-    for block in itertools.combinations(ids, first):
-        remaining = [i for i in ids if i not in block]
-        for tail in _compositions(remaining, rest):
-            yield [list(block)] + tail
-
-
-def _enum_rhcs(pop, chi, n):
-    y = _outcome_values(pop)
-    pi = selection_probabilities(chi)
-    N = pop.N
-    base, rem = divmod(N, n)
-    sizes = [base + 1] * rem + [base] * (n - rem)
-    comp_prob = math.prod(math.factorial(s) for s in sizes) / math.factorial(N)
-    for groups in _compositions(list(range(N)), sizes):
-        per_group = []
-        for group in groups:
-            q_r = float(pi[group].sum())
-            per_group.append([(pi[i] / q_r, y[i] * q_r / pi[i]) for i in group])
-        for picks in itertools.product(*per_group):
-            prob = comp_prob * math.prod(p for p, _ in picks)
-            est = sum(v for _, v in picks) / N
-            yield prob, est
-
-
-def _enum_ssrs(pop, chi, n, config):
-    y = _outcome_values(pop)
-    pm = kmeans_1d(chi, config.k, config.partition_seed)
-    alloc = ssrs_allocation(pm, chi, n)
-    per_partition = []
-    for p in range(pm.P):
-        n_p = int(alloc.n_p[p])
-        members = list(np.flatnonzero(pm.assignment == p))
-        if n_p == 0:
-            per_partition.append([(1.0, 0.0)])
-            continue
-        combos = list(itertools.combinations(members, n_p))
-        w = 1.0 / len(combos)
-        per_partition.append(
-            [(w, pm.sizes[p] * float(np.mean(y[list(c)]))) for c in combos]
-        )
-    for picks in itertools.product(*per_partition):
-        prob = math.prod(p for p, _ in picks)
-        est = sum(v for _, v in picks) / pop.N
-        yield prob, est
-
-
-def _enum_twoups(pop, chi, n, config):
-    y = _outcome_values(pop)
-    pi = selection_probabilities(chi)
-    pm = kmeans_1d(chi, config.k, config.partition_seed)
-    members = [list(np.flatnonzero(pm.assignment == p)) for p in range(pm.P)]
-    psi = np.array([float(pi[m].sum()) for m in members])
-    psi = psi / psi.sum()
-
-    def recurse(step, pools, prob, acc):
-        if step == n:
-            yield prob, acc / (pop.N * n)
-            return
-        for p in range(pm.P):
-            pool = pools[p]
-            if not pool:
-                pool = members[p]  # exhausted pool restored
-            for j, rid in enumerate(pool):
-                new_pools = list(pools)
-                new_pools[p] = pool[:j] + pool[j + 1 :]
-                yield from recurse(
-                    step + 1,
-                    new_pools,
-                    prob * psi[p] / len(pool),
-                    acc + y[rid] * pm.sizes[p] / psi[p],
-                )
-
-    yield from recurse(0, [list(m) for m in members], 1.0, 0.0)
-
-
-def _enum_deepest(pop, chi, n, config):
-    y = _outcome_values(pop)
-    chi_v = np.asarray(chi, dtype=float)
-    threshold = float(np.quantile(chi_v, config.threshold_quantile))
-    N = pop.N
-    verbatim = config.deepest_verbatim_regression and pop.task == REGRESSION
-
-    def recurse(selected, prob, step_total):
-        k = len(selected) + 1
-        if k > n:
-            first = selected[0]
-            est = (y[first] + step_total / N) / n
-            yield prob, est
-            return
-        unselected = np.array([i for i in range(N) if i not in selected])
-        q, _ = deepest_step_probabilities(
-            chi_v,
-            unselected,
-            float(chi_v[selected].sum()),
-            config.r,
-            threshold,
-        )
-        sel_sum = float(y[selected].sum())
-        for idx, i in enumerate(unselected):
-            if q[idx] <= 0:
-                continue
-            if verbatim:
-                term = sel_sum / (k - 1) + (y[i] / k) / q[idx]
-            else:
-                term = sel_sum + y[i] / q[idx]
-            yield from recurse(selected + [int(i)], prob * float(q[idx]), step_total + term)
-
-    for first in range(N):
-        if n == 1:
-            yield 1.0 / N, float(y[first])
-        else:
-            yield from recurse([first], 1.0 / N, 0.0)
+#: Largest (N, n) the oracle enumerates: N <= 10, n <= 4 unless listed here.
+_ENUM_LIMITS = {"deepest": (8, 3)}
 
 
 def enumerate_paths(pop: Population, config: TechniqueConfig, n: int):
-    """Yield (probability, estimate) for every sample path of the technique."""
-    name = config.technique
-    if name in ("ces", "gbs"):
-        raise NotEnumerableError(f"{name} is not enumerable; use Monte Carlo")
-    if name == "deepest":
-        if pop.N > 8 or n > 3:
-            raise IntractableError("adaptive enumeration supports N <= 8, n <= 3")
-    else:
-        if pop.N > 10 or n > 4:
-            raise IntractableError("enumeration supports N <= 10, n <= 4")
-    if name == "srs":
-        return _enum_srs(pop, n)
-    chi = _chi_for(pop, config)
-    if name == "sups":
-        return _enum_sups(pop, chi, n)
-    if name == "rhcs":
-        return _enum_rhcs(pop, chi, n)
-    if name == "ssrs":
-        return _enum_ssrs(pop, chi, n, config)
-    if name == "twoups":
-        return _enum_twoups(pop, chi, n, config)
-    if name == "deepest":
-        return _enum_deepest(pop, chi, n, config)
-    raise ValueError(f"unknown technique {name!r}")
+    """Yield (probability, estimate) for every sample path of the technique.
+
+    The technique's own law runs through :func:`run_technique` under an
+    :class:`EnumeratingStream`, once per sample path, so the oracle checks
+    the code that runs.  chi is looked up as :func:`run_technique` does,
+    from ``config.aux``, and the partition map is built once.  ces is
+    refused: its rejection-sampled candidate groups have an unbounded path
+    space.
+    """
+    if config.technique == "ces":
+        raise NotEnumerableError("ces is not enumerable; use Monte Carlo")
+    max_N, max_n = _ENUM_LIMITS.get(config.technique, (10, 4))
+    if pop.N > max_N or n > max_n:
+        raise IntractableError(f"enumeration supports N <= {max_N}, n <= {max_n}")
+    config = replace(config, budget=n)
+    chi = None if config.aux is None else pop.aux_vector(config.aux)
+    partition = None
+    if chi is not None and REGISTRY[config.technique].partitioned:
+        partition = kmeans_1d(chi.values, config.k, config.partition_seed)
+    return _replay(pop, config, chi, partition)
+
+
+def _replay(pop, config, chi, partition):
+    """One run of the law per sample path, depth first."""
+    stream = EnumeratingStream()
+    while True:
+        result = run_technique(pop, LabelingOracle(pop), config, stream, chi, partition)
+        yield stream.probability, result.estimate
+        if not stream.next_path():
+            return
 
 
 def enumerate_expectation(pop: Population, config: TechniqueConfig, n: int) -> float:
@@ -305,8 +153,13 @@ class EvalConfig:
             raise ValueError("repetitions must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        for name in ("techniques", "aux", "budgets"):
+            values = list(getattr(self, name))
+            if len(set(values)) != len(values):
+                # A repeated entry would run the same cells with the same seeds twice.
+                raise ValueError(f"{name} must not repeat an entry")
         if list(self.budgets) != sorted(self.budgets):
-            raise ValueError("budgets must be ascending")
+            raise ValueError("budgets must be strictly ascending")
         if list(self.offset_thresholds) != sorted(self.offset_thresholds):
             raise ValueError("offset thresholds must be ascending")
         for technique, overrides in self.technique_overrides.items():

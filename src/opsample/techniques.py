@@ -179,9 +179,7 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     for r, group in enumerate(groups):
         w = pi[group]
         q_r = w.sum()
-        cum = np.cumsum(w)
-        u = rng.random() * cum[-1]
-        j = min(int(np.searchsorted(cum, u, side="right")), group.size - 1)
+        j = rng.weighted_index(np.cumsum(w))
         selected[r] = group[j]
         weights[r] = q_r / pi[group[j]]
         probabilities[r] = pi[group[j]] / q_r
@@ -211,6 +209,8 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     """
     n, initial, group = config.budget, config.ces_initial, config.ces_group
     candidates, bins = config.ces_candidates, config.ces_bins
+    if n > pop.N:
+        raise ValueError(f"budget {n} exceeds population size {pop.N}")
     X = _ces_features(pop, chi)
     n_dims = X.shape[1]
     # Equal-width bins per dimension over the operational range.
@@ -370,7 +370,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
             raise ValueError(f"budget {n} exceeds population size {pop.N}")
         # Determine the branch, then the marginal probability of the pick.
         fallback = n_above == 0 or chi_sel_sum <= 0
-        use_wbs = (not fallback) and (rng.random() < r)
+        use_wbs = (not fallback) and rng.bernoulli(r)
         if use_wbs:
             pick = int(above[int(rng.integers(0, n_above))])
             schemes.append("wbs")

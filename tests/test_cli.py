@@ -176,13 +176,23 @@ def test_oracle_exact_expectation(micro_csv, capsys):
 
 
 def test_oracle_rejects_non_enumerable(micro_csv, capsys):
+    # --budget 30 so that the ces config covers its default initial set.
     rc = main(
-        ["oracle", "--population", micro_csv, "--technique", "gbs",
-         "--aux", "chi", "--budget", "2"]
+        ["oracle", "--population", micro_csv, "--technique", "ces",
+         "--aux", "chi", "--budget", "30"]
     )
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "not enumerable" in err["error"]
+
+
+def test_oracle_enumerates_gbs(micro_csv, capsys):
+    rc = main(
+        ["oracle", "--population", micro_csv, "--technique", "gbs",
+         "--aux", "chi", "--budget", "2"]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("exact E[estimator] = ")
 
 
 def test_report_round_trip(tiny_csv, tmp_path):

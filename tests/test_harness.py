@@ -8,7 +8,7 @@ import pytest
 from conftest import make_classification, make_regression, random_tiny_population
 
 from opsample import harness
-from opsample.draw import RandomStream
+from opsample.draw import EnumeratingStream, RandomStream
 from opsample.harness import (
     EvalConfig,
     IntractableError,
@@ -107,10 +107,9 @@ def test_enum_all_zero_outcomes_give_zero():
 
 def test_enum_rejects_non_enumerable_techniques():
     pop = make_classification([1, 0], [0.2, 0.8])
-    for name in ("ces", "gbs"):
-        config = TechniqueConfig(technique=name, aux="chi", budget=2, ces_initial=1)
-        with pytest.raises(NotEnumerableError):
-            enumerate_expectation(pop, config, 2)
+    config = TechniqueConfig(technique="ces", aux="chi", budget=2, ces_initial=1)
+    with pytest.raises(NotEnumerableError):
+        enumerate_expectation(pop, config, 2)
 
 
 def test_enum_rejects_intractable_sizes():
@@ -120,6 +119,51 @@ def test_enum_rejects_intractable_sizes():
     pop9 = make_classification(np.zeros(9, dtype=int), np.linspace(0.1, 1.0, 9))
     with pytest.raises(IntractableError):
         enumerate_expectation(pop9, TechniqueConfig(technique="deepest", aux="chi", budget=2), 2)
+
+
+# ---------------------------------------------------------------------------
+# The enumerating stream
+
+
+def test_enum_rhcs_branches_over_compositions_not_permutations():
+    # N=4 into 2 groups of 2: 4!/(2! 2!) = 6 ordered compositions, then one
+    # of 2 records per group; branching over the 4! permutations would give 96.
+    pop = make_classification([1, 0, 0, 1], [0.1, 0.2, 0.3, 0.4])
+    paths = list(enumerate_paths(pop, TechniqueConfig(technique="rhcs", aux="chi", budget=2), 2))
+    assert len(paths) == 24
+    assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_enum_deepest_skips_zero_probability_branches(r):
+    pop = make_classification([1, 0, 0, 1, 0], [0.1, 0.9, 0.3, 0.8, 0.5])
+    config = TechniqueConfig(technique="deepest", aux="chi", budget=3, r=r)
+    paths = list(enumerate_paths(pop, config, 3))
+    assert all(p > 0 for p, _ in paths)
+    assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("draw", ["random", "permutation", "standard_normal"])
+def test_enumerating_stream_refuses_draws_outside_the_primitives(draw):
+    with pytest.raises(NotEnumerableError):
+        getattr(EnumeratingStream(), draw)(3)
+
+
+@pytest.mark.parametrize("n, bias, n_paths", [(3, 0.0, 32), (4, -1 / 48, 88)])
+def test_enum_gbs_exact_bias_on_a_fixed_population(n, bias, n_paths):
+    # k=2 splits chi into strata of 2 and 4 records.  gbs's adaptive
+    # allocation biases its stratum means; at n=4 the exact bias is -1/48.
+    pop = make_classification([0, 0, 1, 0, 0, 0], [0.1, 0.2, 0.8, 0.85, 0.9, 0.95])
+    config = TechniqueConfig(technique="gbs", aux="chi", budget=n, k=2)
+    assert len(list(enumerate_paths(pop, config, n))) == n_paths
+    truth = 1.0 - true_accuracy(pop)
+    assert enumerate_expectation(pop, config, n) - truth == pytest.approx(bias, abs=1e-12)
+
+
+def test_enum_needs_the_configured_aux_for_chi_techniques():
+    pop = make_classification([1, 0, 0], [2.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="needs an auxiliary variable"):
+        enumerate_expectation(pop, TechniqueConfig(technique="sups", budget=1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +403,15 @@ def test_parallel_jobs_match_serial(grid_pop, monkeypatch):
     parallel = run_experiment(grid_pop, EvalConfig(**base, jobs=2))
     assert len(serial.raw_rows) == 5 * 2 * 3
     assert serial.raw_rows == parallel.raw_rows
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("techniques", ["srs", "srs"]), ("aux", [None, "chi", None]), ("budgets", [5, 5])],
+)
+def test_eval_config_refuses_repeated_grid_entries(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must not repeat"):
+        EvalConfig(**{field: value})
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

@@ -143,6 +143,15 @@ def test_ces_budget_below_initial_rejected(pop6):
         run_named("ces", pop6, 3, 0, chi=CHI, ces_initial=4)
 
 
+# ces_group=2 last: without the budget check it redraws duplicate candidate
+# groups forever once one record is left unselected.
+@pytest.mark.parametrize("group", [1, 2])
+def test_ces_budget_above_population_size_rejected(group):
+    pop = make_classification([1, 0, 0, 1, 0], [0.1, 0.4, 0.2, 0.9, 0.6])
+    with pytest.raises(ValueError, match="budget 7 exceeds population size 5"):
+        run_named("ces", pop, 7, 0, ces_initial=2, ces_group=group, ces_candidates=20)
+
+
 # ---------------------------------------------------------------------------
 # Adaptive failure-seeking sampler
 
