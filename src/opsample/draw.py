@@ -8,6 +8,12 @@ generator is Philox, whose output does not depend on machine word size or
 threading.  :class:`EnumeratingStream` makes each primitive a branch point
 with exact probabilities, so the exact oracle can replay a technique's own
 law over every sample path.
+
+The batched forms of ``integers`` (array bounds) and ``weighted_index`` (a
+2-D ``cum``, one index per row) consume the stream exactly as the
+element-by-element calls would, in C order, so a law may batch its draws
+without changing a single result, and the enumerating stream replays them
+as those element-by-element calls.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ class RandomStream:
         return self._gen.random(size)
 
     def integers(self, low, high=None, size=None):
+        """Uniform integers in [low, high); array bounds draw one per element."""
         return self._gen.integers(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
@@ -77,16 +84,25 @@ class RandomStream:
     def weighted_index(self, cum, size=None):
         """Index i with probability (cum[i] - cum[i-1]) / cum[-1]; ``size`` draws a vector.
 
+        A 2-D ``cum`` draws one index per row, by that row's weights.
         Cumulative sums plus binary search; chosen over alias tables so the
         mapping from uniforms to indices is identical on every platform.
         """
+        if np.ndim(cum) == 2:
+            u = self.random(len(cum)) * cum[:, -1]
+            # Per row, the count of entries <= u is searchsorted(..., "right").
+            idx = np.count_nonzero(cum <= u[:, None], axis=1)
+            return np.minimum(idx, cum.shape[1] - 1)
         u = self.random(size) * cum[-1]
         idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
         return idx if size is not None else int(idx)
 
-    def grouping(self, size: int, sizes) -> list:
-        """Uniform random split of range(size) into groups of the given sizes, in order."""
-        return np.split(self.permutation(size), np.cumsum(sizes)[:-1])
+    def grouping(self, size: int, sizes) -> np.ndarray:
+        """Uniform random split of range(size) into groups of the given sizes.
+
+        Returns the ids in group order: group i holds the next ``sizes[i]``.
+        """
+        return self.permutation(size)
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed})"
@@ -143,6 +159,10 @@ class EnumeratingStream:
         return np.array([draw() for _ in range(int(np.prod(size)))]).reshape(size)
 
     def integers(self, low, high, size=None):
+        if np.ndim(low) or np.ndim(high):
+            lows, highs = np.broadcast_arrays(low, high)
+            draws = [self.integers(lo, hi) for lo, hi in zip(lows.flat, highs.flat)]
+            return np.array(draws, dtype=np.int64).reshape(lows.shape)
         low, high = int(low), int(high)
         p = [1.0 / (high - low)] * (high - low)
         return self._vector(lambda: low + self._choose(p), size)
@@ -151,25 +171,27 @@ class EnumeratingStream:
         return self.weighted_index([p, 1.0]) == 0  # weights p and 1 - p
 
     def weighted_index(self, cum, size=None):
+        if np.ndim(cum) == 2:
+            return np.array([self.weighted_index(row) for row in cum], dtype=np.int64)
         cum = np.asarray(cum, dtype=float).tolist()  # tiny vectors: plain floats are faster
         weights = [c - prev for prev, c in zip([0.0] + cum, cum)]
         support = [i for i, w in enumerate(weights) if w > 0]
         p = [weights[i] / cum[-1] for i in support]
         return self._vector(lambda: support[self._choose(p)], size)
 
-    def grouping(self, size: int, sizes) -> list:
+    def grouping(self, size: int, sizes) -> np.ndarray:
         """Branches over ordered set compositions, each with probability prod(s_i!) / size!.
 
         Each group is one branch point over the combinations of the ids not
         yet grouped, so the size! orderings of a permutation are never visited.
         """
-        rest, groups = list(range(size)), []
+        rest, order = list(range(size)), []
         for s in sizes:
             blocks = list(itertools.combinations(rest, int(s)))
             block = blocks[self._choose([1.0 / len(blocks)] * len(blocks))]
-            groups.append(np.array(block))
+            order.extend(block)
             rest = [i for i in rest if i not in block]
-        return groups
+        return np.array(order, dtype=np.int64)
 
     def _refuse(self, *args, **kwargs):
         raise NotEnumerableError("draw bypasses the enumerable primitives")
@@ -198,7 +220,12 @@ def srs_with_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:
 
 
 def srs_without_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:
-    """Partial Fisher-Yates draw of n distinct ids; all n-subsets equiprobable."""
+    """Partial Fisher-Yates draw of n distinct ids; all n-subsets equiprobable.
+
+    Step i swaps position i with a uniform position j in [i, size).  All n
+    positions come from one batched draw, and the swaps are replayed on a
+    map of the positions they moved, so a draw costs O(n), not O(size).
+    """
     ids = np.asarray(ids)
     size = ids.size
     if n > size:
@@ -207,11 +234,12 @@ def srs_without_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:
         raise ValueError("sample size must be >= 0")
     if n == 0:
         return ids[:0].copy()
-    pool = ids.copy()
-    for i in range(n):
-        j = int(rng.integers(i, size))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:n]
+    moved = {}  # position -> position of the id now there, where they differ
+    picks = []
+    for i, j in enumerate(rng.integers(np.arange(n), size).tolist()):
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return ids[picks]
 
 
 def _cumulative(weights) -> np.ndarray:
@@ -248,4 +276,4 @@ def random_grouping(ids, n_groups: int, rng: RandomStream) -> list:
         raise ValueError(f"cannot split {size} ids into {n_groups} groups")
     base, rem = divmod(size, n_groups)
     sizes = [base + 1] * rem + [base] * (n_groups - rem)
-    return [ids[g] for g in rng.grouping(size, sizes)]
+    return np.split(ids[rng.grouping(size, sizes)], np.cumsum(sizes)[:-1])

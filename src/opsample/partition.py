@@ -28,6 +28,7 @@ class PartitionMap:
     sizes: np.ndarray
     P: int
     _members: list | None = field(default=None, init=False, repr=False, compare=False)
+    _allocations: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def member_lists(self) -> list:
         """Record ids of each partition, ascending; computed once per map."""
@@ -36,6 +37,19 @@ class PartitionMap:
             order.flags.writeable = False  # the lists are shared by every caller
             self._members = np.split(order, np.cumsum(self.sizes)[:-1])
         return self._members
+
+    def allocation_cache(self, chi) -> dict:
+        """A budget -> allocation cache over this map for these chi values.
+
+        The cache holds a copy of the chi it was filled for and is emptied
+        whenever it is asked for with other values, so a map shared by runs
+        on different chi, or on chi changed in place, never serves a stale
+        allocation.
+        """
+        values = chi_values(chi)
+        if self._allocations is None or not np.array_equal(self._allocations[0], values):
+            self._allocations = (values.copy(), {})
+        return self._allocations[1]
 
 
 @dataclass

@@ -13,6 +13,7 @@ clamping would break unbiasedness.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -23,7 +24,6 @@ from .draw import (
     DrawTrace,
     RandomStream,
     pps_with_replacement,
-    random_grouping,
     srs_with_replacement,
     srs_without_replacement,
 )
@@ -73,8 +73,15 @@ class TechniqueConfig:
             raise ValueError("budget must be >= 1")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("r must lie in [0, 1]")
+        if not 0.0 <= self.threshold_quantile <= 1.0:
+            raise ValueError("threshold_quantile must lie in [0, 1]")
         if self.ces_initial < 1 or self.ces_group < 1 or self.ces_candidates < 1:
             raise ValueError("CES sizes must be >= 1")
+        if self.ces_bins < 1:
+            raise ValueError("ces_bins must be >= 1")
+        for name in ("gbs_prior_variance", "gbs_variance_floor"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if self.technique == "ces" and self.budget < self.ces_initial:
             raise ValueError("CES budget must cover the initial set")
         if self.k < 1:
@@ -116,11 +123,15 @@ class TechniqueResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _estimand(pop: Population, outcomes: np.ndarray) -> np.ndarray:
-    """Per-draw estimator contributions: z for classification, delta^2 for regression."""
+def _estimand(pop: Population, outcomes):
+    """Per-draw estimator contributions: z for classification, delta^2 for regression.
+
+    Takes an array of outcomes or one outcome; the square is a product, so
+    a scalar and an array element give the same float.
+    """
     if pop.task == CLASSIFICATION:
         return outcomes
-    return outcomes**2
+    return outcomes * outcomes
 
 
 class Draws(NamedTuple):
@@ -172,20 +183,22 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     if n > pop.N:
         raise ValueError(f"budget {n} exceeds population size {pop.N}")
     pi = selection_probabilities(chi)
-    groups = random_grouping(np.arange(pop.N), n, rng)
-    selected = np.empty(n, dtype=np.int64)
-    weights = np.empty(n)
-    probabilities = np.empty(n)
-    for r, group in enumerate(groups):
-        w = pi[group]
-        q_r = w.sum()
-        j = rng.weighted_index(np.cumsum(w))
-        selected[r] = group[j]
-        weights[r] = q_r / pi[group[j]]
-        probabilities[r] = pi[group[j]] / q_r
+    # random_grouping's sizes: rem groups of base + 1, then n - rem of base.
+    # Each run of equal sizes is one block with a group per row.
+    base, rem = divmod(pop.N, n)
+    order = rng.grouping(pop.N, [base + 1] * rem + [base] * (n - rem))
+    cut = rem * (base + 1)
+    picks, q = [], []
+    for block in (order[:cut].reshape(rem, base + 1), order[cut:].reshape(n - rem, base)):
+        w = pi[block]
+        j = rng.weighted_index(np.cumsum(w, axis=1))
+        picks.append(block[np.arange(len(block)), j])
+        q.append(w.sum(axis=1))
+    selected, q = np.concatenate(picks), np.concatenate(q)
+    pi_selected = pi[selected]
     y = _estimand(pop, oracle.reveal_many(selected))
-    estimate = float(np.sum(y * weights)) / pop.N
-    return Draws(selected, estimate, probabilities, "rhc-pps", [], {"n": n})
+    estimate = float(np.sum(y * (q / pi_selected))) / pop.N
+    return Draws(selected, estimate, pi_selected / q, "rhc-pps", [], {"n": n})
 
 
 def _ces_features(pop: Population, chi) -> np.ndarray:
@@ -237,17 +250,15 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
             pos[last], pos[rid] = p, n_unsel - 1
             n_unsel -= 1
 
-    sel_counts = np.zeros((n_dims, bins))
+    n_cells = n_dims * bins
+    cell_ids = np.arange(n_cells)
+    row_starts = np.arange(candidates)[:, None] * n_cells  # candidate c's cells in delta
+    flat_idx = bin_idx + np.arange(n_dims) * bins  # per record: flattened (dim, bin) cells
     selected = list(srs_without_replacement(np.arange(pop.N), initial, rng))
     remove(selected)
-    for rid in selected:
-        sel_counts[np.arange(n_dims), bin_idx[rid]] += 1
+    sel_flat = np.bincount(flat_idx[selected].ravel(), minlength=n_cells).astype(float)
     probabilities = [1.0 / pop.N] * initial
-
     pop_flat = pop_dist.ravel()
-    sel_flat = sel_counts.ravel()
-    dim_offsets = np.arange(n_dims) * bins
-    flat_idx = bin_idx + dim_offsets[None, :]  # per record: flattened (dim, bin) cells
 
     while len(selected) < n:
         g = min(group, n - len(selected))
@@ -258,24 +269,27 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
         if g > 1:
             while True:
                 srt = np.sort(idx, axis=1)
-                dup = (np.diff(srt, axis=1) == 0).any(axis=1)
-                if not dup.any():
+                same = srt[:, 1:] == srt[:, :-1]
+                if not same.any():
                     break
+                dup = same.any(axis=1)
                 idx[dup] = rng.integers(0, n_unsel, size=(int(dup.sum()), g))
         cand = pool[idx]
         cells = flat_idx[cand].reshape(candidates, -1)  # (C, g * n_dims)
-        combined = (np.arange(candidates)[:, None] * (n_dims * bins) + cells).ravel()
-        delta = np.bincount(combined, minlength=candidates * n_dims * bins)
-        delta = delta.reshape(candidates, n_dims * bins)
+        combined = (row_starts + cells).ravel()
+        delta = np.bincount(combined, minlength=candidates * n_cells)
+        delta = delta.reshape(candidates, n_cells)
         total = len(selected) + g
-        q = (sel_flat[None, :] + delta + 1.0) / (total + bins)
-        ce = -(pop_flat[None, :] * np.log(q)).sum(axis=1) / n_dims
-        best = cand[int(np.argmin(ce))]
-        for rid in best:
-            sel_flat[flat_idx[rid]] += 1
-            selected.append(int(rid))
+        # Cell c's term when a candidate adds k records to it, for k = 0..g;
+        # each candidate's terms are gathered from this table.
+        k = np.arange(g + 1)[:, None]
+        terms = pop_flat * np.log((sel_flat + k + 1.0) / (total + bins))
+        ce = -terms.ravel()[delta * n_cells + cell_ids].sum(axis=1) / n_dims
+        best = int(np.argmin(ce))
+        sel_flat += delta[best]
+        selected.extend(cand[best].tolist())
         probabilities.extend([1.0 / n_unsel] * g)
-        remove(best)
+        remove(cand[best])
 
     selected = np.array(selected, dtype=np.int64)
     y = _estimand(pop, oracle.reveal_many(selected))
@@ -354,7 +368,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
             n_above -= 1
 
     first = int(rng.integers(0, pop.N))
-    y_first = float(_estimand(pop, np.array([oracle.reveal(first)]))[0])
+    y_first = float(_estimand(pop, oracle.reveal(first)))
     selected = [first]
     remove(first)
     probabilities = [1.0 / pop.N]
@@ -385,7 +399,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
             q = r * wbs_p + (1.0 - r) / u
         probabilities.append(q)
 
-        y_pick = float(_estimand(pop, np.array([oracle.reveal(pick)]))[0])
+        y_pick = float(_estimand(pop, oracle.reveal(pick)))
         if pop.task == CLASSIFICATION or not verbatim_regression:
             step_total += y_sel_sum + y_pick / q
         else:
@@ -414,16 +428,22 @@ def ssrs_allocation(pm: PartitionMap, chi_v: np.ndarray, n: int):
     A partition allocated zero draws contributes a hard 0 to the stratified
     estimate, which biases it whenever that partition's outcomes are not all
     zero.  When n >= P the floor restores exact unbiasedness by moving one
-    draw from the largest allocations into each empty partition.
+    draw from the largest allocations into each empty partition.  The
+    result is cached on the map per budget, so it is computed once per
+    (map, chi, n) and must not be modified.
     """
-    alloc = neyman_allocation(pm, chi_v, n)
-    n_p = alloc.n_p.copy()
-    if n >= pm.P:
-        for p in np.flatnonzero(n_p == 0):
-            donor = int(np.argmax(n_p))
-            n_p[donor] -= 1
-            n_p[p] = 1
-    return Allocation(n_p=n_p, total=alloc.total)
+    cache = pm.allocation_cache(chi_v)
+    if n not in cache:
+        alloc = neyman_allocation(pm, chi_v, n)
+        n_p = alloc.n_p.copy()
+        if n >= pm.P:
+            for p in np.flatnonzero(n_p == 0):
+                donor = int(np.argmax(n_p))
+                n_p[donor] -= 1
+                n_p[p] = 1
+        n_p.flags.writeable = False  # shared by every run that hits the cache
+        cache[n] = Allocation(n_p=n_p, total=alloc.total)
+    return cache[n]
 
 
 def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -437,20 +457,19 @@ def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
     probabilities = []
     estimate = 0.0
     members = pm.member_lists()
-    for p in range(pm.P):
-        n_p = int(alloc.n_p[p])
+    for p, n_p in enumerate(alloc.n_p.tolist()):
         if n_p == 0:
             flags.append(f"partition {p}: zero allocation, contributes 0")
             continue
         draw = srs_without_replacement(members[p], n_p, rng)
         y = _estimand(pop, oracle.reveal_many(draw))
         estimate += pm.sizes[p] * y.mean()
-        selected.extend(int(i) for i in draw)
+        selected.append(draw)
         probabilities.append(1.0 / (pm.sizes[p] - np.arange(n_p)))
     estimate /= pop.N
-    knobs = {"n": n, "k": config.k, "P": pm.P, "allocation": [int(x) for x in alloc.n_p]}
+    knobs = {"n": n, "k": config.k, "P": pm.P, "allocation": alloc.n_p.tolist()}
     return Draws(
-        np.array(selected), estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs
+        np.concatenate(selected), estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs
     )
 
 
@@ -462,26 +481,35 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     variance of the stratified estimator.  Running within-partition
     variances are smoothed with one pseudo-observation and floored so
     unexplored heterogeneity keeps every partition eligible.
+
+    A step changes one partition, so only that partition's gain is
+    recomputed; counts, sums and gains are Python scalars, and every gain
+    takes the same float operations as the elementwise array formula.
     """
     n, pm, prior_variance = config.budget, partition, config.gbs_prior_variance
+    floor = config.gbs_variance_floor
     flags = []
     members = pm.member_lists()
-    weight_sq = (pm.sizes / pop.N) ** 2
+    sizes = pm.sizes.tolist()
+    weight_sq = ((pm.sizes / pop.N) ** 2).tolist()
 
-    counts = np.zeros(pm.P, dtype=np.int64)
-    sums = np.zeros(pm.P)
-    sq_sums = np.zeros(pm.P)
+    counts = [0] * pm.P
+    sums = [0.0] * pm.P
+    sq_sums = [0.0] * pm.P
+    gains = [math.inf] * pm.P  # unexplored partitions first
     selected = []
     probabilities = []
 
-    def draw_from(p):
-        rid = int(members[p][int(rng.integers(0, pm.sizes[p]))])
-        y = float(_estimand(pop, np.array([oracle.reveal(rid)]))[0])
-        counts[p] += 1
+    def record(p, rid):
+        y = _estimand(pop, oracle.reveal(rid))
+        c = counts[p] = counts[p] + 1
         sums[p] += y
         sq_sums[p] += y * y
         selected.append(rid)
-        probabilities.append(1.0 / pm.sizes[p])
+        probabilities.append(1.0 / sizes[p])
+        mean = sums[p] / c
+        s2 = (c * (sq_sums[p] / c - mean * mean) + prior_variance) / (c + 1)
+        gains[p] = weight_sq[p] * max(s2, floor) * (1.0 / c - 1.0 / (c + 1))
 
     warm = pm.P
     if n < pm.P:
@@ -490,27 +518,23 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
         order = np.argsort(-pm.sizes, kind="stable")[:warm]
     else:
         order = np.arange(pm.P)
-    for p in order:
-        draw_from(int(p))
+    for p, j in zip(order.tolist(), rng.integers(0, pm.sizes[order]).tolist()):
+        record(p, int(members[p][j]))
 
     while len(selected) < n:
-        mean = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-        raw_var = np.where(counts > 0, sq_sums / np.maximum(counts, 1) - mean**2, 0.0)
-        s2 = (counts * raw_var + prior_variance) / (counts + 1)
-        s2 = np.maximum(s2, config.gbs_variance_floor)
-        with np.errstate(divide="ignore"):
-            gain = weight_sq * s2 * (1.0 / counts - 1.0 / (counts + 1))
-        gain[counts == 0] = np.inf  # unexplored partitions first
-        best = np.flatnonzero(gain == gain.max())
-        p = int(best[int(rng.integers(0, best.size))]) if best.size > 1 else int(best[0])
-        draw_from(p)
+        top = max(gains)
+        p = gains.index(top)
+        if gains.count(top) > 1:
+            best = [p for p, gain in enumerate(gains) if gain == top]
+            p = best[int(rng.integers(0, len(best)))]
+        record(p, int(members[p][int(rng.integers(0, sizes[p]))]))
 
     estimate = 0.0
     for p in range(pm.P):
         if counts[p] == 0:
             flags.append(f"partition {p}: no draws, contributes 0")
             continue
-        estimate += pm.sizes[p] * (sums[p] / counts[p])
+        estimate += sizes[p] * (sums[p] / counts[p])
     estimate /= pop.N
     knobs = {"n": n, "k": config.k, "P": pm.P, "prior_variance": prior_variance}
     return Draws(np.array(selected), estimate, probabilities, "gbs-wr", flags, knobs)
@@ -523,6 +547,10 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     normalized chi.  Repeat hits on a partition keep drawing from its
     shrinking without-replacement pool; an exhausted pool is restored (and
     flagged), falling back to with-replacement reuse.
+
+    The pool size at each draw follows from the stage-one partitions alone,
+    so the within-partition positions are drawn in one call, and the
+    swap-with-last pools are replayed on maps of the positions they moved.
     """
     n, pm = config.budget, partition
     pi = selection_probabilities(chi)
@@ -530,32 +558,36 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     psi = np.array([pi[m].sum() for m in members])
     psi = psi / psi.sum()
 
-    flags = []
-    pools = [m.copy() for m in members]
-    remaining = [m.size for m in members]
-    stage_partitions = pps_with_replacement(np.arange(pm.P), psi, n, rng)
+    stage = pps_with_replacement(np.arange(pm.P), psi, n, rng)
+    # Draw t (from 0) on a partition of size s finds t % s of its pool
+    # taken: the pool is restored after every s draws.
+    counts = np.bincount(stage, minlength=pm.P)
+    by_partition = np.argsort(stage, kind="stable")
+    hit = np.empty(n, dtype=np.int64)
+    hit[by_partition] = np.arange(n) - (np.cumsum(counts) - counts)[stage[by_partition]]
+    sizes = pm.sizes[stage]
+    taken = hit % sizes
+    remaining = sizes - taken
+    flags = [
+        f"partition {p}: pool exhausted, reused with replacement"
+        for p in stage[hit == sizes].tolist()
+    ]
+
+    moved = [{} for _ in range(pm.P)]  # per pool: position -> member index now there
     selected = np.empty(n, dtype=np.int64)
-    scale = np.empty(n)
-    probabilities = np.empty(n)
-    for step, p in enumerate(stage_partitions):
-        p = int(p)
-        if remaining[p] == 0:
-            pools[p] = members[p].copy()
-            remaining[p] = members[p].size
-            flag = f"partition {p}: pool exhausted, reused with replacement"
-            if flag not in flags:
-                flags.append(flag)
-        j = int(rng.integers(0, remaining[p]))
-        rid = int(pools[p][j])
-        pools[p][j], pools[p][remaining[p] - 1] = pools[p][remaining[p] - 1], rid
-        remaining[p] -= 1
-        selected[step] = rid
-        scale[step] = pm.sizes[p] / psi[p]
-        probabilities[step] = psi[p] / (remaining[p] + 1)
+    positions = rng.integers(0, remaining).tolist()
+    for step, (p, j, left, t) in enumerate(
+        zip(stage.tolist(), positions, remaining.tolist(), taken.tolist())
+    ):
+        pool = moved[p]
+        if t == 0:
+            pool.clear()
+        selected[step] = members[p][pool.get(j, j)]
+        pool[j] = pool.get(left - 1, left - 1)  # swap with the pool's last position
     y = _estimand(pop, oracle.reveal_many(selected))
-    estimate = float(np.sum(y * scale)) / (pop.N * n)
+    estimate = float(np.sum(y * (sizes / psi[stage]))) / (pop.N * n)
     knobs = {"n": n, "k": config.k, "P": pm.P, "psi": [float(x) for x in psi]}
-    return Draws(selected, estimate, probabilities, "twoups", flags, knobs)
+    return Draws(selected, estimate, psi[stage] / remaining, "twoups", flags, knobs)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from opsample.draw import (
+    EnumeratingStream,
     RandomStream,
     derive_seed,
     pps_with_replacement,
@@ -123,3 +124,65 @@ def test_grouping_is_partition():
 def test_grouping_error():
     with pytest.raises(ValueError):
         random_grouping(np.arange(3), 4, RandomStream(0))
+
+
+# ---------------------------------------------------------------------------
+# Batched primitives consume the stream as the element-by-element calls do
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_integers_with_array_bounds_equals_scalar_calls(seed):
+    lows = np.array([0, 3, 0, 7, 0, 0, 5, 2**40])
+    highs = np.array([1, 10, 2, 8, 2**33, 1000, 6, 2**41])  # ranges of 1 consume nothing
+    batched, scalar = RandomStream(seed), RandomStream(seed)
+    expected = [scalar.integers(lo, hi) for lo, hi in zip(lows.tolist(), highs.tolist())]
+    assert batched.integers(lows, highs).tolist() == expected
+    assert batched.integers(np.arange(6), 9).tolist() == [scalar.integers(i, 9) for i in range(6)]
+    assert batched.integers(0, highs[:4]).tolist() == [scalar.integers(0, h) for h in highs[:4]]
+    assert batched.random() == scalar.random()  # both streams are left in the same state
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weighted_index_by_rows_equals_row_calls(seed):
+    weights = np.random.default_rng(seed).random((6, 5))
+    weights[weights < 0.3] = 0.0  # zero-weight entries are never drawn
+    weights[:, 2] += 0.1
+    cum = np.cumsum(weights, axis=1)
+    batched, scalar = RandomStream(seed), RandomStream(seed)
+    expected = [scalar.weighted_index(row) for row in cum]
+    assert batched.weighted_index(cum).tolist() == expected
+    assert batched.random() == scalar.random()
+
+
+def _paths(law):
+    """(probability, outcome) of every path of law(stream), in enumeration order."""
+    stream, paths = EnumeratingStream(), []
+    while True:
+        outcome = law(stream)
+        paths.append((stream.probability, outcome))
+        if not stream.next_path():
+            return paths
+
+
+def test_enumerating_stream_replays_batched_forms_as_scalar_calls():
+    lows, highs = [0, 1, 0], [3, 4, 1]
+    cum = np.cumsum([[0.5, 0.0, 1.5], [1.0, 1.0, 2.0]], axis=1)
+
+    def batched(stream):
+        return (
+            tuple(stream.integers(np.array(lows), np.array(highs)).tolist()),
+            tuple(stream.integers(np.arange(2), 3).tolist()),
+            tuple(stream.weighted_index(cum).tolist()),
+        )
+
+    def scalar(stream):
+        return (
+            tuple(stream.integers(lo, hi) for lo, hi in zip(lows, highs)),
+            tuple(stream.integers(i, 3) for i in range(2)),
+            tuple(stream.weighted_index(row) for row in cum),
+        )
+
+    paths = _paths(batched)
+    assert paths == _paths(scalar)
+    assert len(paths) == 3 * 3 * (3 * 2) * (2 * 3)
+    assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)

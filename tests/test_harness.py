@@ -134,6 +134,22 @@ def test_enum_rhcs_branches_over_compositions_not_permutations():
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-15)
 
 
+# rhcs at N=10, n=4 has 907,200 paths and takes minutes; N=7, n=3 still
+# splits into groups of unequal size (3, 2, 2), so both of its blocks branch.
+@pytest.mark.parametrize(
+    "name, N, n, n_paths", [("rhcs", 7, 3, 2520), ("ssrs", 10, 4, 480), ("twoups", 10, 4, 5040)]
+)
+def test_enum_replays_batched_draws_over_every_path(name, N, n, n_paths):
+    z = [1, 0, 0, 1, 0, 1, 0, 0, 1, 1][:N]
+    pop = make_classification(z, [0.1, 0.15, 0.2, 0.3, 0.35, 0.5, 0.7, 0.8, 0.85, 0.9][:N])
+    config = TechniqueConfig(technique=name, aux="chi", budget=n, k=2)
+    paths = list(enumerate_paths(pop, config, n))
+    assert len(paths) == n_paths
+    assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
+    expectation = sum(p * estimate for p, estimate in paths)
+    assert expectation == pytest.approx(np.mean(z), abs=1e-12)
+
+
 @pytest.mark.parametrize("r", [0.0, 1.0])
 def test_enum_deepest_skips_zero_probability_branches(r):
     pop = make_classification([1, 0, 0, 1, 0], [0.1, 0.9, 0.3, 0.8, 0.5])

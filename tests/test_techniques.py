@@ -1,19 +1,32 @@
 """Behavioral and hand-example tests for the eight sampling techniques."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import make_classification, make_regression
 
 from opsample.auxvar import selection_probabilities
+from opsample.cli import main
 from opsample.draw import RandomStream
-from opsample.population import LabelingOracle
+from opsample import techniques
+from opsample.partition import PartitionMap, kmeans_1d
+from opsample.population import (
+    CLASSIFICATION,
+    REGRESSION,
+    LabelingOracle,
+    SyntheticConfig,
+    generate_synthetic,
+    write_population_csv,
+)
 from opsample.techniques import (
     REGISTRY,
     TECHNIQUES,
     TechniqueConfig,
     deepest_step_probabilities,
     run_technique,
+    ssrs_allocation,
 )
 
 
@@ -246,6 +259,32 @@ def test_ssrs_respects_allocation_budget(pop6):
     assert len(np.unique(res.selected_ids)) == 4
 
 
+def test_ssrs_allocation_is_cached_per_chi_and_budget(monkeypatch):
+    rng = np.random.default_rng(3)
+    chi = rng.random(200)
+    other = chi**4  # other spreads per partition, so another allocation
+    pm = kmeans_1d(chi, 4, 0)
+
+    def fresh(values, n):
+        unshared = PartitionMap(pm.assignment, pm.centroids, pm.sizes, pm.P)
+        return ssrs_allocation(unshared, values, n).n_p.tolist()
+
+    assert fresh(chi, 20) != fresh(other, 20)
+    assert fresh(chi, 20) != fresh(chi, 30)
+    calls = []
+    neyman = techniques.neyman_allocation
+    monkeypatch.setattr(
+        techniques, "neyman_allocation", lambda *args: calls.append(args) or neyman(*args)
+    )
+    for values, n in [(chi, 20), (chi, 20), (other, 20), (chi, 30), (chi, 20), (other, 30)]:
+        assert ssrs_allocation(pm, values, n).n_p.tolist() == fresh(values, n)
+    assert sum(args[0] is pm for args in calls) == 5  # the repeated (chi, 20) is cached
+    mutated = chi.copy()
+    assert ssrs_allocation(pm, mutated, 20).n_p.tolist() == fresh(chi, 20)
+    mutated[:] = other  # the same array, changed in place
+    assert ssrs_allocation(pm, mutated, 20).n_p.tolist() == fresh(other, 20)
+
+
 # ---------------------------------------------------------------------------
 # Variance-gradient adaptive stratified sampling
 
@@ -344,6 +383,34 @@ def test_budget_and_determinism(name, pop6):
     assert list(a.selected_ids) != list(c.selected_ids) or a.technique == name
 
 
+@pytest.mark.parametrize(
+    "knob, value",
+    [
+        ("ces_bins", 0),
+        ("ces_bins", -2),
+        ("threshold_quantile", -0.1),
+        ("threshold_quantile", 1.5),
+        ("threshold_quantile", float("nan")),
+        ("gbs_prior_variance", -0.25),
+        ("gbs_variance_floor", -1e-6),
+        ("gbs_variance_floor", float("nan")),
+    ],
+)
+def test_config_refuses_bad_knob_values(knob, value):
+    with pytest.raises(ValueError, match=knob):
+        TechniqueConfig(technique="srs", **{knob: value})
+
+
+def test_config_accepts_knob_bounds():
+    for kwargs in (
+        {"ces_bins": 1},
+        {"threshold_quantile": 0.0},
+        {"threshold_quantile": 1.0},
+        {"gbs_prior_variance": 0.0, "gbs_variance_floor": 0.0},
+    ):
+        TechniqueConfig(technique="srs", **kwargs)
+
+
 @pytest.mark.parametrize("name", [t for t in TECHNIQUES if REGISTRY[t].needs_chi])
 def test_chi_techniques_require_aux(name, pop6):
     config = TechniqueConfig(technique=name, budget=2, k=2)
@@ -433,3 +500,93 @@ def test_result_json_round_trip(pop6):
     assert len(payload["selected_ids"]) == 3
     assert len(payload["trace"]) == 3
     assert payload["xi_hat"] == pytest.approx(1.0 - payload["estimate"])
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: the draws, estimates and traces of every law, pinned byte
+# for byte.  A change to how a law consumes its random stream, or to the
+# float operations behind an estimate or a selection probability, changes
+# these digests.  They were recorded before the per-draw loops were batched.
+
+
+def _golden_population(task):
+    return generate_synthetic(SyntheticConfig(task=task, N=2000), seed=11)
+
+
+def _sha256(chunks):
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk if isinstance(chunk, bytes) else chunk.encode())
+    return digest.hexdigest()
+
+
+GOLDEN_RUNS = {
+    (CLASSIFICATION, "srs"): "d3c2d6d995b8f2606d0e74f5e2d25a836d66a573f4c45b0a9004b56784401ecf",
+    (CLASSIFICATION, "sups"): "69cb8c6add6f85d587c8e48e825bf9e2d1c491755dba2efc546233d8622e163d",
+    (CLASSIFICATION, "rhcs"): "74c5ee8f3aff7116473d32a71fcace79408f2a9565d118236ca27ae743974263",
+    (CLASSIFICATION, "ces"): "d33b6d077b758b57d13cdf315a88bab3c00857c4b5604668351bf7a0fd779151",
+    (CLASSIFICATION, "deepest"): "dcb9259f4b52044c3ad58fac9eb5b7cf7a05ca7e40b5833b2bbb4b9c56c7572a",
+    (CLASSIFICATION, "ssrs"): "bea87df5154dd4aa6e4113e2367e929889df0111e45639038cb7c5e904f94fdb",
+    (CLASSIFICATION, "gbs"): "b726a50a3d5609d982593bd984071634bbae6b46c510842b2fedf3ded8535f78",
+    (CLASSIFICATION, "twoups"): "bd8084050e632ccf5125034ffc0b89c6f96bfd41b64dd87b799f64bb388ce0f3",
+    (REGRESSION, "srs"): "a2469cf84b57eb9aea4545c40bae9c6a9ce7f5d394b02c137a387df5d63f958a",
+    (REGRESSION, "sups"): "577e7d1f3a3fff99fd96e36bc8328e3823e4327ccb08a8a99859e257154a703e",
+    (REGRESSION, "rhcs"): "adfca0f8758a075e22859c9f2445b5ca5ef3d1e17684fdd4c797d2c7a0511ab3",
+    (REGRESSION, "ces"): "1a5627c33c1a7e77dff38ea07d88f62007a77710cdf8ee68f209aefb5006f94b",
+    (REGRESSION, "deepest"): "af822e8e81a084a85ff701d40cfd4c43c4dd7de35b97a12b253330b914260efa",
+    (REGRESSION, "ssrs"): "ebedc116e2646f2a2a5b1f4bd970270e802c94d8bced8550c92e78fa0aa06c5f",
+    (REGRESSION, "gbs"): "5616c9fe985274ff91ed288705e5c346c57da56ea5805d45c30cba902522a5f9",
+    (REGRESSION, "twoups"): "d3f0bc9fac133cd4e2d0eb0006876f1d12e9335b5b354ebef2acbcd9f09918f1",
+}
+
+
+def _golden_run_digest(task, name):
+    """sha256 over the traced result JSON of 3 budgets x 3 seeds."""
+    pop = _golden_population(task)
+    P = kmeans_1d(pop.aux_vector("chi"), 10, 0).P
+    blobs = []
+    for budget in (P - 1, 50, 200):  # P - 1 truncates gbs's warm-up
+        kwargs = {"aux": "chi"} if REGISTRY[name].needs_chi else {}
+        if name == "ces" and budget < 30:
+            kwargs["ces_initial"] = 4  # the default initial set exceeds the budget
+        config = TechniqueConfig(technique=name, budget=budget, record_trace=True, **kwargs)
+        for seed in (0, 1, 2):
+            result = run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
+            blobs.append(result.to_json(include_trace=True))
+    return _sha256(blobs)
+
+
+@pytest.mark.parametrize("task, name", list(GOLDEN_RUNS))
+def test_golden_run_outputs(task, name):
+    assert _golden_run_digest(task, name) == GOLDEN_RUNS[task, name]
+
+
+GOLDEN_EVAL = {
+    CLASSIFICATION: (
+        "d3b4486d25f774ff2ea46b39b9064a5d63d10e17097d2e271078acae1045b0ca",
+        "2ce12b37524f958fe0d3855a866a6a15095505cf792c7a157b76b5dbecb448e7",
+    ),
+    REGRESSION: (
+        "83b85d17e2287b40d28be91e77c38fa45c48fca77d3a7bd552922b5b1185a759",
+        "0883f6b9879ed89724a7d59173a9db97248db151128737450859e44fede52971",
+    ),
+}
+
+
+def _golden_eval_digests(task, tmp_path):
+    """sha256 of raw.csv and of summary.csv of a small eval over all 8 techniques."""
+    path = tmp_path / "pool.csv"
+    write_population_csv(_golden_population(task), path)
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", str(path), "--techniques", ",".join(TECHNIQUES),
+         "--aux", "none,chi", "--budgets", "50,200", "--reps", "3",
+         "--seed", "5", "--out", str(out)]
+    )
+    assert rc == 0
+    return tuple(_sha256([(out / name).read_bytes()]) for name in ("raw.csv", "summary.csv"))
+
+
+@pytest.mark.parametrize("task", list(GOLDEN_EVAL))
+def test_golden_eval_outputs(task, tmp_path):
+    assert _golden_eval_digests(task, tmp_path) == GOLDEN_EVAL[task]
