@@ -12,7 +12,6 @@ from opsample import (
     CLASSIFICATION,
     LabelingOracle,
     Population,
-    PopulationRecord,
     RandomStream,
     TechniqueConfig,
     kmeans_1d,
@@ -23,29 +22,17 @@ from opsample import (
 )
 
 rng = np.random.default_rng(0)
-records = []
-rid = 0
-for s in range(10):
-    chi_s = 0.05 + 0.1 * s
-    rate = 0.05 + 0.08 * s
-    for _ in range(300):
-        records.append(
-            PopulationRecord(
-                id=rid,
-                task=CLASSIFICATION,
-                predicted_label=0,
-                true_label=int(rng.random() < rate),
-                aux={"chi": chi_s},
-            )
-        )
-        rid += 1
-pop = Population(records, CLASSIFICATION)
+chi_s = np.repeat(0.05 + 0.1 * np.arange(10), 300)  # ten groups of 300
+rate = np.repeat(0.05 + 0.08 * np.arange(10), 300)
+true_label = (rng.random(chi_s.size) < rate).astype(int)
+N = chi_s.size
+pop = Population(CLASSIFICATION, np.arange(N), true_label, np.zeros(N, int), aux={"chi": chi_s})
 chi = pop.aux_vector("chi")
 xi = true_accuracy(pop)
 print(f"population: N={pop.N}, true accuracy {xi:.4f}")
 
-pm = kmeans_1d(chi.values, 10)
-alloc = ssrs_allocation(pm, chi.values, 200)
+pm = kmeans_1d(chi, 10)
+alloc = ssrs_allocation(pm, chi, 200)
 print(f"partition sizes: {[int(s) for s in pm.sizes]}")
 print(f"allocation of 200 draws: {[int(a) for a in alloc.n_p]}  (chi is constant inside each")
 print("partition, so allocation falls back to proportional-to-size)\n")

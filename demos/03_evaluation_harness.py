@@ -16,7 +16,6 @@ from opsample import (
     CLASSIFICATION,
     EvalConfig,
     Population,
-    PopulationRecord,
     SyntheticConfig,
     TechniqueConfig,
     enumerate_expectation,
@@ -59,12 +58,10 @@ for (technique, aux), sens in sensitivity_summary(report).items():
 
 # --- Part 2: the exact oracle ---------------------------------------------
 
-records = [
-    PopulationRecord(id=i, task=CLASSIFICATION, predicted_label=0, true_label=z, aux={"chi": x})
-    for i, (z, x) in enumerate(zip([1, 0, 0, 1], [0.9, 0.2, 0.3, 0.6]))
-]
-tiny = Population(records, CLASSIFICATION)
-theta = float(np.mean([r.true_label for r in records]))
+z = [1, 0, 0, 1]
+chi = [0.9, 0.2, 0.3, 0.6]
+tiny = Population(CLASSIFICATION, np.arange(4), z, np.zeros(4, int), aux={"chi": chi})
+theta = float(np.mean(z))
 print(f"\ntiny population: N=4, true failure rate {theta}")
 for name in ("srs", "sups", "rhcs", "deepest", "gbs"):
     tc = TechniqueConfig(technique=name, aux="chi", budget=2, k=2)

@@ -12,7 +12,6 @@ from .auxvar import (
     shift_positive,
 )
 from .draw import (
-    DrawTrace,
     RandomStream,
     derive_seed,
     pps_with_replacement,
@@ -39,7 +38,6 @@ from .population import (
     REGRESSION,
     LabelingOracle,
     Population,
-    PopulationRecord,
     SyntheticConfig,
     generate_synthetic,
     load_population,

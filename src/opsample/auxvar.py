@@ -29,7 +29,7 @@ __all__ = [
 
 @dataclass
 class ChiVector:
-    """Named vector of nonnegative auxiliary values, aligned to record ids."""
+    """A scorer's result: named nonnegative auxiliary values, aligned to record ids."""
 
     name: str
     values: np.ndarray
@@ -45,11 +45,6 @@ class ChiVector:
 
     def __len__(self):
         return self.values.size
-
-
-def chi_values(chi) -> np.ndarray:
-    """The float values of a :class:`ChiVector` or of any array-like."""
-    return chi.values if isinstance(chi, ChiVector) else np.asarray(chi, dtype=float)
 
 
 @dataclass
@@ -130,10 +125,14 @@ def compute_dsa(ats: ActivationTraces) -> ChiVector:
 
 
 def compute_lsa(ats: ActivationTraces, variance_floor: float = 1e-5) -> ChiVector:
-    """Likelihood-based surprise: -log of a leave-one-out Gaussian KDE.
+    """Likelihood-based surprise: -log of a leave-one-out Gaussian KDE, shifted nonnegative.
 
     Product Gaussian kernel with Scott's-rule bandwidth per dimension;
     dimensions whose variance falls below ``variance_floor`` are dropped.
+    The density exceeds 1 on concentrated traces, where -log density is
+    negative, so the scores go through :func:`shift_positive`: a negative
+    minimum adds ceil(|min|) to every score, which keeps their differences
+    and puts the minimum in [0, 1).  Scores already nonnegative are unchanged.
     """
     X = ats.matrix
     n = X.shape[0]
@@ -155,7 +154,7 @@ def compute_lsa(ats: ActivationTraces, variance_floor: float = 1e-5) -> ChiVecto
     log_norm = np.sum(np.log(bw * math.sqrt(2.0 * math.pi)))
     np.fill_diagonal(log_k, -np.inf)
     log_density = logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
-    return ChiVector("lsa", -log_density)
+    return ChiVector("lsa", shift_positive(-log_density))
 
 
 def reconstruction_error(original, reconstructed) -> float:
@@ -192,7 +191,7 @@ def selection_probabilities(chi, zero_floor: float = 1e-9) -> np.ndarray:
     added to every value first: the unequal-probability estimators are only
     unbiased over the whole population when every record is selectable.
     """
-    values = chi_values(chi)
+    values = np.asarray(chi, dtype=float)
     if np.any(values < 0):
         raise ValueError("chi values must be nonnegative")
     top = values.max() if values.size else 0.0

@@ -85,7 +85,7 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     pop = load_population(args.population)
-    tc = _technique_config(args, record_trace=args.trace)
+    tc = _technique_config(args)
     if args.aux is not None and pop.task == REGRESSION and args.aux in CLASSIFICATION_ONLY_AUX:
         raise ValueError(f"auxiliary variable {args.aux!r} is classification-only")
     oracle = LabelingOracle(pop)

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
-
 import numpy as np
 
 __all__ = [
     "RandomStream",
     "EnumeratingStream",
     "NotEnumerableError",
-    "DrawTrace",
     "derive_seed",
     "srs_with_replacement",
     "srs_without_replacement",
@@ -197,16 +194,6 @@ class EnumeratingStream:
         raise NotEnumerableError("draw bypasses the enumerable primitives")
 
     random = permutation = standard_normal = _refuse
-
-
-@dataclass
-class DrawTrace:
-    """Ordered audit log of selections: (step, id, probability, scheme tag)."""
-
-    entries: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def srs_with_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:

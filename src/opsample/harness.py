@@ -97,7 +97,7 @@ def enumerate_paths(pop: Population, config: TechniqueConfig, n: int):
     chi = None if config.aux is None else pop.aux_vector(config.aux)
     partition = None
     if chi is not None and REGISTRY[config.technique].partitioned:
-        partition = kmeans_1d(chi.values, config.k, config.partition_seed)
+        partition = kmeans_1d(chi, config.k, config.partition_seed)
     return _replay(pop, config, chi, partition)
 
 
@@ -185,9 +185,6 @@ class CellStats:
     mean_failures: float
     std_failures: float
     mean_distinct: float
-    mean_offset_counts: list | None
-    estimates: np.ndarray
-    failures: np.ndarray
 
 
 @dataclass
@@ -357,7 +354,7 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
             key = (aux, tc.k)
             if key not in partitions:
                 seed = derive_seed(config.master_seed, "partition", aux, tc.k)
-                partitions[key] = kmeans_1d(pop.aux_vector(aux).values, tc.k, seed)
+                partitions[key] = kmeans_1d(pop.aux_vector(aux), tc.k, seed)
             partition = partitions[key]
         cell_args.append((pop, config, tc, partition))
     workers = min(config.jobs, os.cpu_count() or 1, len(cell_args))
@@ -374,9 +371,6 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
         estimates = np.array([r["xi_hat"] for r in rows])
         failures = np.array([r["failures"] for r in rows], dtype=float)
         distinct = np.array([r["distinct"] for r in rows], dtype=float)
-        counts = None
-        if pop.task == REGRESSION:
-            counts = list(np.mean([r["offset_counts"] for r in rows], axis=0))
         cells.append(
             CellStats(
                 technique=technique,
@@ -387,9 +381,6 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
                 mean_failures=float(failures.mean()),
                 std_failures=float(failures.std()),
                 mean_distinct=float(distinct.mean()),
-                mean_offset_counts=counts,
-                estimates=estimates,
-                failures=failures,
             )
         )
     return EvalReport(config=config, true_xi=xi, cells=cells, raw_rows=raw_rows, skipped=skipped)

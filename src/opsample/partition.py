@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxvar import chi_values
 from .draw import RandomStream
 
 __all__ = ["PartitionMap", "Allocation", "kmeans_1d", "neyman_allocation"]
@@ -46,7 +45,7 @@ class PartitionMap:
         on different chi, or on chi changed in place, never serves a stale
         allocation.
         """
-        values = chi_values(chi)
+        values = np.asarray(chi, dtype=float)
         if self._allocations is None or not np.array_equal(self._allocations[0], values):
             self._allocations = (values.copy(), {})
         return self._allocations[1]
@@ -143,7 +142,7 @@ def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
     centroids.  An iteration that leaves a cluster empty runs the O(N k)
     step with its re-seeding.
     """
-    values = chi_values(chi)
+    values = np.asarray(chi, dtype=float)
     n = values.size
     if n == 0:
         raise ValueError("empty input")
@@ -249,7 +248,7 @@ def neyman_allocation(pm: PartitionMap, chi, n: int) -> Allocation:
     every partition has zero chi spread, falls back to allocation
     proportional to partition size.
     """
-    values = chi_values(chi)
+    values = np.asarray(chi, dtype=float)
     if n < 1:
         raise ValueError("budget must be >= 1")
     total = values.size

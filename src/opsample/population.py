@@ -11,17 +11,16 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .auxvar import ChiVector, min_max_normalize
+from .auxvar import min_max_normalize
 from .draw import RandomStream
 
 __all__ = [
     "CLASSIFICATION",
     "REGRESSION",
-    "PopulationRecord",
     "Population",
     "LabelingOracle",
     "SyntheticConfig",
@@ -34,76 +33,17 @@ CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
 
-@dataclass
-class PopulationRecord:
-    """One operational example: prediction, hidden truth, auxiliary scores.
-
-    Record-at-a-time input for :class:`Population`, which stores columns.
-    """
-
-    id: int
-    task: str
-    predicted_label: int | None = None
-    true_label: int | None = None
-    predicted_value: float | None = None
-    true_value: float | None = None
-    aux: dict = field(default_factory=dict)
-    features: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.task == CLASSIFICATION:
-            if self.predicted_label is None or self.true_label is None:
-                raise ValueError(f"record {self.id}: classification needs a label pair")
-            if self.predicted_value is not None or self.true_value is not None:
-                raise ValueError(f"record {self.id}: mixed task columns")
-        elif self.task == REGRESSION:
-            if self.predicted_value is None or self.true_value is None:
-                raise ValueError(f"record {self.id}: regression needs a value pair")
-            if self.predicted_label is not None or self.true_label is not None:
-                raise ValueError(f"record {self.id}: mixed task columns")
-        else:
-            raise ValueError(f"unknown task {self.task!r}")
-
-
 class Population:
     """The full operational dataset D as columns; immutable after construction.
 
     Holds the true and predicted columns (labels for classification, values
     for regression), a dict of auxiliary columns and an optional feature
-    matrix, all in record-id order.  ``Population(records, task)`` adapts
-    :class:`PopulationRecord` input; :meth:`from_columns` takes the columns.
+    matrix, all in record-id order.  Row k of every argument is one record;
+    ``ids`` must be a permutation of 0..N-1, and rows are reordered by id.
+    A non-finite value or auxiliary value is refused with its row number.
     """
 
-    def __init__(self, records: list, task: str):
-        if not records:
-            raise ValueError("population must contain at least one record")
-        if any(r.task != task for r in records):
-            raise ValueError("mixed tasks within one population")
-        if task == CLASSIFICATION:
-            true = [r.true_label for r in records]
-            predicted = [r.predicted_label for r in records]
-        else:
-            true = [r.true_value for r in records]
-            predicted = [r.predicted_value for r in records]
-        names = set().union(*(r.aux for r in records))
-        aux = {name: [r.aux.get(name, np.nan) for r in records] for name in names}
-        features = None
-        if records[0].features is not None:
-            features = [r.features for r in records]
-        self._set_columns(task, [r.id for r in records], true, predicted, aux, features)
-
-    @classmethod
-    def from_columns(cls, task, ids, true, predicted, aux=None, features=None) -> Population:
-        """Population from per-record columns; row k of every column is one record.
-
-        ``ids`` must be a permutation of 0..N-1; rows are reordered by id.  A
-        non-finite value or auxiliary value is refused with its row number.
-        """
-        pop = cls.__new__(cls)
-        pop._set_columns(task, ids, true, predicted, aux or {}, features)
-        return pop
-
-    def _set_columns(self, task, ids, true, predicted, aux, features):
+    def __init__(self, task, ids, true, predicted, aux=None, features=None):
         if task not in (CLASSIFICATION, REGRESSION):
             raise ValueError(f"unknown task {task!r}")
         ids = np.asarray(ids, dtype=np.int64)
@@ -117,7 +57,7 @@ class Population:
             true, predicted = true.astype(np.int64), predicted.astype(np.int64)
         else:
             true, predicted = np.asarray(true, dtype=float), np.asarray(predicted, dtype=float)
-        aux = {name: np.asarray(col, dtype=float) for name, col in aux.items()}
+        aux = {name: np.asarray(col, dtype=float) for name, col in (aux or {}).items()}
         if features is not None:
             features = np.asarray(features, dtype=float)
         if any(col.shape != (N,) for col in (true, predicted, *aux.values())) or (
@@ -152,10 +92,15 @@ class Population:
     def aux_names(self):
         return sorted(self._aux)
 
-    def aux_vector(self, name: str) -> ChiVector:
+    def aux_vector(self, name: str) -> np.ndarray:
+        """A read-only view of the named auxiliary column; refused if any value is negative."""
         if name not in self._aux:
             raise KeyError(f"auxiliary variable {name!r} not present (have {self.aux_names})")
-        return ChiVector(name, self._aux[name])
+        values = self._aux[name].view()
+        if np.any(values < 0):
+            raise ValueError("auxiliary values must be nonnegative")
+        values.flags.writeable = False
+        return values
 
     def features_matrix(self) -> np.ndarray | None:
         """Feature vectors for representativeness-driven selection, if present."""
@@ -289,9 +234,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Population:
         sign = np.where(rng.random(config.N) < 0.5, -1.0, 1.0)
         true = rng.standard_normal(config.N)
         predicted = true + sign * delta
-    return Population.from_columns(
-        config.task, np.arange(config.N), true, predicted, aux={"chi": chi}
-    )
+    return Population(config.task, np.arange(config.N), true, predicted, aux={"chi": chi})
 
 
 def true_accuracy(population: Population) -> float:
@@ -312,7 +255,7 @@ _CLASS_COLS = ("id", "true_label", "predicted_label")
 _REG_COLS = ("id", "true_value", "predicted_value")
 
 
-def _population_from_columns(columns: dict, schema: dict | None) -> Population:
+def _population_from_file(columns: dict, schema: dict | None) -> Population:
     """Population from file columns (name -> list of raw cell values, file order)."""
     schema = dict(schema or {})
     names = list(columns)
@@ -342,7 +285,7 @@ def _population_from_columns(columns: dict, schema: dict | None) -> Population:
 
     # int() per cell keeps Python's message for a non-integer label.
     convert = (lambda name: list(map(int, columns[name]))) if have_class else floats
-    return Population.from_columns(
+    return Population(
         task,
         list(map(int, columns[id_col])),
         convert(true_col),
@@ -379,7 +322,7 @@ def load_population(path, schema: dict | None = None) -> Population:
             k = next(k for k, row in enumerate(rows) if len(row) != len(header))
             raise ValueError(f"row {k} has {len(rows[k])} fields, the header {len(header)}")
         columns = dict(zip(header, zip(*rows)))
-    return _population_from_columns(columns, schema)
+    return _population_from_file(columns, schema)
 
 
 def write_population_csv(population: Population, path):

@@ -19,9 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .auxvar import chi_values, selection_probabilities
+from .auxvar import selection_probabilities
 from .draw import (
-    DrawTrace,
     RandomStream,
     pps_with_replacement,
     srs_with_replacement,
@@ -64,7 +63,6 @@ class TechniqueConfig:
     gbs_variance_floor: float = 1e-6
     # Result shaping
     failure_threshold: float = 12.5
-    record_trace: bool = False
 
     def __post_init__(self):
         if self.technique not in TECHNIQUES:
@@ -90,7 +88,12 @@ class TechniqueConfig:
 
 @dataclass
 class TechniqueResult:
-    """Outcome of one technique run."""
+    """Outcome of one technique run.
+
+    Draw s selected ``selected_ids[s]`` with selection probability
+    ``probabilities[s]`` under the scheme tagged ``schemes[s]``: the trace
+    that audits the run's unbiasedness.
+    """
 
     technique: str
     selected_ids: np.ndarray
@@ -98,8 +101,9 @@ class TechniqueResult:
     estimate: float  # theta-hat (classification) or Delta-hat (regression)
     xi_hat: float
     failures: int
+    probabilities: np.ndarray
+    schemes: list
     offsets: np.ndarray | None = None
-    trace: DrawTrace | None = None
     flags: list = field(default_factory=list)
     knobs: dict = field(default_factory=dict)
 
@@ -115,10 +119,12 @@ class TechniqueResult:
             "flags": self.flags,
             "knobs": self.knobs,
         }
-        if include_trace and self.trace is not None:
+        if include_trace:
             payload["trace"] = [
-                {"step": s, "id": i, "probability": p, "scheme": tag}
-                for (s, i, p, tag) in self.trace.entries
+                {"step": s, "id": int(i), "probability": float(p), "scheme": tag}
+                for s, (i, p, tag) in enumerate(
+                    zip(self.selected_ids, self.probabilities, self.schemes)
+                )
             ]
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -208,7 +214,7 @@ def _ces_features(pop: Population, chi) -> np.ndarray:
     if chi is not None:
         return chi[:, None]
     if pop.aux_names:
-        return np.column_stack([pop.aux_vector(a).values for a in pop.aux_names])
+        return np.column_stack([pop.aux_vector(a) for a in pop.aux_names])
     raise ValueError("CES needs feature columns or at least one auxiliary variable")
 
 
@@ -422,7 +428,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     return Draws(np.array(selected), estimate, probabilities, schemes, flags, knobs)
 
 
-def ssrs_allocation(pm: PartitionMap, chi_v: np.ndarray, n: int):
+def ssrs_allocation(pm: PartitionMap, chi: np.ndarray, n: int):
     """Neyman allocation with a one-draw floor whenever the budget allows.
 
     A partition allocated zero draws contributes a hard 0 to the stratified
@@ -432,9 +438,9 @@ def ssrs_allocation(pm: PartitionMap, chi_v: np.ndarray, n: int):
     result is cached on the map per budget, so it is computed once per
     (map, chi, n) and must not be modified.
     """
-    cache = pm.allocation_cache(chi_v)
+    cache = pm.allocation_cache(chi)
     if n not in cache:
-        alloc = neyman_allocation(pm, chi_v, n)
+        alloc = neyman_allocation(pm, chi, n)
         n_p = alloc.n_p.copy()
         if n >= pm.P:
             for p in np.flatnonzero(n_p == 0):
@@ -635,30 +641,23 @@ def run_technique(
     ``chi`` defaults to the population's ``config.aux`` column, and a
     stratified technique without ``partition`` stratifies on k-means over
     chi with ``config.k`` and ``config.partition_seed``.  The law draws;
-    this function records the trace (when ``config.record_trace`` is set)
-    and counts the failures among the labels the oracle revealed.
+    this function keeps its selection probabilities and scheme tags, one
+    per draw, and counts the failures among the labels the oracle revealed.
     """
     entry = REGISTRY[config.technique]
     if chi is None and config.aux is not None:
         chi = pop.aux_vector(config.aux)
     if entry.needs_chi and chi is None:
         raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
-    chi_v = None if chi is None else chi_values(chi)
+    if chi is not None:
+        chi = np.asarray(chi, dtype=float)
     if entry.partitioned and partition is None:
-        partition = kmeans_1d(chi_v, config.k, config.partition_seed)
-    draws = entry.law(pop, oracle, config, rng, chi_v, partition)
+        partition = kmeans_1d(chi, config.k, config.partition_seed)
+    draws = entry.law(pop, oracle, config, rng, chi, partition)
 
-    trace = None
-    if config.record_trace:
-        schemes = draws.schemes
-        if isinstance(schemes, str):
-            schemes = [schemes] * len(draws.selected)
-        trace = DrawTrace([
-            (step, int(rid), float(p), tag)
-            for step, (rid, p, tag) in enumerate(
-                zip(draws.selected, draws.probabilities, schemes)
-            )
-        ])
+    schemes = draws.schemes
+    if isinstance(schemes, str):
+        schemes = [schemes] * len(draws.selected)
     _, labeled_outcomes = oracle.labeled_outcomes()
     if pop.task == CLASSIFICATION:
         failures = int(labeled_outcomes.sum())
@@ -673,8 +672,9 @@ def run_technique(
         estimate=float(draws.estimate),
         xi_hat=1.0 - float(draws.estimate),
         failures=failures,
+        probabilities=np.asarray(draws.probabilities, dtype=float),
+        schemes=schemes,
         offsets=offsets,
-        trace=trace,
         flags=draws.flags,
         knobs=draws.knobs,
     )

@@ -1,32 +1,20 @@
 import numpy as np
 
-from opsample.population import CLASSIFICATION, REGRESSION, Population, PopulationRecord
+from opsample.population import CLASSIFICATION, REGRESSION, Population
 
 
 def make_classification(z, chi=None):
     """Tiny classification population with given failure flags and chi."""
-    records = []
-    for i, zi in enumerate(z):
-        aux = {"chi": float(chi[i])} if chi is not None else {}
-        records.append(
-            PopulationRecord(
-                id=i, task=CLASSIFICATION, predicted_label=0, true_label=int(zi), aux=aux
-            )
-        )
-    return Population(records, CLASSIFICATION)
+    n = len(z)
+    aux = None if chi is None else {"chi": np.array(chi, dtype=float)}
+    return Population(CLASSIFICATION, np.arange(n), [int(zi) for zi in z], np.zeros(n, int), aux)
 
 
 def make_regression(deltas, chi=None):
     """Tiny regression population with given absolute offsets and chi."""
-    records = []
-    for i, d in enumerate(deltas):
-        aux = {"chi": float(chi[i])} if chi is not None else {}
-        records.append(
-            PopulationRecord(
-                id=i, task=REGRESSION, true_value=0.0, predicted_value=float(d), aux=aux
-            )
-        )
-    return Population(records, REGRESSION)
+    n = len(deltas)
+    aux = None if chi is None else {"chi": np.array(chi, dtype=float)}
+    return Population(REGRESSION, np.arange(n), np.zeros(n), np.array(deltas, dtype=float), aux)
 
 
 def random_tiny_population(rng: np.random.Generator, task=CLASSIFICATION, n_min=3, n_max=6):

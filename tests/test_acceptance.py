@@ -24,7 +24,6 @@ from opsample.population import (
     CLASSIFICATION,
     REGRESSION,
     LabelingOracle,
-    PopulationRecord,
     Population,
     SyntheticConfig,
     generate_synthetic,
@@ -60,7 +59,7 @@ def main_chi(main_pop):
 
 @pytest.fixture(scope="module")
 def main_partition(main_chi):
-    return kmeans_1d(main_chi.values, 10, 0)
+    return kmeans_1d(main_chi, 10, 0)
 
 
 def run_once(pop, config, seed, chi=None, partition=None):
@@ -88,7 +87,7 @@ def test_criterion_1_exact_oracle_unbiasedness():
         task = CLASSIFICATION if pops % 2 == 0 else REGRESSION
         pop = random_tiny_population(rng, task=task, n_min=3, n_max=6)
         n = int(rng.integers(1, 4))
-        chi = pop.aux_vector("chi").values
+        chi = pop.aux_vector("chi")
         if task == CLASSIFICATION:
             truth = float(np.mean(pop._true_outcomes()))
         else:
@@ -172,26 +171,22 @@ def test_criterion_3_failure_exposure_ordering(main_pop, main_chi):
 def strata_pop():
     """10 chi-homogeneous strata whose failure rates track chi closely."""
     rng = np.random.default_rng(4)
-    records = []
-    rid = 0
+    z, chi = [], []
     for s in range(10):
         chi_s = 0.05 + 0.1 * s
         rate = 0.05 + 0.08 * s  # 5% .. 77%, strongly ordered with chi
         for _ in range(200):
-            z = int(rng.random() < rate)
-            records.append(PopulationRecord(
-                id=rid, task=CLASSIFICATION, predicted_label=0, true_label=z,
-                aux={"chi": chi_s},
-            ))
-            rid += 1
-    return Population(records, CLASSIFICATION)
+            z.append(int(rng.random() < rate))
+            chi.append(chi_s)
+    N = len(z)
+    return Population(CLASSIFICATION, np.arange(N), z, np.zeros(N, int), aux={"chi": chi})
 
 
 def test_criterion_4_stratification_efficiency(strata_pop):
     R = 2000
     xi_true = true_accuracy(strata_pop)
     chi = strata_pop.aux_vector("chi")
-    partition = kmeans_1d(chi.values, 10, 0)
+    partition = kmeans_1d(chi, 10, 0)
     srs_cfg = TechniqueConfig(technique="srs", budget=200)
     ssrs_cfg = TechniqueConfig(technique="ssrs", aux="chi", budget=200, k=10)
     srs_err = np.array([
@@ -280,19 +275,17 @@ def test_criterion_6_degenerations(main_pop, main_chi):
 
     N, n = main_pop.N, config.budget
     w = (N + n + 1 - 2 * np.arange(1, n + 1)) / N
-    traced = TechniqueConfig(technique="deepest", aux="chi", budget=200, r=0.0,
-                             record_trace=True)
     exact = True
     for s in seeds[:200]:
-        res = run_once(main_pop, traced, s, chi=main_chi)
+        res = run_once(main_pop, config, s, chi=main_chi)
         closed_form = float(w @ z[res.selected_ids]) / n
         exact = (
             exact
             and abs(res.estimate - closed_form) < 1e-12
-            and len(res.trace) == n
+            and len(res.probabilities) == n
             and all(
                 tag in ("srs-first", "srs-step") and q == 1.0 / (N - step)
-                for step, _, q, tag in res.trace.entries
+                for step, (q, tag) in enumerate(zip(res.probabilities, res.schemes))
             )
         )
     details.append(f"{label} per-path uniform trace and closed form: {exact}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from opsample.auxvar import (
     ActivationTraces,
@@ -79,6 +80,16 @@ class TestDSA:
         )
 
 
+def _unshifted_lsa(X):
+    """-log of the leave-one-out Gaussian KDE, computed directly, without a shift."""
+    n, d = X.shape
+    bw = X.std(axis=0) * n ** (-1.0 / (d + 4))
+    diff = (X[:, None, :] - X[None, :, :]) / bw
+    log_k = -0.5 * (diff * diff).sum(axis=2) - np.sum(np.log(bw * math.sqrt(2 * math.pi)))
+    np.fill_diagonal(log_k, -np.inf)
+    return -(logsumexp(log_k, axis=1) - math.log(n - 1))
+
+
 class TestLSA:
     def test_outlier_has_larger_surprise(self):
         ats = ActivationTraces(np.array([[0.0], [0.1], [-0.1], [0.05], [5.0]]))
@@ -115,6 +126,16 @@ class TestLSA:
         a = compute_lsa(ActivationTraces(varying)).values
         b = compute_lsa(ActivationTraces(with_const)).values
         np.testing.assert_allclose(a, b)
+
+    @pytest.mark.parametrize("dims, scale", [(1, 0.01), (2, 0.05)])
+    def test_concentrated_traces_are_shifted_nonnegative(self, dims, scale):
+        X = np.random.default_rng(0).normal(size=(200, dims)) * scale
+        unshifted = _unshifted_lsa(X)
+        assert unshifted.min() < 0  # the density exceeds 1 on these traces
+        lsa = compute_lsa(ActivationTraces(X)).values
+        assert np.all(np.isfinite(lsa))
+        assert 0.0 <= lsa.min() < 1.0
+        np.testing.assert_allclose(lsa - unshifted, math.ceil(-unshifted.min()), rtol=0, atol=1e-9)
 
 
 class TestReconstructionError:

@@ -89,6 +89,32 @@ def test_run_chi_technique_without_aux_fails(tiny_csv, tmp_path, capsys):
     assert "auxiliary" in err["error"]
 
 
+def test_run_refuses_negative_aux(tmp_path, capsys):
+    path = tmp_path / "negative.csv"
+    path.write_text("id,true_label,predicted_label,score\n0,1,0,0.5\n1,0,0,-0.25\n")
+    rc = main(
+        ["run", "--population", str(path), "--technique", "sups", "--aux", "score",
+         "--budget", "2", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert "auxiliary values must be nonnegative" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_run_trace_flag_writes_the_trace(tiny_csv, tmp_path):
+    argv = ["run", "--population", tiny_csv, "--technique", "sups", "--aux", "chi",
+            "--budget", "6", "--seed", "4"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(argv + ["--trace", "--out", str(tmp_path / "traced")]) == 0
+    plain = json.loads((tmp_path / "plain" / "result_sups.json").read_text())
+    traced = json.loads((tmp_path / "traced" / "result_sups.json").read_text())
+    assert "trace" not in plain
+    trace = traced.pop("trace")
+    assert traced == plain
+    assert [e["step"] for e in trace] == list(range(6))
+    assert [e["id"] for e in trace] == plain["selected_ids"]
+    assert all(e["scheme"] == "pps-wr" and 0.0 < e["probability"] <= 1.0 for e in trace)
+
+
 def test_eval_flags_and_outputs(tiny_csv, tmp_path, capsys):
     out = tmp_path / "eval"
     rc = main(
@@ -143,6 +169,15 @@ def test_eval_refuses_ignored_override(tiny_csv, tmp_path, capsys):
     rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
     assert rc == 1
     assert "'partition_seed'" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_eval_refuses_unknown_override_knob(tiny_csv, tmp_path, capsys):
+    # `trace` is a flag of `run`, not a TechniqueConfig knob: the grid writes no traces.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"technique_overrides": {"srs": {"trace": True}}}))
+    rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "unknown knob 'trace'" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_eval_requires_population(tmp_path, capsys):

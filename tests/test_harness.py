@@ -293,7 +293,7 @@ def test_run_experiment_skips_missing_aux(grid_pop):
 
 def test_run_experiment_skips_classification_only_aux_on_regression():
     rng = np.random.default_rng(3)
-    pop = Population.from_columns(
+    pop = Population(
         REGRESSION, np.arange(20), np.zeros(20), rng.random(20),
         aux={"chi": rng.random(20), "confidence": np.full(20, 0.5)},
     )

@@ -3,42 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from conftest import make_classification, make_regression
+
 from opsample.population import (
     CLASSIFICATION,
     REGRESSION,
     LabelingOracle,
     Population,
-    PopulationRecord,
     SyntheticConfig,
     generate_synthetic,
     load_population,
     true_accuracy,
     write_population_csv,
 )
-
-
-def make_classification(z, chi=None):
-    records = []
-    for i, zi in enumerate(z):
-        aux = {"chi": float(chi[i])} if chi is not None else {}
-        records.append(
-            PopulationRecord(
-                id=i, task=CLASSIFICATION, predicted_label=0, true_label=int(zi), aux=aux
-            )
-        )
-    return Population(records, CLASSIFICATION)
-
-
-def make_regression(deltas, chi=None):
-    records = []
-    for i, d in enumerate(deltas):
-        aux = {"chi": float(chi[i])} if chi is not None else {}
-        records.append(
-            PopulationRecord(
-                id=i, task=REGRESSION, true_value=0.0, predicted_value=float(d), aux=aux
-            )
-        )
-    return Population(records, REGRESSION)
 
 
 class TestLoad:
@@ -48,7 +25,7 @@ class TestLoad:
         pop = load_population(path, schema={"true_label": "true", "predicted_label": "pred"})
         assert pop.N == 3
         assert pop.task == CLASSIFICATION
-        np.testing.assert_allclose(pop.aux_vector("confidence").values, [0.9, 0.6, 0.8])
+        np.testing.assert_allclose(pop.aux_vector("confidence"), [0.9, 0.6, 0.8])
         assert true_accuracy(pop) == pytest.approx(2 / 3)
 
     def test_nan_aux_rejected(self, tmp_path):
@@ -81,7 +58,7 @@ class TestLoad:
         path.write_text("id,true_label,predicted_label,chi\n1,1,0,0.25\n0,0,0,0.75\n")
         pop = load_population(path)
         np.testing.assert_array_equal(pop._true_outcomes(), [0.0, 1.0])
-        np.testing.assert_array_equal(pop.aux_vector("chi").values, [0.75, 0.25])
+        np.testing.assert_array_equal(pop.aux_vector("chi"), [0.75, 0.25])
 
     def test_sparse_ids_rejected(self, tmp_path):
         path = tmp_path / "pop.csv"
@@ -125,7 +102,7 @@ class TestLoad:
         path.write_text(json.dumps(rows))
         pop = load_population(path)
         assert pop.N == 2
-        np.testing.assert_allclose(pop.aux_vector("chi").values, [0.2, 0.7])
+        np.testing.assert_allclose(pop.aux_vector("chi"), [0.2, 0.7])
 
     def test_feature_columns(self, tmp_path):
         path = tmp_path / "pop.csv"
@@ -142,60 +119,47 @@ class TestLoad:
         assert back.N == pop.N
         np.testing.assert_array_equal(back._true_outcomes(), pop._true_outcomes())
         np.testing.assert_allclose(
-            back.aux_vector("chi").values, pop.aux_vector("chi").values
+            back.aux_vector("chi"), pop.aux_vector("chi")
         )
 
 
 class TestColumns:
-    def test_record_adapter_matches_columns(self):
-        records = [
-            PopulationRecord(id=1, task=REGRESSION, true_value=0.5, predicted_value=0.0,
-                             aux={"chi": 0.2}, features=np.array([1.0, 2.0])),
-            PopulationRecord(id=0, task=REGRESSION, true_value=0.0, predicted_value=0.25,
-                             aux={"chi": 0.9}, features=np.array([3.0, 4.0])),
-        ]
-        a = Population(records, REGRESSION)
-        b = Population.from_columns(
+    def test_columns_reordered_by_id(self):
+        pop = Population(
             REGRESSION, [1, 0], [0.5, 0.0], [0.0, 0.25], aux={"chi": [0.2, 0.9]},
             features=[[1.0, 2.0], [3.0, 4.0]],
         )
-        for pop in (a, b):
-            np.testing.assert_array_equal(pop._true_outcomes(), [0.25, 0.5])
-            np.testing.assert_array_equal(pop.aux_vector("chi").values, [0.9, 0.2])
-            np.testing.assert_array_equal(pop.features_matrix(), [[3.0, 4.0], [1.0, 2.0]])
-
-    def test_missing_aux_in_one_record_rejected(self):
-        records = [
-            PopulationRecord(id=0, task=CLASSIFICATION, predicted_label=0, true_label=0,
-                             aux={"chi": 0.5}),
-            PopulationRecord(id=1, task=CLASSIFICATION, predicted_label=0, true_label=1),
-        ]
-        with pytest.raises(ValueError, match="non-finite auxiliary value at row 1"):
-            Population(records, CLASSIFICATION)
+        np.testing.assert_array_equal(pop._true_outcomes(), [0.25, 0.5])
+        np.testing.assert_array_equal(pop.aux_vector("chi"), [0.9, 0.2])
+        np.testing.assert_array_equal(pop.features_matrix(), [[3.0, 4.0], [1.0, 2.0]])
 
     def test_float_labels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
-            Population.from_columns(CLASSIFICATION, [0, 1], [0.0, 1.0], [0, 0])
+            Population(CLASSIFICATION, [0, 1], [0.0, 1.0], [0, 0])
 
     def test_column_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="one entry per record"):
-            Population.from_columns(REGRESSION, [0, 1], [0.0, 1.0], [0.0], aux={})
+            Population(REGRESSION, [0, 1], [0.0, 1.0], [0.0], aux={})
+
+    def test_aux_vector_is_a_read_only_view(self):
+        pop = make_classification([0, 1], [0.5, 0.25])
+        chi = pop.aux_vector("chi")
+        assert isinstance(chi, np.ndarray) and chi.dtype == float
+        np.testing.assert_array_equal(chi, [0.5, 0.25])
+        with pytest.raises(ValueError, match="read-only"):
+            chi[0] = 1.0
+        np.testing.assert_array_equal(pop.aux_vector("chi"), [0.5, 0.25])
+
+    def test_negative_aux_refused_by_aux_vector(self):
+        pop = make_classification([0, 1], [0.5, -0.25])
+        with pytest.raises(ValueError, match="auxiliary values must be nonnegative"):
+            pop.aux_vector("chi")
 
 
 class TestRecordValidation:
-    def test_mixed_fields_rejected(self):
-        with pytest.raises(ValueError, match="mixed task"):
-            PopulationRecord(
-                id=0, task=CLASSIFICATION, predicted_label=1, true_label=1, true_value=0.5
-            )
-
     def test_ids_must_be_dense(self):
-        records = [
-            PopulationRecord(id=0, task=CLASSIFICATION, predicted_label=0, true_label=0),
-            PopulationRecord(id=2, task=CLASSIFICATION, predicted_label=0, true_label=0),
-        ]
         with pytest.raises(ValueError, match="dense"):
-            Population(records, CLASSIFICATION)
+            Population(CLASSIFICATION, [0, 2], [0, 0], [0, 0])
 
 
 class TestTrueAccuracy:
@@ -258,12 +222,12 @@ class TestSynthetic:
         a = generate_synthetic(cfg, seed=9)
         b = generate_synthetic(cfg, seed=9)
         np.testing.assert_array_equal(a._true_outcomes(), b._true_outcomes())
-        np.testing.assert_array_equal(a.aux_vector("chi").values, b.aux_vector("chi").values)
+        np.testing.assert_array_equal(a.aux_vector("chi"), b.aux_vector("chi"))
 
     def test_rho_one_rank_order(self):
         cfg = SyntheticConfig(N=200, target_accuracy=0.7, chi_correlation=1.0)
         pop = generate_synthetic(cfg, seed=2)
-        chi = pop.aux_vector("chi").values
+        chi = pop.aux_vector("chi")
         # chi must be a monotone function of the latent that drives failure
         # probability: sort by chi and check the latent ordering via a proxy.
         # With rho=1 and no noise, chi is strictly increasing in u, so the
@@ -279,7 +243,7 @@ class TestSynthetic:
         for seed in range(100):
             cfg = SyntheticConfig(N=n, target_accuracy=0.9, chi_correlation=0.0)
             pop = generate_synthetic(cfg, seed=seed)
-            chi = pop.aux_vector("chi").values
+            chi = pop.aux_vector("chi")
             z = pop._true_outcomes()
             corr = np.corrcoef(chi, z)[0, 1]
             if abs(corr) > 3.0 / np.sqrt(n):
