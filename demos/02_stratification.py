@@ -32,9 +32,9 @@ xi = true_accuracy(pop)
 print(f"population: N={pop.N}, true accuracy {xi:.4f}")
 
 pm = kmeans_1d(chi, 10)
-alloc = ssrs_allocation(pm, chi, 200)
+alloc = ssrs_allocation(pm, 200)
 print(f"partition sizes: {[int(s) for s in pm.sizes]}")
-print(f"allocation of 200 draws: {[int(a) for a in alloc.n_p]}  (chi is constant inside each")
+print(f"allocation of 200 draws: {[int(a) for a in alloc]}  (chi is constant inside each")
 print("partition, so allocation falls back to proportional-to-size)\n")
 
 REPS = 400

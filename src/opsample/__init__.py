@@ -15,7 +15,6 @@ from .draw import (
     RandomStream,
     derive_seed,
     pps_with_replacement,
-    random_grouping,
     srs_with_replacement,
     srs_without_replacement,
 )
@@ -30,9 +29,9 @@ from .harness import (
     rmedse,
     rmse,
     run_experiment,
-    sensitivity_summary,
+    summarize,
 )
-from .partition import Allocation, PartitionMap, kmeans_1d, neyman_allocation
+from .partition import PartitionMap, kmeans_1d, neyman_allocation
 from .population import (
     CLASSIFICATION,
     REGRESSION,

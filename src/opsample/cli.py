@@ -21,8 +21,8 @@ from .harness import (
     CLASSIFICATION_ONLY_AUX,
     EvalConfig,
     enumerate_expectation,
-    rmse,
     run_experiment,
+    summarize,
 )
 from .population import (
     CLASSIFICATION,
@@ -160,39 +160,42 @@ def cmd_oracle(args) -> int:
 
 def cmd_report(args) -> int:
     with open(args.raw, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        offset_cols = [c for c in reader.fieldnames or [] if c.startswith("n_offset_ge_")]
+        rows = [
+            {
+                "technique": r["technique"],
+                "aux": r["aux"],
+                "budget": int(r["budget"]),
+                "xi_hat": float(r["xi_hat"]),
+                "failures": float(r["failures"]),
+                "distinct": float(r["distinct"]),
+                "offset_counts": [float(r[c]) for c in offset_cols] if offset_cols else None,
+            }
+            for r in reader
+        ]
     if not rows:
         raise ValueError("empty raw file")
     with open(args.manifest) as fh:
         manifest = json.load(fh)
-    true_xi = manifest["true_xi"]
+    cells = sorted(
+        summarize(rows, manifest["true_xi"]), key=lambda c: (c.technique, c.aux, c.budget)
+    )
 
     out = _out_dir(args)
-    groups = {}
-    for row in rows:
-        key = (row["technique"], row["aux"], int(row["budget"]))
-        groups.setdefault(key, []).append(row)
-
     with open(os.path.join(out, "rmse_vs_budget.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["technique", "aux", "budget", "rmse", "mean_failures"])
-        for (technique, aux, budget), cell_rows in sorted(groups.items()):
-            fails = [float(r["failures"]) for r in cell_rows]
-            writer.writerow(
-                [technique, aux, budget,
-                 repr(rmse([float(r["xi_hat"]) for r in cell_rows], true_xi)),
-                 repr(sum(fails) / len(fails))]
-            )
+        for c in cells:
+            writer.writerow([c.technique, c.aux, c.budget, repr(c.rmse), repr(c.mean_failures)])
 
-    offset_cols = [c for c in rows[0] if c.startswith("n_offset_ge_")]
     if offset_cols:
         with open(os.path.join(out, "offset_histogram.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["technique", "aux", "budget", "threshold", "mean_count"])
-            for (technique, aux, budget), cell_rows in sorted(groups.items()):
-                for col in offset_cols:
-                    mean = sum(float(r[col]) for r in cell_rows) / len(cell_rows)
-                    writer.writerow([technique, aux, budget, col.split("_")[-1], repr(mean)])
+            for c in cells:
+                for col, mean in zip(offset_cols, c.mean_offset_counts):
+                    writer.writerow([c.technique, c.aux, c.budget, col.split("_")[-1], repr(mean)])
     print(f"wrote plot-ready CSVs to {out}")
     return 0
 

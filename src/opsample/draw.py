@@ -30,7 +30,6 @@ __all__ = [
     "srs_with_replacement",
     "srs_without_replacement",
     "pps_with_replacement",
-    "random_grouping",
 ]
 
 _KEY_MASK = (1 << 256) - 1
@@ -247,20 +246,3 @@ def pps_with_replacement(ids, weights, n: int, rng: RandomStream) -> np.ndarray:
     if n < 1:
         raise ValueError("sample size must be >= 1")
     return ids[rng.weighted_index(_cumulative(weights), n)]
-
-
-def random_grouping(ids, n_groups: int, rng: RandomStream) -> list:
-    """Uniform random partition of ids into n_groups near-equal groups.
-
-    Group sizes are floor(N/n) or ceil(N/n); exactly N mod n groups get the
-    larger size, so sizes differ by at most one.
-    """
-    ids = np.asarray(ids)
-    size = ids.size
-    if n_groups < 1:
-        raise ValueError("need at least one group")
-    if n_groups > size:
-        raise ValueError(f"cannot split {size} ids into {n_groups} groups")
-    base, rem = divmod(size, n_groups)
-    sizes = [base + 1] * rem + [base] * (n_groups - rem)
-    return np.split(ids[rng.grouping(size, sizes)], np.cumsum(sizes)[:-1])

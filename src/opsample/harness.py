@@ -30,7 +30,7 @@ __all__ = [
     "rmedse",
     "offset_histogram",
     "run_experiment",
-    "sensitivity_summary",
+    "summarize",
     "enumerate_expectation",
     "enumerate_paths",
     "NotEnumerableError",
@@ -74,41 +74,37 @@ class IntractableError(ValueError):
     """Population/budget too large for exhaustive path enumeration."""
 
 
-#: Largest (N, n) the oracle enumerates: N <= 10, n <= 4 unless listed here.
-_ENUM_LIMITS = {"deepest": (8, 3)}
-
-
 def enumerate_paths(pop: Population, config: TechniqueConfig, n: int):
     """Yield (probability, estimate) for every sample path of the technique.
 
     The technique's own law runs through :func:`run_technique` under an
     :class:`EnumeratingStream`, once per sample path, so the oracle checks
-    the code that runs.  chi is looked up as :func:`run_technique` does,
-    from ``config.aux``, and the partition map is built once.  ces is
-    refused: its rejection-sampled candidate groups have an unbounded path
-    space.
+    the code that runs; the partition map is built once.  ces is refused:
+    its rejection-sampled candidate groups have an unbounded path space.
     """
     if config.technique == "ces":
         raise NotEnumerableError("ces is not enumerable; use Monte Carlo")
-    max_N, max_n = _ENUM_LIMITS.get(config.technique, (10, 4))
-    if pop.N > max_N or n > max_n:
-        raise IntractableError(f"enumeration supports N <= {max_N}, n <= {max_n}")
+    if pop.N > 10 or n > 4:
+        raise IntractableError("enumeration supports N <= 10, n <= 4")
     config = replace(config, budget=n)
-    chi = None if config.aux is None else pop.aux_vector(config.aux)
-    partition = None
-    if chi is not None and REGISTRY[config.technique].partitioned:
-        partition = kmeans_1d(chi, config.k, config.partition_seed)
-    return _replay(pop, config, chi, partition)
+    return _replay(pop, config, _partition_map(pop, config))
 
 
-def _replay(pop, config, chi, partition):
+def _replay(pop, config, partition):
     """One run of the law per sample path, depth first."""
     stream = EnumeratingStream()
     while True:
-        result = run_technique(pop, LabelingOracle(pop), config, stream, chi, partition)
+        result = run_technique(pop, LabelingOracle(pop), config, stream, partition)
         yield stream.probability, result.estimate
         if not stream.next_path():
             return
+
+
+def _partition_map(pop: Population, config: TechniqueConfig):
+    """The k-means map that a stratified config's runs share; None for other techniques."""
+    if REGISTRY[config.technique].partitioned and config.aux is not None:
+        return kmeans_1d(pop.aux_vector(config.aux), config.k, config.partition_seed)
+    return None
 
 
 def enumerate_expectation(pop: Population, config: TechniqueConfig, n: int) -> float:
@@ -177,6 +173,12 @@ class EvalConfig:
 
 @dataclass
 class CellStats:
+    """The statistics of one grid cell's repetitions.
+
+    The last three describe the cell's (technique, aux) series; they are
+    None when it has fewer than two budgets.
+    """
+
     technique: str
     aux: str | None
     budget: int
@@ -185,6 +187,56 @@ class CellStats:
     mean_failures: float
     std_failures: float
     mean_distinct: float
+    mean_offset_counts: list | None = None  # regression: one per offset threshold
+    f_ratio: float | None = None  # mean failures at the largest budget over the smallest
+    min_rmse_budget: int | None = None
+    inversion: bool | None = None  # the smallest budget beats the largest on RMSE
+
+
+def summarize(rows, true_xi: float) -> list:
+    """One :class:`CellStats` per (technique, aux, budget) cell of raw rows, in grid order.
+
+    Rows are those of :attr:`EvalReport.raw_rows`; ``f_ratio`` is None when
+    the smallest budget's mean failures are 0.
+    """
+    by_cell = {}
+    for row in rows:
+        by_cell.setdefault((row["technique"], row["aux"], row["budget"]), []).append(row)
+    cells = []
+    for (technique, aux, budget), cell_rows in by_cell.items():
+        estimates = np.array([r["xi_hat"] for r in cell_rows])
+        failures = np.array([r["failures"] for r in cell_rows], dtype=float)
+        distinct = np.array([r["distinct"] for r in cell_rows], dtype=float)
+        offsets = None
+        if cell_rows[0]["offset_counts"] is not None:
+            counts = np.array([r["offset_counts"] for r in cell_rows], dtype=float)
+            offsets = counts.mean(axis=0).tolist()
+        cells.append(
+            CellStats(
+                technique=technique,
+                aux=aux,
+                budget=budget,
+                rmse=rmse(estimates, true_xi),
+                rmedse=rmedse(estimates, true_xi),
+                mean_failures=float(failures.mean()),
+                std_failures=float(failures.std()),
+                mean_distinct=float(distinct.mean()),
+                mean_offset_counts=offsets,
+            )
+        )
+    series = {}
+    for c in cells:
+        series.setdefault((c.technique, c.aux), []).append(c)
+    for budgets in series.values():
+        if len(budgets) < 2:
+            continue
+        budgets.sort(key=lambda c: c.budget)
+        low, high = budgets[0], budgets[-1]
+        f_ratio = None if low.mean_failures == 0 else high.mean_failures / low.mean_failures
+        best = min(budgets, key=lambda c: c.rmse).budget
+        for c in budgets:
+            c.f_ratio, c.min_rmse_budget, c.inversion = f_ratio, best, low.rmse < high.rmse
+    return cells
 
 
 @dataclass
@@ -195,25 +247,7 @@ class EvalReport:
     raw_rows: list
     skipped: list
 
-    def cell(self, technique, aux, budget) -> CellStats | None:
-        for c in self.cells:
-            if (c.technique, c.aux, c.budget) == (technique, aux, budget):
-                return c
-        return None
-
-    def f_ratio(self, technique, aux) -> float | None:
-        """Mean failures at the largest budget over the smallest."""
-        budgets = sorted({c.budget for c in self.cells if (c.technique, c.aux) == (technique, aux)})
-        if len(budgets) < 2:
-            return None
-        low = self.cell(technique, aux, budgets[0])
-        high = self.cell(technique, aux, budgets[-1])
-        if low is None or high is None or low.mean_failures == 0:
-            return None
-        return high.mean_failures / low.mean_failures
-
     def write_summary_csv(self, path):
-        sens = sensitivity_summary(self) if len({c.budget for c in self.cells}) >= 2 else {}
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -224,17 +258,14 @@ class EvalReport:
                 ]
             )
             for c in sorted(self.cells, key=lambda c: (c.technique, str(c.aux), c.budget)):
-                key = (c.technique, c.aux)
-                cell_sens = sens.get(key, {})
-                fr = self.f_ratio(c.technique, c.aux)
                 writer.writerow(
                     [
                         c.technique, c.aux if c.aux is not None else "", c.budget,
                         repr(c.rmse), repr(c.rmedse),
                         repr(c.mean_failures), repr(c.std_failures), repr(c.mean_distinct),
-                        repr(fr) if fr is not None else "",
-                        cell_sens.get("min_rmse_budget", ""),
-                        int(cell_sens["inversion"]) if "inversion" in cell_sens else "",
+                        repr(c.f_ratio) if c.f_ratio is not None else "",
+                        c.min_rmse_budget if c.min_rmse_budget is not None else "",
+                        int(c.inversion) if c.inversion is not None else "",
                     ]
                 )
 
@@ -283,6 +314,7 @@ def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
         failure_threshold=config.failure_threshold,
     )
     kwargs.update(config.technique_overrides.get(technique, {}))
+    kwargs["partition_seed"] = derive_seed(config.master_seed, "partition", aux, kwargs["k"])
     return TechniqueConfig(**kwargs)
 
 
@@ -290,12 +322,11 @@ def _execute_cell_worker(args):
     """Raw rows of one grid cell; the same function runs in-process and in pool workers."""
     pop, config, tc, partition = args
     technique, aux, budget = tc.technique, tc.aux, tc.budget
-    chi = pop.aux_vector(aux) if aux is not None else None
     rows = []
     for rep in range(config.repetitions):
         seed = derive_seed(config.master_seed, technique, aux, budget, rep)
         oracle = LabelingOracle(pop)
-        result = run_technique(pop, oracle, tc, RandomStream(seed), chi=chi, partition=partition)
+        result = run_technique(pop, oracle, tc, RandomStream(seed), partition)
         row = {
             "technique": technique,
             "aux": aux,
@@ -331,32 +362,24 @@ def _skip_reason(pop: Population, technique, aux) -> str | None:
 def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
     """Execute the full grid with independently seeded repetitions.
 
-    Each needed partition map is computed once, here, for each (aux, k)
-    pair that a stratified cell's config asks for, so cells that stratify
-    alike share one map whatever the worker count.
+    Each needed partition map is computed once, here, for each (aux, k,
+    partition_seed) that a stratified cell's config asks for, so cells that
+    stratify alike share one map whatever the worker count.
     """
     xi = true_accuracy(pop)
-    grid = []
     skipped = []
+    partitions = {None: None}  # unstratified cells take no map
+    cell_args = []
     for technique, aux, budget in itertools.product(config.techniques, config.aux, config.budgets):
         reason = _skip_reason(pop, technique, aux)
-        if reason is None:
-            grid.append((technique, aux, budget))
-        else:
+        if reason is not None:
             skipped.append({"technique": technique, "aux": aux, "budget": budget, "reason": reason})
-
-    partitions = {}
-    cell_args = []
-    for technique, aux, budget in grid:
+            continue
         tc = _make_config(config, technique, aux, budget)
-        partition = None
-        if REGISTRY[technique].partitioned:
-            key = (aux, tc.k)
-            if key not in partitions:
-                seed = derive_seed(config.master_seed, "partition", aux, tc.k)
-                partitions[key] = kmeans_1d(pop.aux_vector(aux), tc.k, seed)
-            partition = partitions[key]
-        cell_args.append((pop, config, tc, partition))
+        key = (tc.aux, tc.k, tc.partition_seed) if REGISTRY[technique].partitioned else None
+        if key not in partitions:
+            partitions[key] = _partition_map(pop, tc)
+        cell_args.append((pop, config, tc, partitions[key]))
     workers = min(config.jobs, os.cpu_count() or 1, len(cell_args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
@@ -364,48 +387,8 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
     else:
         all_rows = list(map(_execute_cell_worker, cell_args))
 
-    cells = []
-    raw_rows = []
-    for (technique, aux, budget), rows in zip(grid, all_rows):
-        raw_rows.extend(rows)
-        estimates = np.array([r["xi_hat"] for r in rows])
-        failures = np.array([r["failures"] for r in rows], dtype=float)
-        distinct = np.array([r["distinct"] for r in rows], dtype=float)
-        cells.append(
-            CellStats(
-                technique=technique,
-                aux=aux,
-                budget=budget,
-                rmse=rmse(estimates, xi),
-                rmedse=rmedse(estimates, xi),
-                mean_failures=float(failures.mean()),
-                std_failures=float(failures.std()),
-                mean_distinct=float(distinct.mean()),
-            )
-        )
-    return EvalReport(config=config, true_xi=xi, cells=cells, raw_rows=raw_rows, skipped=skipped)
-
-
-def sensitivity_summary(report: EvalReport) -> dict:
-    """Per (technique, aux): budget with minimal RMSE and the inversion flag.
-
-    An inversion is the pathology where the smallest budget beats the
-    largest one on RMSE.
-    """
-    budgets = sorted({c.budget for c in report.cells})
-    if len(budgets) < 2:
-        raise ValueError("sensitivity analysis needs at least two budgets")
-    out = {}
-    keys = sorted({(c.technique, c.aux) for c in report.cells}, key=lambda t: (t[0], str(t[1])))
-    for key in keys:
-        series = sorted(
-            (c for c in report.cells if (c.technique, c.aux) == key), key=lambda c: c.budget
-        )
-        if len(series) < 2:
-            continue
-        best = min(series, key=lambda c: c.rmse)
-        out[key] = {
-            "min_rmse_budget": best.budget,
-            "inversion": series[0].rmse < series[-1].rmse,
-        }
-    return out
+    raw_rows = [row for rows in all_rows for row in rows]
+    return EvalReport(
+        config=config, true_xi=xi, cells=summarize(raw_rows, xi), raw_rows=raw_rows,
+        skipped=skipped,
+    )

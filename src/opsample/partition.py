@@ -13,21 +13,26 @@ import numpy as np
 
 from .draw import RandomStream
 
-__all__ = ["PartitionMap", "Allocation", "kmeans_1d", "neyman_allocation"]
+__all__ = ["PartitionMap", "kmeans_1d", "neyman_allocation"]
 
 _EPS = np.finfo(float).eps
 
 
 @dataclass
 class PartitionMap:
-    """Assignment of every record to one of P partitions, centroids ascending."""
+    """Assignment of every record to one of P partitions, centroids ascending.
+
+    ``values`` are the scores the map stratifies, and ``allocations`` caches
+    the allocations over them per budget; ``dataclasses.replace`` empties it.
+    """
 
     assignment: np.ndarray
     centroids: np.ndarray
     sizes: np.ndarray
     P: int
+    values: np.ndarray
     _members: list | None = field(default=None, init=False, repr=False, compare=False)
-    _allocations: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    allocations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def member_lists(self) -> list:
         """Record ids of each partition, ascending; computed once per map."""
@@ -36,27 +41,6 @@ class PartitionMap:
             order.flags.writeable = False  # the lists are shared by every caller
             self._members = np.split(order, np.cumsum(self.sizes)[:-1])
         return self._members
-
-    def allocation_cache(self, chi) -> dict:
-        """A budget -> allocation cache over this map for these chi values.
-
-        The cache holds a copy of the chi it was filled for and is emptied
-        whenever it is asked for with other values, so a map shared by runs
-        on different chi, or on chi changed in place, never serves a stale
-        allocation.
-        """
-        values = np.asarray(chi, dtype=float)
-        if self._allocations is None or not np.array_equal(self._allocations[0], values):
-            self._allocations = (values.copy(), {})
-        return self._allocations[1]
-
-
-@dataclass
-class Allocation:
-    """Per-partition sample sizes summing exactly to the total budget."""
-
-    n_p: np.ndarray
-    total: int
 
 
 def _argmin_step(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -129,7 +113,7 @@ def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
     distinct values exist, the partition count drops to the distinct count.
     Empty clusters are re-seeded to the point farthest from its centroid.
     Output labels are sorted by centroid, so partition 0 holds the smallest
-    chi values.
+    chi values.  The map keeps a read-only copy of chi as ``values``.
 
     1-D clusters are contiguous in sorted order (Wang & Song 2011,
     Ckmeans.1d.dp), so the values are sorted once and each iteration finds
@@ -142,7 +126,8 @@ def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
     centroids.  An iteration that leaves a cluster empty runs the O(N k)
     step with its re-seeding.
     """
-    values = np.asarray(chi, dtype=float)
+    values = np.array(chi, dtype=float)
+    values.flags.writeable = False
     n = values.size
     if n == 0:
         raise ValueError("empty input")
@@ -225,7 +210,7 @@ def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
     assignment = relabel[assignment]
     centroids = centroids[by_centroid]
     sizes = np.bincount(assignment, minlength=p)
-    return PartitionMap(assignment=assignment, centroids=centroids, sizes=sizes, P=p)
+    return PartitionMap(assignment, centroids, sizes, p, values)
 
 
 def _largest_remainder(weights: np.ndarray, n: int) -> np.ndarray:
@@ -240,15 +225,15 @@ def _largest_remainder(weights: np.ndarray, n: int) -> np.ndarray:
     return alloc
 
 
-def neyman_allocation(pm: PartitionMap, chi, n: int) -> Allocation:
-    """Allocate n draws proportionally to N_p * sigma_p of globally normalized chi.
+def neyman_allocation(pm: PartitionMap, n: int) -> np.ndarray:
+    """Allocate n draws proportionally to N_p * sigma_p of the map's globally normalized values.
 
     Largest-remainder rounding; allocations above a partition's size are
     capped with the excess redistributed among the uncapped partitions.  If
     every partition has zero chi spread, falls back to allocation
     proportional to partition size.
     """
-    values = np.asarray(chi, dtype=float)
+    values = pm.values
     if n < 1:
         raise ValueError("budget must be >= 1")
     total = values.size
@@ -301,4 +286,4 @@ def neyman_allocation(pm: PartitionMap, chi, n: int) -> Allocation:
                 extra[idx] += take
                 surplus -= take
         alloc += extra
-    return Allocation(n_p=alloc, total=n)
+    return alloc

@@ -131,10 +131,6 @@ class LabelingOracle:
         self._mask = np.zeros(population.N, dtype=bool)
         self.reveal_count = 0
 
-    @property
-    def labeled_ids(self) -> set:
-        return set(int(i) for i in np.flatnonzero(self._mask))
-
     def reveal(self, record_id: int):
         if not 0 <= record_id < self.population.N:
             raise IndexError(f"record id {record_id} out of range")
@@ -301,8 +297,9 @@ def load_population(path, schema: dict | None = None) -> Population:
     ``schema`` maps canonical column names (id, true_label, predicted_label,
     true_value, predicted_value) to the file's actual column names.  Any
     other column is an auxiliary variable, except feat_0..feat_m which form
-    the feature matrix.  A non-finite true/predicted value or auxiliary value
-    is refused with its row number (0-based, header excluded).
+    the feature matrix.  A non-finite value, a CSV row whose field count
+    differs from the header's and a JSON row whose keys differ from row 0's
+    are refused with their row number (0-based, header excluded).
     """
     path = str(path)
     if path.endswith(".json"):
@@ -310,7 +307,12 @@ def load_population(path, schema: dict | None = None) -> Population:
             rows = json.load(fh)
         if not rows:
             raise ValueError("empty population file")
-        columns = {c: [row[c] for row in rows] for c in rows[0]}
+        keys = rows[0].keys()
+        k = next((k for k, row in enumerate(rows) if row.keys() != keys), None)
+        if k is not None:
+            missing, extra = sorted(keys - rows[k].keys()), sorted(rows[k].keys() - keys)
+            raise ValueError(f"row {k} has other keys than row 0: missing {missing}, extra {extra}")
+        columns = {c: [row[c] for row in rows] for c in keys}
     else:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

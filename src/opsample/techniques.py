@@ -26,7 +26,7 @@ from .draw import (
     srs_with_replacement,
     srs_without_replacement,
 )
-from .partition import Allocation, PartitionMap, kmeans_1d, neyman_allocation
+from .partition import PartitionMap, kmeans_1d, neyman_allocation
 from .population import CLASSIFICATION, LabelingOracle, Population
 
 __all__ = [
@@ -189,7 +189,7 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     if n > pop.N:
         raise ValueError(f"budget {n} exceeds population size {pop.N}")
     pi = selection_probabilities(chi)
-    # random_grouping's sizes: rem groups of base + 1, then n - rem of base.
+    # n near-equal groups: rem groups of base + 1, then n - rem of base.
     # Each run of equal sizes is one block with a group per row.
     base, rem = divmod(pop.N, n)
     order = rng.grouping(pop.N, [base + 1] * rem + [base] * (n - rem))
@@ -428,42 +428,38 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     return Draws(np.array(selected), estimate, probabilities, schemes, flags, knobs)
 
 
-def ssrs_allocation(pm: PartitionMap, chi: np.ndarray, n: int):
+def ssrs_allocation(pm: PartitionMap, n: int) -> np.ndarray:
     """Neyman allocation with a one-draw floor whenever the budget allows.
 
     A partition allocated zero draws contributes a hard 0 to the stratified
     estimate, which biases it whenever that partition's outcomes are not all
     zero.  When n >= P the floor restores exact unbiasedness by moving one
     draw from the largest allocations into each empty partition.  The
-    result is cached on the map per budget, so it is computed once per
-    (map, chi, n) and must not be modified.
+    per-partition sizes are cached on the map per budget, so they are
+    computed once per (map, n), and the array is read-only.
     """
-    cache = pm.allocation_cache(chi)
-    if n not in cache:
-        alloc = neyman_allocation(pm, chi, n)
-        n_p = alloc.n_p.copy()
+    if n not in pm.allocations:
+        n_p = neyman_allocation(pm, n)
         if n >= pm.P:
             for p in np.flatnonzero(n_p == 0):
                 donor = int(np.argmax(n_p))
                 n_p[donor] -= 1
                 n_p[p] = 1
         n_p.flags.writeable = False  # shared by every run that hits the cache
-        cache[n] = Allocation(n_p=n_p, total=alloc.total)
-    return cache[n]
+        pm.allocations[n] = n_p
+    return pm.allocations[n]
 
 
 def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws."""
     n, pm = config.budget, partition
-    if n > pop.N:
-        raise ValueError(f"budget {n} exceeds population size {pop.N}")
-    alloc = ssrs_allocation(pm, chi, n)
+    alloc = ssrs_allocation(pm, n)  # refuses a budget above the population size
     flags = []
     selected = []
     probabilities = []
     estimate = 0.0
     members = pm.member_lists()
-    for p, n_p in enumerate(alloc.n_p.tolist()):
+    for p, n_p in enumerate(alloc.tolist()):
         if n_p == 0:
             flags.append(f"partition {p}: zero allocation, contributes 0")
             continue
@@ -473,7 +469,7 @@ def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
         selected.append(draw)
         probabilities.append(1.0 / (pm.sizes[p] - np.arange(n_p)))
     estimate /= pop.N
-    knobs = {"n": n, "k": config.k, "P": pm.P, "allocation": alloc.n_p.tolist()}
+    knobs = {"n": n, "k": config.k, "P": pm.P, "allocation": alloc.tolist()}
     return Draws(
         np.concatenate(selected), estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs
     )
@@ -600,29 +596,25 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
 class Technique:
     """A registry entry: one sampling law, and what :func:`run_technique` hands it.
 
-    ``chi`` is "required", "optional" (ces falls back to features or every
-    aux column) or "unused".
+    A law that does not need chi is still handed it when ``config.aux`` is
+    set; ces uses it then, and falls back to features or every aux column.
     """
 
     law: Callable[..., Draws]
-    chi: str
+    needs_chi: bool
     partitioned: bool = False  # takes a PartitionMap of k-means strata on chi
-
-    @property
-    def needs_chi(self) -> bool:
-        return self.chi == "required"
 
 
 #: Every technique, in report order.
 REGISTRY = {
-    "srs": Technique(_srs, "unused"),
-    "sups": Technique(_sups, "required"),
-    "rhcs": Technique(_rhcs, "required"),
-    "ces": Technique(_ces, "optional"),
-    "deepest": Technique(_deepest, "required"),
-    "ssrs": Technique(_ssrs, "required", True),
-    "gbs": Technique(_gbs, "required", True),
-    "twoups": Technique(_twoups, "required", True),
+    "srs": Technique(_srs, False),
+    "sups": Technique(_sups, True),
+    "rhcs": Technique(_rhcs, True),
+    "ces": Technique(_ces, False),
+    "deepest": Technique(_deepest, True),
+    "ssrs": Technique(_ssrs, True, True),
+    "gbs": Technique(_gbs, True, True),
+    "twoups": Technique(_twoups, True, True),
 }
 
 TECHNIQUES = tuple(REGISTRY)
@@ -633,24 +625,21 @@ def run_technique(
     oracle: LabelingOracle,
     config: TechniqueConfig,
     rng: RandomStream,
-    chi=None,
     partition: PartitionMap | None = None,
 ) -> TechniqueResult:
     """Run a configured technique: the one path from a config to a result.
 
-    ``chi`` defaults to the population's ``config.aux`` column, and a
-    stratified technique without ``partition`` stratifies on k-means over
-    chi with ``config.k`` and ``config.partition_seed``.  The law draws;
-    this function keeps its selection probabilities and scheme tags, one
-    per draw, and counts the failures among the labels the oracle revealed.
+    chi is the population's ``config.aux`` column.  A stratified technique
+    stratifies on k-means over chi with ``config.k`` and
+    ``config.partition_seed``; callers share that map across runs by passing
+    it as ``partition``.  The law draws; this function keeps its selection
+    probabilities and scheme tags, one per draw, and counts the failures
+    among the labels the oracle revealed.
     """
     entry = REGISTRY[config.technique]
-    if chi is None and config.aux is not None:
-        chi = pop.aux_vector(config.aux)
+    chi = None if config.aux is None else pop.aux_vector(config.aux)
     if entry.needs_chi and chi is None:
         raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
-    if chi is not None:
-        chi = np.asarray(chi, dtype=float)
     if entry.partitioned and partition is None:
         partition = kmeans_1d(chi, config.k, config.partition_seed)
     draws = entry.law(pop, oracle, config, rng, chi, partition)

@@ -62,15 +62,12 @@ def main_partition(main_chi):
     return kmeans_1d(main_chi, 10, 0)
 
 
-def run_once(pop, config, seed, chi=None, partition=None):
-    return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed),
-                         chi=chi, partition=partition)
+def run_once(pop, config, seed, partition=None):
+    return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed), partition)
 
 
-def estimates_for(pop, config, seeds, chi=None, partition=None):
-    return np.array([
-        run_once(pop, config, s, chi=chi, partition=partition).estimate for s in seeds
-    ])
+def estimates_for(pop, config, seeds, partition=None):
+    return np.array([run_once(pop, config, s, partition).estimate for s in seeds])
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +92,7 @@ def test_criterion_1_exact_oracle_unbiasedness():
         pops += 1
         for name in techniques:
             if name == "ssrs":
-                pm = kmeans_1d(chi, 2, 0)
-                if (ssrs_allocation(pm, chi, n).n_p == 0).any():
+                if (ssrs_allocation(kmeans_1d(chi, 2, 0), n) == 0).any():
                     # Happens only when n < P: a zero-allocation stratum
                     # contributes its mean as 0, which breaks exact
                     # unbiasedness by design, so such configurations are
@@ -126,7 +122,7 @@ ALL_CONFIGS = {
 }
 
 
-def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_chi, main_partition):
+def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_partition):
     start = time.perf_counter()
     R = 10_000
     xi_true = true_accuracy(main_pop)
@@ -134,10 +130,9 @@ def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_chi, main_partition
     ok = True
     for name, kwargs in ALL_CONFIGS.items():
         config = TechniqueConfig(budget=200, **kwargs)
-        chi = main_chi if kwargs.get("aux") else None
         partition = main_partition if REGISTRY[name].partitioned else None
         seeds = [derive_seed(0, "c2", name, rep) for rep in range(R)]
-        est = estimates_for(main_pop, config, seeds, chi=chi, partition=partition)
+        est = estimates_for(main_pop, config, seeds, partition)
         xi_hat = 1.0 - est
         se = xi_hat.std(ddof=1) / np.sqrt(R)
         dev = abs(xi_hat.mean() - xi_true)
@@ -149,14 +144,13 @@ def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_chi, main_partition
            + f", {elapsed:.0f}s")
 
 
-def test_criterion_3_failure_exposure_ordering(main_pop, main_chi):
+def test_criterion_3_failure_exposure_ordering(main_pop):
     R = 1000
     means = {}
     for name in ("srs", "sups", "deepest"):
         config = TechniqueConfig(budget=200, **ALL_CONFIGS[name])
-        chi = main_chi if name != "srs" else None
         fails = [
-            run_once(main_pop, config, derive_seed(0, "c3", name, rep), chi=chi).failures
+            run_once(main_pop, config, derive_seed(0, "c3", name, rep)).failures
             for rep in range(R)
         ]
         means[name] = float(np.mean(fails))
@@ -195,7 +189,7 @@ def test_criterion_4_stratification_efficiency(strata_pop):
     ])
     ssrs_err = np.array([
         (xi_true - (1.0 - run_once(
-            strata_pop, ssrs_cfg, derive_seed(0, "c4", "ssrs", i), chi=chi, partition=partition
+            strata_pop, ssrs_cfg, derive_seed(0, "c4", "ssrs", i), partition
         ).estimate)) ** 2
         for i in range(R)
     ])
@@ -228,29 +222,29 @@ def test_criterion_5_budget_scaling(main_pop):
            f"RMSE 800 {stats_by_n[800][1]:.5f} < RMSE 50 {stats_by_n[50][1]:.5f}: {no_inversion}")
 
 
-def test_criterion_6_degenerations(main_pop, main_chi):
+def test_criterion_6_degenerations(main_pop):
     R = 10_000
     srs_cfg = TechniqueConfig(technique="srs", budget=200)
     srs_est = estimates_for(
         main_pop, srs_cfg, [derive_seed(0, "c6", "srs", i) for i in range(R)]
     )
-    uniform_chi = np.ones(main_pop.N)
+    N = main_pop.N
+    uniform_pop = Population(
+        CLASSIFICATION, np.arange(N), main_pop._true, main_pop._predicted,
+        aux={"chi": np.ones(N)},
+    )
     cases = {
         "sups/uniform-chi": (
-            TechniqueConfig(technique="sups", aux="chi", budget=200), uniform_chi, None,
+            uniform_pop, TechniqueConfig(technique="sups", aux="chi", budget=200),
         ),
         "gbs/k=1": (
-            TechniqueConfig(technique="gbs", aux="chi", budget=200, k=1), main_chi, None,
+            main_pop, TechniqueConfig(technique="gbs", aux="chi", budget=200, k=1),
         ),
     }
     details = []
     ok = True
-    for label, (config, chi, partition) in cases.items():
-        est = estimates_for(
-            main_pop, config,
-            [derive_seed(0, "c6", label, i) for i in range(R)],
-            chi=chi, partition=partition,
-        )
+    for label, (pop, config) in cases.items():
+        est = estimates_for(pop, config, [derive_seed(0, "c6", label, i) for i in range(R)])
         p = stats.ks_2samp(srs_est, est).pvalue
         details.append(f"{label} KS p={p:.3g}")
         ok = ok and p > 0.001
@@ -267,17 +261,17 @@ def test_criterion_6_degenerations(main_pop, main_chi):
     config = TechniqueConfig(technique="deepest", aux="chi", budget=200, r=0.0)
     seeds = [derive_seed(0, "c6", label, i) for i in range(R)]
     labeled_mean = np.array([
-        z[run_once(main_pop, config, s, chi=main_chi).selected_ids].mean() for s in seeds
+        z[run_once(main_pop, config, s).selected_ids].mean() for s in seeds
     ])
     p = stats.ks_2samp(srs_est, labeled_mean).pvalue
     details.append(f"{label} labeled-mean KS p={p:.3g}")
     ok = ok and p > 0.001
 
-    N, n = main_pop.N, config.budget
+    n = config.budget
     w = (N + n + 1 - 2 * np.arange(1, n + 1)) / N
     exact = True
     for s in seeds[:200]:
-        res = run_once(main_pop, config, s, chi=main_chi)
+        res = run_once(main_pop, config, s)
         closed_form = float(w @ z[res.selected_ids]) / n
         exact = (
             exact
@@ -293,9 +287,9 @@ def test_criterion_6_degenerations(main_pop, main_chi):
 
     # SSRS with a single partition must equal the plain sample mean path by path.
     exact = True
-    ssrs1 = TechniqueConfig(technique="ssrs", budget=200, k=1)
+    ssrs1 = TechniqueConfig(technique="ssrs", aux="chi", budget=200, k=1)
     for i in range(200):
-        res = run_once(main_pop, ssrs1, derive_seed(0, "c6", "ssrs1", i), chi=main_chi)
+        res = run_once(main_pop, ssrs1, derive_seed(0, "c6", "ssrs1", i))
         exact = exact and abs(res.estimate - z[res.selected_ids].mean()) < 1e-15
     details.append(f"ssrs/k=1 per-path equality: {exact}")
     ok = ok and exact

@@ -100,6 +100,23 @@ def test_run_refuses_negative_aux(tmp_path, capsys):
     assert "auxiliary values must be nonnegative" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_run_refuses_ragged_json_rows(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps([
+        {"id": 0, "true_label": 1, "predicted_label": 0, "chi": 0.5},
+        {"id": 1, "true_label": 0, "predicted_label": 0},
+    ]))
+    rc = main(
+        ["run", "--population", str(path), "--technique", "sups", "--aux", "chi",
+         "--budget", "2", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["type"], err["error"]) == (
+        "ValueError", "row 1 has other keys than row 0: missing ['chi'], extra []"
+    )
+
+
 def test_run_trace_flag_writes_the_trace(tiny_csv, tmp_path):
     argv = ["run", "--population", tiny_csv, "--technique", "sups", "--aux", "chi",
             "--budget", "6", "--seed", "4"]

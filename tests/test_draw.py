@@ -7,7 +7,6 @@ from opsample.draw import (
     RandomStream,
     derive_seed,
     pps_with_replacement,
-    random_grouping,
     srs_with_replacement,
     srs_without_replacement,
 )
@@ -102,28 +101,11 @@ def test_pps_errors():
         pps_with_replacement([0, 1], [-1.0, 2.0], 1, RandomStream(0))
 
 
-def test_grouping_even_split():
-    groups = random_grouping(np.arange(4), 2, RandomStream(0))
-    assert sorted(len(g) for g in groups) == [2, 2]
-
-
-def test_grouping_remainder_sizes():
-    groups = random_grouping(np.arange(5), 2, RandomStream(0))
-    assert sorted(len(g) for g in groups) == [2, 3]
-
-
 def test_grouping_is_partition():
+    # The ids come back in group order: every id exactly once.
     for seed in range(10):
-        groups = random_grouping(np.arange(17), 5, RandomStream(seed))
-        sizes = [len(g) for g in groups]
-        assert max(sizes) - min(sizes) <= 1
-        combined = sorted(int(i) for g in groups for i in g)
-        assert combined == list(range(17))
-
-
-def test_grouping_error():
-    with pytest.raises(ValueError):
-        random_grouping(np.arange(3), 4, RandomStream(0))
+        order = RandomStream(seed).grouping(17, [4, 4, 3, 3, 3])
+        assert sorted(order.tolist()) == list(range(17))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
-"""Every name a module exports must exist, so a deletion cannot leave a stale export."""
+"""Every name a module exports or the benchmark wraps must exist.
 
+A deletion or a move then cannot leave a stale export or an unwrapped benchmark name.
+"""
+
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,17 @@ def test_every_module_is_found():
     assert {"auxvar", "cli", "draw", "harness", "partition", "population", "techniques"} <= set(
         MODULES
     )
+
+
+def test_bench_span_targets_resolve():
+    # The benchmark's tracer wraps these names; one that moved would leave
+    # its per-layer metrics without a value.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    assert [name for name, _, _ in spans.TARGETS if spans._resolve(name) is None] == []
 
 
 @pytest.mark.parametrize("module", MODULES)

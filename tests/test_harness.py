@@ -1,5 +1,6 @@
 """Metrics, the exact path-enumeration oracle, and the experiment grid."""
 
+import csv
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import make_classification, make_regression, random_tiny_population
 
 from opsample import harness
-from opsample.draw import EnumeratingStream, RandomStream
+from opsample.draw import EnumeratingStream, RandomStream, derive_seed
 from opsample.harness import (
     EvalConfig,
     IntractableError,
@@ -19,7 +20,6 @@ from opsample.harness import (
     rmedse,
     rmse,
     run_experiment,
-    sensitivity_summary,
 )
 from opsample.population import (
     CLASSIFICATION,
@@ -116,9 +116,9 @@ def test_enum_rejects_intractable_sizes():
     pop = make_classification(np.zeros(12, dtype=int), np.linspace(0.1, 1.0, 12))
     with pytest.raises(IntractableError):
         enumerate_expectation(pop, TechniqueConfig(technique="srs", budget=2), 2)
-    pop9 = make_classification(np.zeros(9, dtype=int), np.linspace(0.1, 1.0, 9))
+    pop11 = make_classification(np.zeros(11, dtype=int), np.linspace(0.1, 1.0, 11))
     with pytest.raises(IntractableError):
-        enumerate_expectation(pop9, TechniqueConfig(technique="deepest", aux="chi", budget=2), 2)
+        enumerate_expectation(pop11, TechniqueConfig(technique="deepest", aux="chi", budget=2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +215,17 @@ def test_design_unbiasedness_deepest():
         assert exact == pytest.approx(truth, abs=1e-9)
 
 
+def test_design_unbiasedness_deepest_at_the_size_limit():
+    # N=10, n=4 is the oracle's limit for every technique, deepest included.
+    z = [1, 0, 0, 1, 0, 1, 0, 0, 1, 1]
+    pop = make_classification(z, [0.1, 0.15, 0.2, 0.3, 0.35, 0.5, 0.7, 0.8, 0.85, 0.9])
+    config = TechniqueConfig(technique="deepest", aux="chi", budget=4)
+    paths = list(enumerate_paths(pop, config, 4))
+    assert len(paths) == 10_626
+    assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
+    assert sum(p * estimate for p, estimate in paths) == pytest.approx(np.mean(z), abs=1e-12)
+
+
 def test_design_unbiasedness_regression():
     rng = np.random.default_rng(44)
     for _ in range(10):
@@ -245,12 +256,11 @@ def test_monte_carlo_matches_enumeration():
     pop = make_classification([1, 0, 1, 0], [0.7, 0.2, 0.5, 0.6])
     config = TechniqueConfig(technique="sups", aux="chi", budget=2)
     exact = enumerate_expectation(pop, config, 2)
-    chi = pop.aux_vector("chi")
     runs = 4000
     total = 0.0
     sq = 0.0
     for seed in range(runs):
-        res = run_technique(pop, LabelingOracle(pop), config, RandomStream(seed), chi=chi)
+        res = run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
         total += res.estimate
         sq += res.estimate**2
     mean = total / runs
@@ -344,23 +354,31 @@ def test_regression_offset_columns(tmp_path):
     assert counts[0] >= counts[1] >= counts[2]
 
 
-def test_sensitivity_summary_and_f_ratio(grid_pop):
+def test_summarize_sets_the_series_fields(grid_pop):
     config = EvalConfig(
         techniques=["srs"], aux=[None], budgets=[5, 40], repetitions=40, master_seed=2
     )
     report = run_experiment(grid_pop, config)
-    sens = sensitivity_summary(report)
-    assert ("srs", None) in sens
-    assert sens[("srs", None)]["min_rmse_budget"] in (5, 40)
-    fr = report.f_ratio("srs", None)
-    assert fr is not None and fr > 1.0
+    low, high = report.cells
+    assert (low.budget, high.budget) == (5, 40)
+    best = min(report.cells, key=lambda c: c.rmse).budget
+    for c in report.cells:
+        assert c.min_rmse_budget == best
+        assert c.inversion is (low.rmse < high.rmse)
+        assert c.f_ratio == high.mean_failures / low.mean_failures
+    assert low.f_ratio > 1.0
 
 
-def test_sensitivity_needs_two_budgets(grid_pop):
+def test_sensitivity_needs_two_budgets(grid_pop, tmp_path):
     config = EvalConfig(techniques=["srs"], aux=[None], budgets=[5], repetitions=2)
     report = run_experiment(grid_pop, config)
-    with pytest.raises(ValueError, match="two budgets"):
-        sensitivity_summary(report)
+    (cell,) = report.cells
+    assert (cell.f_ratio, cell.min_rmse_budget, cell.inversion) == (None, None, None)
+    path = tmp_path / "summary.csv"
+    report.write_summary_csv(path)
+    (row,) = csv.DictReader(path.open())
+    assert (row["f_ratio"], row["min_rmse_budget"], row["inversion"]) == ("", "", "")
+    assert row["rmse"] == repr(cell.rmse)
 
 
 def test_manifest_round_trip(grid_pop, tmp_path):
@@ -390,6 +408,29 @@ def test_k_override_stratifies_on_its_own_k(grid_pop):
     assert rows(overridden, "ssrs") == rows(grid_k3, "ssrs")
     assert rows(overridden, "ssrs") != rows(grid_k10, "ssrs")
     assert rows(overridden, "twoups") == rows(grid_k10, "twoups")
+
+
+def test_raw_rows_are_reproduced_by_their_cell_config(grid_pop, tmp_path):
+    # A cell's config carries everything its runs read, the partition seed
+    # included, so run_technique alone rebuilds the grid's map and each row.
+    config = EvalConfig(
+        techniques=["ssrs", "gbs", "twoups"], aux=["chi"], budgets=[5, 12], repetitions=3,
+        master_seed=6, technique_overrides={"ssrs": {"k": 3}},
+    )
+    path = tmp_path / "raw.csv"
+    run_experiment(grid_pop, config).write_raw_csv(path)
+    rows = list(csv.DictReader(path.open()))
+    assert len(rows) == 3 * 2 * 3
+    for row in rows:
+        k = 3 if row["technique"] == "ssrs" else config.k
+        tc = TechniqueConfig(
+            technique=row["technique"], aux="chi", budget=int(row["budget"]), k=k,
+            partition_seed=derive_seed(config.master_seed, "partition", "chi", k),
+        )
+        res = run_technique(grid_pop, LabelingOracle(grid_pop), tc, RandomStream(int(row["seed"])))
+        assert (row["xi_hat"], row["failures"], row["distinct"]) == (
+            repr(res.xi_hat), str(res.failures), str(res.distinct_labeled)
+        )
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,22 @@ class TestLoad:
         assert pop.N == 2
         np.testing.assert_allclose(pop.aux_vector("chi"), [0.2, 0.7])
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ({"id": 1, "true_label": 0, "predicted_label": 1},
+             r"row 1 has other keys than row 0: missing \['chi'\], extra \[\]"),
+            ({"id": 1, "true_label": 0, "predicted_label": 1, "chi": 0.7, "dsa": 0.1},
+             r"row 1 has other keys than row 0: missing \[\], extra \['dsa'\]"),
+        ],
+    )
+    def test_json_ragged_row_rejected(self, tmp_path, row, match):
+        rows = [{"id": 0, "true_label": 1, "predicted_label": 1, "chi": 0.2}, row]
+        path = tmp_path / "pop.json"
+        path.write_text(json.dumps(rows))
+        with pytest.raises(ValueError, match=match):
+            load_population(path)
+
     def test_feature_columns(self, tmp_path):
         path = tmp_path / "pop.csv"
         path.write_text("id,true_label,predicted_label,feat_0,feat_1\n0,1,1,0.5,0.1\n1,0,1,0.2,0.9\n")
@@ -187,7 +203,8 @@ class TestOracle:
         oracle.reveal(1)
         oracle.reveal(1)
         assert oracle.reveal_count == 1
-        assert oracle.labeled_ids == {1}
+        ids, outcomes = oracle.labeled_outcomes()
+        assert ids.tolist() == [1] and outcomes.tolist() == [0]
 
     def test_distinct_reveals_counted(self):
         pop = make_classification([1, 0, 0, 1])

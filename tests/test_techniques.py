@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from opsample.auxvar import selection_probabilities
 from opsample.cli import main
 from opsample.draw import RandomStream
 from opsample import techniques
-from opsample.partition import PartitionMap, kmeans_1d
+from opsample.partition import kmeans_1d
 from opsample.population import (
     CLASSIFICATION,
     REGRESSION,
     LabelingOracle,
+    Population,
     SyntheticConfig,
     generate_synthetic,
     write_population_csv,
@@ -32,8 +34,15 @@ from opsample.techniques import (
 
 
 def run_named(name, pop, n, seed, chi=None, **kwargs):
+    """Run a technique once; a ``chi`` given becomes the population's chi column."""
+    if chi is not None:
+        pop = Population(
+            pop.task, np.arange(pop.N), pop._true, pop._predicted,
+            aux={"chi": chi}, features=pop.features_matrix(),
+        )
+        kwargs.setdefault("aux", "chi")
     config = TechniqueConfig(technique=name, budget=n, **kwargs)
-    return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed), chi=chi)
+    return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
 
 
 CHI = np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2])
@@ -266,24 +275,28 @@ def test_ssrs_allocation_is_cached_per_chi_and_budget(monkeypatch):
     other = chi**4  # other spreads per partition, so another allocation
     pm = kmeans_1d(chi, 4, 0)
 
-    def fresh(values, n):
-        unshared = PartitionMap(pm.assignment, pm.centroids, pm.sizes, pm.P)
-        return ssrs_allocation(unshared, values, n).n_p.tolist()
+    def fresh(n, values=chi):
+        return ssrs_allocation(replace(pm, values=values), n).tolist()  # an empty cache
 
-    assert fresh(chi, 20) != fresh(other, 20)
-    assert fresh(chi, 20) != fresh(chi, 30)
+    assert fresh(20) != fresh(30)
+    assert fresh(20) != fresh(20, other)
     calls = []
     neyman = techniques.neyman_allocation
     monkeypatch.setattr(
         techniques, "neyman_allocation", lambda *args: calls.append(args) or neyman(*args)
     )
-    for values, n in [(chi, 20), (chi, 20), (other, 20), (chi, 30), (chi, 20), (other, 30)]:
-        assert ssrs_allocation(pm, values, n).n_p.tolist() == fresh(values, n)
-    assert sum(args[0] is pm for args in calls) == 5  # the repeated (chi, 20) is cached
+    for n in (20, 20, 30, 20, 30):
+        alloc = ssrs_allocation(pm, n)
+        assert alloc.tolist() == fresh(n)
+        assert not alloc.flags.writeable
+    assert sum(args[0] is pm for args in calls) == 2  # one per budget
+    assert ssrs_allocation(kmeans_1d(other, 4, 0), 20).tolist() != fresh(20)
+    # The map keeps its own copy of the scores: changing the caller's array
+    # after kmeans_1d does not change what it allocates.
     mutated = chi.copy()
-    assert ssrs_allocation(pm, mutated, 20).n_p.tolist() == fresh(chi, 20)
-    mutated[:] = other  # the same array, changed in place
-    assert ssrs_allocation(pm, mutated, 20).n_p.tolist() == fresh(other, 20)
+    copied = kmeans_1d(mutated, 4, 0)
+    mutated[:] = other
+    assert ssrs_allocation(copied, 20).tolist() == fresh(20)
 
 
 # ---------------------------------------------------------------------------
