@@ -124,11 +124,11 @@ def compute_dsa(ats: ActivationTraces) -> ChiVector:
     return ChiVector("dsa", values)
 
 
-def compute_lsa(ats: ActivationTraces, variance_floor: float = 1e-5) -> ChiVector:
+def compute_lsa(ats: ActivationTraces) -> ChiVector:
     """Likelihood-based surprise: -log of a leave-one-out Gaussian KDE, shifted nonnegative.
 
     Product Gaussian kernel with Scott's-rule bandwidth per dimension;
-    dimensions whose variance falls below ``variance_floor`` are dropped.
+    dimensions whose variance falls below 1e-5 are dropped.
     The density exceeds 1 on concentrated traces, where -log density is
     negative, so the scores go through :func:`shift_positive`: a negative
     minimum adds ceil(|min|) to every score, which keeps their differences
@@ -139,7 +139,7 @@ def compute_lsa(ats: ActivationTraces, variance_floor: float = 1e-5) -> ChiVecto
     if n < 2:
         raise ValueError("LSA needs at least two records")
     var = X.var(axis=0)
-    keep = var >= variance_floor
+    keep = var >= 1e-5
     if not np.any(keep):
         raise ValueError("all activation dimensions fell below the variance floor")
     X = X[:, keep]
@@ -184,10 +184,10 @@ def shift_positive(values) -> np.ndarray:
     return x + math.ceil(abs(lo))
 
 
-def selection_probabilities(chi, zero_floor: float = 1e-9) -> np.ndarray:
+def selection_probabilities(chi) -> np.ndarray:
     """Normalize chi into PPS selection probabilities summing to 1.
 
-    If any value is exactly zero, a floor of ``zero_floor * max(chi)`` is
+    If any value is exactly zero, a floor of ``1e-9 * max(chi)`` is
     added to every value first: the unequal-probability estimators are only
     unbiased over the whole population when every record is selectable.
     """
@@ -198,5 +198,5 @@ def selection_probabilities(chi, zero_floor: float = 1e-9) -> np.ndarray:
     if top <= 0:
         raise ValueError("all-zero chi vector")
     if values.min() == 0:
-        values = values + zero_floor * top
+        values = values + 1e-9 * top
     return values / values.sum()

@@ -2,9 +2,11 @@
 
 Subcommands: gen (synthetic populations), run (one technique once),
 eval (Monte Carlo grid), oracle (exact expectation on tiny populations),
-report (plot-ready CSVs from raw rows).  Flags mirror config-file keys
-one-to-one; flags win on conflict.  Errors are emitted as JSON on stderr
-with a nonzero exit code.
+report (plot-ready CSVs from raw rows).  A config flag sets the field of
+the command's config dataclass that it is named after, and a flag left out
+takes the dataclass's default; eval reads the same keys from a config file,
+and flags win on conflict.  Errors are emitted as JSON on stderr with a
+nonzero exit code.
 """
 
 from __future__ import annotations
@@ -51,21 +53,21 @@ def _float_list(text):
     return [float(x) for x in text.split(",") if x]
 
 
-def _technique_config(args, **extra) -> TechniqueConfig:
-    """The TechniqueConfig of the subcommand's flags that are named after its fields."""
-    names = {f.name for f in fields(TechniqueConfig)}
-    knobs = {name: value for name, value in vars(args).items() if name in names}
-    return TechniqueConfig(**knobs, **extra)
+def _config(cls, args, **base):
+    """``cls`` from ``base`` and the set flags named after its fields: flags win.
+
+    Keys of ``base`` that name no field of ``cls`` are refused.
+    """
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(base) - names)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {unknown}")
+    flags = {key: value for key, value in vars(args).items() if key in names and value is not None}
+    return cls(**{**base, **flags})
 
 
 def cmd_gen(args) -> int:
-    config = SyntheticConfig(
-        task=args.task,
-        N=args.n,
-        target_accuracy=args.accuracy,
-        chi_correlation=args.rho,
-        offset_scale=args.offset_scale,
-    )
+    config = _config(SyntheticConfig, args)
     pop = generate_synthetic(config, args.seed)
     out = _out_dir(args)
     csv_path = os.path.join(out, args.name + ".csv")
@@ -85,7 +87,7 @@ def cmd_gen(args) -> int:
 
 def cmd_run(args) -> int:
     pop = load_population(args.population)
-    tc = _technique_config(args)
+    tc = _config(TechniqueConfig, args)
     if args.aux is not None and pop.task == REGRESSION and args.aux in CLASSIFICATION_ONLY_AUX:
         raise ValueError(f"auxiliary variable {args.aux!r} is classification-only")
     oracle = LabelingOracle(pop)
@@ -104,31 +106,16 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _eval_config_from(args) -> tuple[EvalConfig, dict]:
-    """The grid from the config file and the flags: flags win, EvalConfig's defaults fill in."""
+def cmd_eval(args) -> int:
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
-    kwargs = {f.name: file_cfg[f.name] for f in fields(EvalConfig) if f.name in file_cfg}
-    flags = {
-        "techniques": args.techniques,
-        "aux": args.aux,
-        "budgets": args.budgets,
-        "repetitions": args.reps,
-        "master_seed": args.seed,
-        "offset_thresholds": args.thresholds,
-        "failure_threshold": args.failure_threshold,
-        "k": args.k,
-        "jobs": args.jobs,
-    }
-    kwargs.update((key, value) for key, value in flags.items() if value is not None)
-    return EvalConfig(**kwargs), file_cfg
-
-
-def cmd_eval(args) -> int:
-    config, file_cfg = _eval_config_from(args)
-    pop_path = args.population or file_cfg.get("population")
+        if not isinstance(file_cfg, dict):
+            raise ValueError("the config file must hold a JSON object")
+    file_pop = file_cfg.pop("population", None)  # the one key that is no EvalConfig field
+    config = _config(EvalConfig, args, **file_cfg)
+    pop_path = args.population or file_pop
     if not pop_path:
         raise ValueError("eval needs --population or a population key in the config file")
     pop = load_population(pop_path)
@@ -148,8 +135,8 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     pop = load_population(args.population)
-    tc = _technique_config(args)
-    expectation = enumerate_expectation(pop, tc, args.budget)
+    tc = _config(TechniqueConfig, args)
+    expectation = enumerate_expectation(pop, tc, tc.budget)
     truth = 1.0 - true_accuracy(pop)  # theta or Delta
     gap = abs(expectation - truth)
     print(f"exact E[estimator] = {expectation!r}")
@@ -200,18 +187,23 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _add_technique_flags(p, budget: int, k: int):
+def _add_technique_flags(p):
     """The population and technique flags that run and oracle share."""
     p.add_argument("--population", required=True)
     p.add_argument("--technique", choices=TECHNIQUES, required=True)
-    p.add_argument("--aux", default=None)
-    p.add_argument("--budget", type=int, default=budget)
-    p.add_argument("--k", type=int, default=k)
-    p.add_argument("--r", type=float, default=0.8)
-    p.add_argument("--threshold-quantile", type=float, default=0.7)
+    p.add_argument("--aux")
+    p.add_argument("--budget", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--r", type=float)
+    p.add_argument("--threshold-quantile", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The subcommands' parsers.
+
+    A config flag's dest is the name of the field it sets, and it defaults
+    to None so that the config's dataclass gives the default.
+    """
     parser = argparse.ArgumentParser(
         prog="opsample",
         description="Budgeted sampling techniques for estimating model operational accuracy.",
@@ -219,24 +211,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic population")
-    p.add_argument("--task", choices=[CLASSIFICATION, REGRESSION], default=CLASSIFICATION)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--accuracy", type=float, default=0.9)
-    p.add_argument("--rho", type=float, default=0.8)
-    p.add_argument("--offset-scale", type=float, default=0.25)
+    p.add_argument("--task", choices=[CLASSIFICATION, REGRESSION])
+    p.add_argument("--n", dest="N", type=int)
+    p.add_argument("--accuracy", dest="target_accuracy", type=float)
+    p.add_argument("--rho", dest="chi_correlation", type=float)
+    p.add_argument("--offset-scale", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="population")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("run", help="run one technique once")
-    _add_technique_flags(p, budget=200, k=10)
+    _add_technique_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ces-initial", type=int, default=30)
-    p.add_argument("--ces-group", type=int, default=5)
-    p.add_argument("--ces-candidates", type=int, default=300)
-    p.add_argument("--ces-bins", type=int, default=10)
-    p.add_argument("--failure-threshold", type=float, default=12.5)
+    p.add_argument("--ces-initial", type=int)
+    p.add_argument("--ces-group", type=int)
+    p.add_argument("--ces-candidates", type=int)
+    p.add_argument("--ces-bins", type=int)
+    p.add_argument("--failure-threshold", type=float)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
@@ -244,25 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="run a Monte Carlo experiment grid")
     p.add_argument("--config", default=None, help="JSON config file")
     p.add_argument("--population", default=None)
-    p.add_argument("--techniques", type=lambda s: s.split(","), default=None)
+    p.add_argument("--techniques", type=lambda s: s.split(","))
     p.add_argument(
-        "--aux",
-        type=lambda s: [None if x in ("", "none") else x for x in s.split(",")],
-        default=None,
+        "--aux", type=lambda s: [None if x in ("", "none") else x for x in s.split(",")]
     )
-    p.add_argument("--budgets", type=_int_list, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--thresholds", type=_float_list, default=None)
-    p.add_argument("--failure-threshold", type=float, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--budgets", type=_int_list)
+    p.add_argument("--reps", dest="repetitions", type=int)
+    p.add_argument("--seed", dest="master_seed", type=int)
+    p.add_argument("--thresholds", dest="offset_thresholds", type=_float_list)
+    p.add_argument("--failure-threshold", type=float)
+    p.add_argument("--k", type=int)
+    p.add_argument("--jobs", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("oracle", help="exact estimator expectation on a tiny population")
-    _add_technique_flags(p, budget=2, k=2)
-    p.set_defaults(func=cmd_oracle)
+    _add_technique_flags(p)
+    # Enumeration is for tiny populations, so the oracle's budget and k are small.
+    p.set_defaults(func=cmd_oracle, budget=2, k=2)
 
     p = sub.add_parser("report", help="plot-ready CSVs from raw per-repetition rows")
     p.add_argument("--raw", required=True)

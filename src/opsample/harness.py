@@ -139,8 +139,8 @@ class EvalConfig:
     repetitions: int = 30
     master_seed: int = 0
     offset_thresholds: list = field(default_factory=lambda: list(DEFAULT_THRESHOLDS))
-    failure_threshold: float = 12.5
-    k: int = 10
+    failure_threshold: float = TechniqueConfig.failure_threshold
+    k: int = TechniqueConfig.k
     technique_overrides: dict = field(default_factory=dict)
     jobs: int = 1
 

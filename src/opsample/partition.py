@@ -106,12 +106,13 @@ def _boundaries(s: np.ndarray, c: np.ndarray, hi_wins_tie: np.ndarray) -> np.nda
         b = np.where(right, np.searchsorted(s, at, "right"), b)
 
 
-def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
+def kmeans_1d(chi, k: int, seed: int = 0) -> PartitionMap:
     """Lloyd's algorithm on scalar chi values.
 
     Farthest-point seeding from a seeded random start; if fewer than k
     distinct values exist, the partition count drops to the distinct count.
     Empty clusters are re-seeded to the point farthest from its centroid.
+    Lloyd stops when the assignment repeats, or after 300 iterations.
     Output labels are sorted by centroid, so partition 0 holds the smallest
     chi values.  The map keeps a read-only copy of chi as ``values``.
 
@@ -173,7 +174,7 @@ def kmeans_1d(chi, k: int, seed: int = 0, max_iter: int = 300) -> PartitionMap:
     # ``slack`` of it.
     exact, slack = True, np.zeros(p)
     previous = None
-    for _ in range(max_iter):
+    for _ in range(300):
         while True:
             ranked = np.argsort(centroids, kind="stable")
             c = centroids[ranked]
@@ -228,10 +229,13 @@ def _largest_remainder(weights: np.ndarray, n: int) -> np.ndarray:
 def neyman_allocation(pm: PartitionMap, n: int) -> np.ndarray:
     """Allocate n draws proportionally to N_p * sigma_p of the map's globally normalized values.
 
-    Largest-remainder rounding; allocations above a partition's size are
-    capped with the excess redistributed among the uncapped partitions.  If
-    every partition has zero chi spread, falls back to allocation
-    proportional to partition size.
+    One capped fill, run twice.  A fill splits the budget left over the
+    partitions that are active (positive weight and room left) by
+    largest-remainder rounding; a partition whose share exceeds its room is
+    capped at its size and the rest re-split among the others.  The first
+    fill weighs by N_p * sigma_p.  Budget it cannot place, because every
+    positive-spread partition is capped or none has spread, spills in the
+    second fill over the partitions with room, in proportion to their size.
     """
     values = pm.values
     if n < 1:
@@ -248,42 +252,18 @@ def neyman_allocation(pm: PartitionMap, n: int) -> np.ndarray:
         if spread < 1e-12:  # constant partition up to rounding noise
             spread = 0.0
         raw[p] = pm.sizes[p] * spread
-    if raw.sum() <= 0:
-        raw = pm.sizes.astype(float)
 
     caps = pm.sizes.astype(np.int64)
     alloc = np.zeros(pm.P, dtype=np.int64)
-    active = raw > 0
-    remaining = n
-    while remaining > 0 and np.any(active):
-        trial = np.zeros(pm.P, dtype=np.int64)
-        trial[active] = _largest_remainder(raw[active], remaining)
-        over = active & (trial > caps)
-        if not np.any(over):
-            alloc[active] = trial[active]
-            remaining = 0
-            break
-        alloc[over] = caps[over]
-        active &= ~over
-        remaining = n - int(alloc.sum())
-    if remaining > 0:
-        # All positive-spread partitions capped: spill the rest into the
-        # remaining capacity proportionally to partition size.
-        spare = caps - alloc
-        open_p = spare > 0
-        extra = np.zeros(pm.P, dtype=np.int64)
-        extra[open_p] = _largest_remainder(pm.sizes[open_p].astype(float), remaining)
-        while np.any(extra > spare):
-            bad = extra > spare
-            surplus = int((extra[bad] - spare[bad]).sum())
-            extra[bad] = spare[bad]
-            room = spare - extra
-            order = np.argsort(-room, kind="stable")
-            for idx in order:
-                if surplus == 0:
-                    break
-                take = min(surplus, int(room[idx]))
-                extra[idx] += take
-                surplus -= take
-        alloc += extra
+    for weights in (raw, pm.sizes.astype(float)):
+        active = (weights > 0) & (alloc < caps)
+        while alloc.sum() < n and np.any(active):
+            trial = alloc.copy()
+            trial[active] += _largest_remainder(weights[active], n - int(alloc.sum()))
+            over = trial > caps
+            if not np.any(over):
+                alloc = trial  # places the whole budget
+                break
+            alloc[over] = caps[over]
+            active &= ~over
     return alloc

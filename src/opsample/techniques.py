@@ -344,6 +344,8 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     """
     n, r = config.budget, config.r
     verbatim_regression = config.deepest_verbatim_regression
+    if n > pop.N:
+        raise ValueError(f"budget {n} exceeds population size {pop.N}")
     if chi.sum() <= 0:
         raise ValueError("all-zero chi vector")
     threshold = float(np.quantile(chi, config.threshold_quantile))
@@ -353,8 +355,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     unsel = np.arange(pop.N)
     pos = np.arange(pop.N)
     n_unsel = pop.N
-    above_ids = np.flatnonzero(chi > threshold)
-    above = above_ids.copy()
+    above = np.flatnonzero(chi > threshold)
     above_pos = np.full(pop.N, -1, dtype=np.int64)
     above_pos[above] = np.arange(above.size)
     n_above = above.size
@@ -373,21 +374,17 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
             above_pos[last_a], above_pos[rid] = ap, n_above - 1
             n_above -= 1
 
+    # Selection reads chi and the pools only, so every label is revealed
+    # after it, in one call.
     first = int(rng.integers(0, pop.N))
-    y_first = float(_estimand(pop, oracle.reveal(first)))
     selected = [first]
     remove(first)
     probabilities = [1.0 / pop.N]
     schemes = ["srs-first"]
-
     chi_sel_sum = float(chi[first])
-    y_sel_sum = y_first
-    step_total = 0.0
 
     for k in range(2, n + 1):
         u = n_unsel
-        if u == 0:
-            raise ValueError(f"budget {n} exceeds population size {pop.N}")
         # Determine the branch, then the marginal probability of the pick.
         fallback = n_above == 0 or chi_sel_sum <= 0
         use_wbs = (not fallback) and rng.bernoulli(r)
@@ -404,19 +401,22 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
             wbs_p = (1.0 / n_above) if chi[pick] > threshold else 0.0
             q = r * wbs_p + (1.0 - r) / u
         probabilities.append(q)
-
-        y_pick = float(_estimand(pop, oracle.reveal(pick)))
-        if pop.task == CLASSIFICATION or not verbatim_regression:
-            step_total += y_sel_sum + y_pick / q
-        else:
-            step_total += y_sel_sum / (k - 1) + (y_pick / k) / q
-
         remove(pick)
         selected.append(pick)
         chi_sel_sum += float(chi[pick])
-        y_sel_sum += y_pick
 
-    estimate = (y_first + step_total / pop.N) / n
+    # Step k's total estimate takes the labels before it plus its pick over
+    # q; cumsum adds in step order, as running sums would.
+    y = _estimand(pop, oracle.reveal_many(selected)).astype(float)
+    q = np.array(probabilities[1:])
+    before = np.cumsum(y)[:-1]
+    if pop.task == CLASSIFICATION or not verbatim_regression:
+        terms = before + y[1:] / q
+    else:
+        k = np.arange(2, n + 1)
+        terms = before / (k - 1) + (y[1:] / k) / q
+    step_total = float(np.cumsum(terms)[-1]) if n > 1 else 0.0
+    estimate = (float(y[0]) + step_total / pop.N) / n
     knobs = {
         "n": n,
         "r": r,
@@ -455,24 +455,24 @@ def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
     n, pm = config.budget, partition
     alloc = ssrs_allocation(pm, n)  # refuses a budget above the population size
     flags = []
-    selected = []
+    draws = []
     probabilities = []
-    estimate = 0.0
     members = pm.member_lists()
     for p, n_p in enumerate(alloc.tolist()):
         if n_p == 0:
             flags.append(f"partition {p}: zero allocation, contributes 0")
             continue
-        draw = srs_without_replacement(members[p], n_p, rng)
-        y = _estimand(pop, oracle.reveal_many(draw))
-        estimate += pm.sizes[p] * y.mean()
-        selected.append(draw)
+        draws.append(srs_without_replacement(members[p], n_p, rng))
         probabilities.append(1.0 / (pm.sizes[p] - np.arange(n_p)))
+    selected = np.concatenate(draws)
+    y = _estimand(pop, oracle.reveal_many(selected))
+    estimate = 0.0
+    for p, y_p in enumerate(np.split(y, np.cumsum(alloc)[:-1])):
+        if y_p.size:
+            estimate += pm.sizes[p] * y_p.mean()
     estimate /= pop.N
     knobs = {"n": n, "k": config.k, "P": pm.P, "allocation": alloc.tolist()}
-    return Draws(
-        np.concatenate(selected), estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs
-    )
+    return Draws(selected, estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs)
 
 
 def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:

@@ -1,17 +1,25 @@
 """End-to-end tests of the command-line front end via main(argv)."""
 
+import argparse
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from conftest import make_classification
+from conftest import make_classification, make_regression
 
-from opsample.cli import main
+from opsample.cli import build_parser, main
 from opsample.harness import EvalConfig
-from opsample.population import load_population, write_population_csv
+from opsample.population import (
+    REGRESSION,
+    Population,
+    SyntheticConfig,
+    load_population,
+    write_population_csv,
+)
+from opsample.techniques import TechniqueConfig
 
 
 @pytest.fixture
@@ -117,6 +125,19 @@ def test_run_refuses_ragged_json_rows(tmp_path, capsys):
     )
 
 
+def test_run_refuses_classification_only_aux_on_regression(tmp_path, capsys):
+    pop = Population(REGRESSION, [0, 1], [0.5, 0.0], [0.0, 0.25], aux={"confidence": [0.9, 0.2]})
+    path = tmp_path / "reg.csv"
+    write_population_csv(pop, path)
+    rc = main(
+        ["run", "--population", str(path), "--technique", "sups", "--aux", "confidence",
+         "--budget", "2", "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "auxiliary variable 'confidence' is classification-only"
+
+
 def test_run_trace_flag_writes_the_trace(tiny_csv, tmp_path):
     argv = ["run", "--population", tiny_csv, "--technique", "sups", "--aux", "chi",
             "--budget", "6", "--seed", "4"]
@@ -178,6 +199,25 @@ def test_eval_unset_keys_take_eval_config_defaults(tiny_csv, tmp_path):
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"] == asdict(EvalConfig(budgets=[5], repetitions=2))
+
+
+def test_eval_refuses_unknown_config_keys(tiny_csv, tmp_path, capsys):
+    # Misspelt keys used to be dropped, and the grid ran the default budgets.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"techniques": ["srs"], "budget": [7], "repetition": 2}))
+    rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "'budget'" in err and "'repetition'" in err
+    assert not (tmp_path / "raw.csv").exists()
+
+
+def test_eval_refuses_a_config_file_that_is_no_object(tiny_csv, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"techniques": ["srs"]}]))
+    rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "the config file must hold a JSON object"
 
 
 def test_eval_refuses_ignored_override(tiny_csv, tmp_path, capsys):
@@ -271,3 +311,53 @@ def test_report_round_trip(tiny_csv, tmp_path):
         summary = {(r["technique"], r["aux"], r["budget"]): r["rmse"] for r in csv.DictReader(fh)}
     for r in rows:
         assert r["rmse"] == summary[(r["technique"], r["aux"], r["budget"])]
+
+
+def test_report_writes_the_offset_histogram_of_a_regression_grid(tmp_path):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "reg.csv"
+    write_population_csv(make_regression(rng.random(30), rng.random(30) + 0.1), path)
+    out, rep = tmp_path / "eval", tmp_path / "report"
+    assert main(
+        ["eval", "--population", str(path), "--techniques", "srs", "--budgets", "5,10",
+         "--reps", "4", "--thresholds", "0,0.5", "--out", str(out)]
+    ) == 0
+    assert main(
+        ["report", "--raw", str(out / "raw.csv"),
+         "--manifest", str(out / "manifest.json"), "--out", str(rep)]
+    ) == 0
+    with open(rep / "offset_histogram.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(out / "raw.csv", newline="") as fh:
+        raw = list(csv.DictReader(fh))
+    assert [(r["budget"], r["threshold"]) for r in rows] == [
+        ("5", "0.0"), ("5", "0.5"), ("10", "0.0"), ("10", "0.5")
+    ]
+    for r in rows:
+        column = f"n_offset_ge_{r['threshold']}"
+        counts = [float(x[column]) for x in raw if x["budget"] == r["budget"]]
+        assert float(r["mean_count"]) == np.mean(counts)
+
+
+def test_every_config_flag_names_a_field_and_defaults_to_none():
+    # Each command builds its config from the flags named after the config's
+    # fields, so a flag that names no field would be silently dropped.
+    builds = {
+        "gen": SyntheticConfig, "run": TechniqueConfig,
+        "oracle": TechniqueConfig, "eval": EvalConfig,
+    }
+    other = {"help", "name", "out", "trace", "population", "config"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, cls in builds.items():
+        parser = sub.choices[command]
+        names = {f.name for f in fields(cls)}
+        allowed = other | ({"seed"} if command in ("gen", "run") else set())
+        for action in parser._actions:
+            assert action.dest in names or action.dest in allowed, (command, action.dest)
+            if action.dest in names:
+                # The dataclass owns the default; the oracle's tiny populations
+                # take a budget and k of 2.
+                small = command == "oracle" and action.dest in ("budget", "k")
+                assert parser.get_default(action.dest) == (2 if small else None), (
+                    command, action.dest
+                )

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsample.draw import RandomStream
-from opsample.partition import _boundaries, kmeans_1d, neyman_allocation
+from opsample.partition import PartitionMap, _boundaries, kmeans_1d, neyman_allocation
 
 
 def brute_force_best_split_sizes(values, k):
@@ -64,6 +64,99 @@ def reference_kmeans_1d(values, k, seed=0, max_iter=300):
     relabel[order] = np.arange(p)
     assignment = relabel[assignment]
     return assignment, centroids[order], np.bincount(assignment, minlength=p)
+
+
+def reference_neyman_allocation(pm, n):
+    """Neyman allocation as three separate rules: (N_p * sigma_p) fill, size fallback, spill.
+
+    The form that neyman_allocation's one capped fill, run twice, must
+    reproduce in value and dtype: a special case for all-zero spread, and a
+    spill by size, with its own repair loop, once every positive-spread
+    partition is capped.
+    """
+
+    def largest_remainder(weights, n):
+        quota = n * weights / weights.sum()
+        alloc = np.floor(quota).astype(np.int64)
+        short = n - int(alloc.sum())
+        if short > 0:
+            frac = quota - alloc
+            order = np.lexsort((np.arange(frac.size), -frac))
+            alloc[order[:short]] += 1
+        return alloc
+
+    values = pm.values
+    lo, hi = values.min(), values.max()
+    norm = (values - lo) / (hi - lo) if hi > lo else np.zeros_like(values)
+    raw = np.empty(pm.P)
+    for p, members in enumerate(pm.member_lists()):
+        spread = norm[members].std()
+        if spread < 1e-12:
+            spread = 0.0
+        raw[p] = pm.sizes[p] * spread
+    if raw.sum() <= 0:
+        raw = pm.sizes.astype(float)
+
+    caps = pm.sizes.astype(np.int64)
+    alloc = np.zeros(pm.P, dtype=np.int64)
+    active = raw > 0
+    remaining = n
+    while remaining > 0 and np.any(active):
+        trial = np.zeros(pm.P, dtype=np.int64)
+        trial[active] = largest_remainder(raw[active], remaining)
+        over = active & (trial > caps)
+        if not np.any(over):
+            alloc[active] = trial[active]
+            remaining = 0
+            break
+        alloc[over] = caps[over]
+        active &= ~over
+        remaining = n - int(alloc.sum())
+    if remaining > 0:
+        spare = caps - alloc
+        open_p = spare > 0
+        extra = np.zeros(pm.P, dtype=np.int64)
+        extra[open_p] = largest_remainder(pm.sizes[open_p].astype(float), remaining)
+        while np.any(extra > spare):
+            bad = extra > spare
+            surplus = int((extra[bad] - spare[bad]).sum())
+            extra[bad] = spare[bad]
+            room = spare - extra
+            for idx in np.argsort(-room, kind="stable"):
+                if surplus == 0:
+                    break
+                take = min(surplus, int(room[idx]))
+                extra[idx] += take
+                surplus -= take
+        alloc += extra
+    return alloc
+
+
+def partition_map(groups, seed=0):
+    """A PartitionMap whose partition p holds the values ``groups[p]``, ids shuffled."""
+    sizes = np.array([len(g) for g in groups])
+    values = np.concatenate([np.asarray(g, dtype=float) for g in groups])
+    labels = np.repeat(np.arange(len(groups)), sizes)
+    order = np.random.default_rng(seed).permutation(values.size)
+    centroids = np.array([np.mean(g) for g in groups])
+    return PartitionMap(labels[order], centroids, sizes, len(groups), values[order])
+
+
+@st.composite
+def allocation_groups(draw):
+    """Partitions that are constant (zero spread) or spread, of sizes down to 1.
+
+    Small spread partitions beside large constant ones get capped; all
+    constant partitions give all-zero spread.
+    """
+    groups = []
+    for _ in range(draw(st.integers(1, 7))):
+        size = draw(st.integers(1, 9))
+        if draw(st.booleans()):
+            groups.append([draw(st.sampled_from([0.0, 0.5, 1.0]))] * size)
+        else:
+            groups.append(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+    return groups
 
 
 SKEWS = {
@@ -253,6 +346,22 @@ class TestNeymanAllocation:
         pm = kmeans_1d(chi, 3, seed=0)  # collapses to one partition
         alloc = neyman_allocation(pm, 6)
         assert alloc.sum() == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(groups=allocation_groups(), seed=st.integers(0, 2**32 - 1))
+    # All-zero spread: the size fill alone.
+    @example(groups=[[0.5] * 3, [0.5] * 7, [1.0] * 2], seed=0)
+    # A two-record spread partition, capped, spills into the constant ones.
+    @example(groups=[[0.0, 1.0], [0.5] * 9, [0.5] * 4], seed=0)
+    # Two spread partitions: the smaller is capped, the larger takes the rest.
+    @example(groups=[[0.0, 1.0], [0.4, 0.5, 0.6, 0.5, 0.4, 0.6, 0.5]], seed=1)
+    def test_matches_three_rule_reference(self, groups, seed):
+        pm = partition_map(groups, seed)
+        for n in range(1, pm.sizes.sum() + 1):
+            expected = reference_neyman_allocation(pm, n)
+            alloc = neyman_allocation(pm, n)
+            assert alloc.dtype == expected.dtype
+            np.testing.assert_array_equal(alloc, expected)
 
     def test_budget_above_population_errors(self):
         chi = np.array([0.1, 0.9])

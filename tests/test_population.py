@@ -139,6 +139,19 @@ class TestLoad:
         )
 
 
+    def test_csv_roundtrip_keeps_the_feature_matrix(self, tmp_path):
+        features = np.array([[0.5, 1.25], [0.1, 3.0], [2.0 / 3.0, 0.0]])
+        pop = Population(
+            CLASSIFICATION, [0, 1, 2], [1, 0, 1], [1, 1, 1], aux={"chi": [0.3, 0.2, 0.1]},
+            features=features,
+        )
+        path = tmp_path / "features.csv"
+        write_population_csv(pop, path)
+        back = load_population(path)
+        np.testing.assert_array_equal(back.features_matrix(), features)
+        assert back.aux_names == ["chi"]
+
+
 class TestColumns:
     def test_columns_reordered_by_id(self):
         pop = Population(

@@ -175,6 +175,29 @@ def test_ces_budget_above_population_size_rejected(group):
         run_named("ces", pop, 7, 0, ces_initial=2, ces_group=group, ces_candidates=20)
 
 
+
+def test_ces_selects_on_feature_columns():
+    # Feature columns win over chi: one feature column selects as that
+    # column would as chi, and not as chi does.
+    rng = np.random.default_rng(5)
+    feature, chi = rng.random(30), rng.random(30)
+    z = (rng.random(30) < 0.3).astype(int)
+    pop = Population(
+        CLASSIFICATION, np.arange(30), z, np.zeros(30, int), aux={"chi": chi},
+        features=feature[:, None],
+    )
+    on_features = run_named("ces", pop, 12, 1, aux="chi", **SMALL_CES)
+    as_chi = run_named("ces", make_classification(z, feature), 12, 1, aux="chi", **SMALL_CES)
+    on_chi = run_named("ces", make_classification(z, chi), 12, 1, aux="chi", **SMALL_CES)
+    assert list(on_features.selected_ids) == list(as_chi.selected_ids)
+    assert list(on_features.selected_ids) != list(on_chi.selected_ids)
+
+
+def test_ces_refuses_a_population_without_features_or_aux():
+    pop = make_classification([1, 0, 0, 1])
+    with pytest.raises(ValueError, match="CES needs feature columns"):
+        run_named("ces", pop, 3, 0, ces_initial=2)
+
 # ---------------------------------------------------------------------------
 # Adaptive failure-seeking sampler
 
@@ -229,6 +252,31 @@ def test_deepest_regression_variants_differ():
     assert list(default.selected_ids) == list(verbatim.selected_ids)
     assert default.estimate != verbatim.estimate
 
+
+
+@pytest.mark.parametrize("verbatim", [False, True])
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_deepest_estimate_equals_running_step_sums(task, verbatim):
+    # deepest labels after it selects and sums the steps by cumsum; the
+    # per-step running sums give the same float.
+    rng = np.random.default_rng(3)
+    chi = rng.random(40)
+    if task == CLASSIFICATION:
+        pop = make_classification((rng.random(40) < 0.3).astype(int), chi)
+    else:
+        pop = make_regression(rng.random(40), chi)
+    res = run_named("deepest", pop, 15, 2, chi=chi, deepest_verbatim_regression=verbatim)
+    outcomes = pop._true_outcomes()
+    y = [float(outcomes[i] if task == CLASSIFICATION else outcomes[i] ** 2)
+         for i in res.selected_ids]
+    y_sel_sum, step_total = y[0], 0.0
+    for k, (y_pick, q) in enumerate(zip(y[1:], res.probabilities[1:].tolist()), start=2):
+        if task == CLASSIFICATION or not verbatim:
+            step_total += y_sel_sum + y_pick / q
+        else:
+            step_total += y_sel_sum / (k - 1) + (y_pick / k) / q
+        y_sel_sum += y_pick
+    assert res.estimate == (y[0] + step_total / pop.N) / 15
 
 # ---------------------------------------------------------------------------
 # Stratified sampling with variance-optimal allocation
@@ -396,6 +444,42 @@ def test_budget_and_determinism(name, pop6):
     # another seed changes the sample of every technique on this population
     assert list(a.selected_ids) != list(c.selected_ids)
 
+
+
+@pytest.mark.parametrize("name", ["rhcs", "ces", "deepest", "ssrs"])
+def test_budget_above_population_refused_before_any_label(name, pop6):
+    oracle = LabelingOracle(pop6)
+    config = TechniqueConfig(technique=name, aux="chi", budget=7, k=2, **SMALL_CES)
+    with pytest.raises(ValueError, match="budget 7 exceeds population size 6"):
+        run_technique(pop6, oracle, config, RandomStream(0))
+    assert oracle.reveal_count == 0
+
+
+class CountingOracle(LabelingOracle):
+    """A labeling oracle that counts its calls."""
+
+    def __init__(self, population):
+        super().__init__(population)
+        self.calls = {"reveal": 0, "reveal_many": 0}
+
+    def reveal(self, record_id):
+        self.calls["reveal"] += 1
+        return super().reveal(record_id)
+
+    def reveal_many(self, record_ids):
+        self.calls["reveal_many"] += 1
+        return super().reveal_many(record_ids)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@pytest.mark.parametrize("name", [t for t in TECHNIQUES if t != "gbs"])
+def test_every_law_but_gbs_labels_its_sample_in_one_call(name, task, pop6):
+    # gbs picks each partition from the labels seen so far, so it labels draw by draw.
+    pop = pop6 if task == CLASSIFICATION else make_regression(0.1 * np.arange(6), CHI)
+    oracle = CountingOracle(pop)
+    config = TechniqueConfig(technique=name, aux="chi", budget=5, k=3, **SMALL_CES)
+    run_technique(pop, oracle, config, RandomStream(3))
+    assert oracle.calls == {"reveal": 0, "reveal_many": 1}
 
 @pytest.mark.parametrize(
     "knob, value",
