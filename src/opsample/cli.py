@@ -20,9 +20,9 @@ from dataclasses import asdict, fields
 
 from .draw import RandomStream
 from .harness import (
-    CLASSIFICATION_ONLY_AUX,
     EvalConfig,
     enumerate_expectation,
+    require_enumerable,
     run_experiment,
     summarize,
 )
@@ -88,10 +88,7 @@ def cmd_gen(args) -> int:
 def cmd_run(args) -> int:
     pop = load_population(args.population)
     tc = _config(TechniqueConfig, args)
-    if args.aux is not None and pop.task == REGRESSION and args.aux in CLASSIFICATION_ONLY_AUX:
-        raise ValueError(f"auxiliary variable {args.aux!r} is classification-only")
-    oracle = LabelingOracle(pop)
-    result = run_technique(pop, oracle, tc, RandomStream(args.seed))
+    result = run_technique(pop, LabelingOracle(pop), tc, RandomStream(args.seed))
     print(f"xi_hat = {result.xi_hat:.6f}")
     print(f"distinct labels used = {result.distinct_labeled}")
     print(f"failures exposed = {result.failures}")
@@ -120,6 +117,9 @@ def cmd_eval(args) -> int:
         raise ValueError("eval needs --population or a population key in the config file")
     pop = load_population(pop_path)
     report = run_experiment(pop, config)
+    if not report.raw_rows:
+        cells = ["{technique}/{aux}/{budget}: {reason}".format(**s) for s in report.skipped]
+        raise ValueError("every cell of the grid is skipped: " + "; ".join(cells))
     out = _out_dir(args)
     report.write_summary_csv(os.path.join(out, "summary.csv"))
     report.write_raw_csv(os.path.join(out, "raw.csv"))
@@ -134,6 +134,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    require_enumerable(args.technique)  # before the config, which may refuse ces's budget
     pop = load_population(args.population)
     tc = _config(TechniqueConfig, args)
     expectation = enumerate_expectation(pop, tc, tc.budget)

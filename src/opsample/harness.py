@@ -21,7 +21,7 @@ import numpy as np
 from .draw import EnumeratingStream, NotEnumerableError, RandomStream, derive_seed
 from .partition import kmeans_1d
 from .population import REGRESSION, LabelingOracle, Population, true_accuracy
-from .techniques import REGISTRY, TechniqueConfig, run_technique
+from .techniques import CLASSIFICATION_ONLY_AUX, REGISTRY, TechniqueConfig, run_technique
 
 __all__ = [
     "EvalConfig",
@@ -33,13 +33,10 @@ __all__ = [
     "summarize",
     "enumerate_expectation",
     "enumerate_paths",
+    "require_enumerable",
     "NotEnumerableError",
     "IntractableError",
 ]
-
-#: Auxiliary variables that only make sense for classification tasks.
-CLASSIFICATION_ONLY_AUX = {"confidence", "dsa"}
-
 
 def rmse(estimates, true_xi: float) -> float:
     """Root mean squared error of accuracy estimates against the truth."""
@@ -74,16 +71,20 @@ class IntractableError(ValueError):
     """Population/budget too large for exhaustive path enumeration."""
 
 
+def require_enumerable(technique: str) -> None:
+    """Refuse ces: its rejection-sampled candidate groups have an unbounded path space."""
+    if technique == "ces":
+        raise NotEnumerableError("ces is not enumerable; use Monte Carlo")
+
+
 def enumerate_paths(pop: Population, config: TechniqueConfig, n: int):
     """Yield (probability, estimate) for every sample path of the technique.
 
     The technique's own law runs through :func:`run_technique` under an
     :class:`EnumeratingStream`, once per sample path, so the oracle checks
-    the code that runs; the partition map is built once.  ces is refused:
-    its rejection-sampled candidate groups have an unbounded path space.
+    the code that runs; the partition map is built once.
     """
-    if config.technique == "ces":
-        raise NotEnumerableError("ces is not enumerable; use Monte Carlo")
+    require_enumerable(config.technique)
     if pop.N > 10 or n > 4:
         raise IntractableError("enumeration supports N <= 10, n <= 4")
     config = replace(config, budget=n)

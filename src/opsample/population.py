@@ -331,11 +331,7 @@ def write_population_csv(population: Population, path):
     """Inverse of load_population for the canonical column layout."""
     aux_names = population.aux_names
     feats = population.features_matrix()
-    if population.task == CLASSIFICATION:
-        head = ["id", "true_label", "predicted_label"]
-    else:
-        head = ["id", "true_value", "predicted_value"]
-    head += aux_names
+    head = list(_CLASS_COLS if population.task == CLASSIFICATION else _REG_COLS) + aux_names
     # tolist() gives Python ints and floats, which csv writes as their repr.
     columns = [range(population.N), population._true.tolist(), population._predicted.tolist()]
     columns += [population._aux[a].tolist() for a in aux_names]

@@ -27,9 +27,10 @@ from .draw import (
     srs_without_replacement,
 )
 from .partition import PartitionMap, kmeans_1d, neyman_allocation
-from .population import CLASSIFICATION, LabelingOracle, Population
+from .population import CLASSIFICATION, REGRESSION, LabelingOracle, Population
 
 __all__ = [
+    "CLASSIFICATION_ONLY_AUX",
     "REGISTRY",
     "TECHNIQUES",
     "Technique",
@@ -37,8 +38,11 @@ __all__ = [
     "TechniqueResult",
     "run_technique",
     "ssrs_allocation",
-    "deepest_step_probabilities",
 ]
+
+#: Auxiliary variables that only make sense for classification tasks.
+CLASSIFICATION_ONLY_AUX = {"confidence", "dsa"}
+
 
 @dataclass
 class TechniqueConfig:
@@ -145,6 +149,7 @@ class Draws(NamedTuple):
 
     ``probabilities`` holds one selection probability per draw, and
     ``schemes`` is either one scheme tag for every draw or one tag per draw.
+    ``knobs`` holds the law's own; :func:`run_technique` adds the shared ones.
     """
 
     selected: np.ndarray
@@ -165,7 +170,7 @@ def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
     n = config.budget
     selected = srs_with_replacement(np.arange(pop.N), n, rng)
     y = _estimand(pop, oracle.reveal_many(selected))
-    return Draws(selected, y.mean(), np.full(n, 1.0 / pop.N), "srs-wr", [], {"n": n})
+    return Draws(selected, y.mean(), np.full(n, 1.0 / pop.N), "srs-wr", [], {})
 
 
 def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -175,7 +180,7 @@ def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
     selected = pps_with_replacement(np.arange(pop.N), pi, n, rng)
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y / pi[selected])) / (n * pop.N)
-    return Draws(selected, estimate, pi[selected], "pps-wr", [], {"n": n})
+    return Draws(selected, estimate, pi[selected], "pps-wr", [], {})
 
 
 def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -186,8 +191,6 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     without-replacement overall while keeping the estimator unbiased.
     """
     n = config.budget
-    if n > pop.N:
-        raise ValueError(f"budget {n} exceeds population size {pop.N}")
     pi = selection_probabilities(chi)
     # n near-equal groups: rem groups of base + 1, then n - rem of base.
     # Each run of equal sizes is one block with a group per row.
@@ -204,7 +207,7 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     pi_selected = pi[selected]
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y * (q / pi_selected))) / pop.N
-    return Draws(selected, estimate, pi_selected / q, "rhc-pps", [], {"n": n})
+    return Draws(selected, estimate, pi_selected / q, "rhc-pps", [], {})
 
 
 def _ces_features(pop: Population, chi) -> np.ndarray:
@@ -218,6 +221,26 @@ def _ces_features(pop: Population, chi) -> np.ndarray:
     raise ValueError("CES needs feature columns or at least one auxiliary variable")
 
 
+class _SwapPool:
+    """The ids not drawn yet, ``ids[:size]``: all N ids, or the ``ids`` given."""
+
+    def __init__(self, N: int, ids: np.ndarray | None = None):
+        self.ids = np.arange(N) if ids is None else ids
+        self.pos = np.arange(N)  # pos[i] is id i's place in ids while i is in the pool
+        if ids is not None:
+            self.pos[ids] = np.arange(ids.size)
+        self.size = self.ids.size
+
+    def remove(self, rid):
+        """Swap ``rid``, which must be in the pool, with the pool's last id, and drop it."""
+        ids, pos = self.ids, self.pos
+        p, end = pos[rid], self.size - 1
+        last = ids[end]
+        ids[p], ids[end] = last, rid
+        pos[last], pos[rid] = p, end
+        self.size = end
+
+
 def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     """Cross-entropy sampling: grow a sample that imitates the feature distribution.
 
@@ -228,50 +251,32 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     """
     n, initial, group = config.budget, config.ces_initial, config.ces_group
     candidates, bins = config.ces_candidates, config.ces_bins
-    if n > pop.N:
-        raise ValueError(f"budget {n} exceeds population size {pop.N}")
     X = _ces_features(pop, chi)
     n_dims = X.shape[1]
     # Equal-width bins per dimension over the operational range.
-    bin_idx = np.empty((pop.N, n_dims), dtype=np.int64)
-    pop_counts = np.empty((n_dims, bins))
-    for dim in range(n_dims):
-        lo, hi = X[:, dim].min(), X[:, dim].max()
-        width = (hi - lo) or 1.0
-        idx = np.minimum(((X[:, dim] - lo) / width * bins).astype(np.int64), bins - 1)
-        bin_idx[:, dim] = idx
-        pop_counts[dim] = np.bincount(idx, minlength=bins)
-    pop_dist = pop_counts / pop.N
-
-    unselected = np.arange(pop.N)
-    pos = np.arange(pop.N)  # position of each id inside `unselected`
-    n_unsel = pop.N
-
-    def remove(ids):
-        nonlocal n_unsel
-        for rid in ids:
-            p = pos[rid]
-            last = unselected[n_unsel - 1]
-            unselected[p], unselected[n_unsel - 1] = last, rid
-            pos[last], pos[rid] = p, n_unsel - 1
-            n_unsel -= 1
+    lo = X.min(axis=0)
+    width = X.max(axis=0) - lo
+    width[width == 0] = 1.0
+    bin_idx = np.minimum(((X - lo) / width * bins).astype(np.int64), bins - 1)
 
     n_cells = n_dims * bins
     cell_ids = np.arange(n_cells)
     row_starts = np.arange(candidates)[:, None] * n_cells  # candidate c's cells in delta
     flat_idx = bin_idx + np.arange(n_dims) * bins  # per record: flattened (dim, bin) cells
+    pop_flat = np.bincount(flat_idx.ravel(), minlength=n_cells) / pop.N
+    unselected = _SwapPool(pop.N)
     selected = list(srs_without_replacement(np.arange(pop.N), initial, rng))
-    remove(selected)
+    for rid in selected:
+        unselected.remove(rid)
     sel_flat = np.bincount(flat_idx[selected].ravel(), minlength=n_cells).astype(float)
     probabilities = [1.0 / pop.N] * initial
-    pop_flat = pop_dist.ravel()
 
     while len(selected) < n:
         g = min(group, n - len(selected))
-        pool = unselected[:n_unsel]
+        pool = unselected.ids[:unselected.size]
         # Candidate groups: iid index draws with within-group duplicates
         # redrawn, equivalent to SRS without replacement per group.
-        idx = rng.integers(0, n_unsel, size=(candidates, g))
+        idx = rng.integers(0, pool.size, size=(candidates, g))
         if g > 1:
             while True:
                 srt = np.sort(idx, axis=1)
@@ -279,7 +284,7 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
                 if not same.any():
                     break
                 dup = same.any(axis=1)
-                idx[dup] = rng.integers(0, n_unsel, size=(int(dup.sum()), g))
+                idx[dup] = rng.integers(0, pool.size, size=(int(dup.sum()), g))
         cand = pool[idx]
         cells = flat_idx[cand].reshape(candidates, -1)  # (C, g * n_dims)
         combined = (row_starts + cells).ravel()
@@ -294,38 +299,15 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
         best = int(np.argmin(ce))
         sel_flat += delta[best]
         selected.extend(cand[best].tolist())
-        probabilities.extend([1.0 / n_unsel] * g)
-        remove(cand[best])
+        probabilities.extend([1.0 / pool.size] * g)
+        for rid in cand[best]:
+            unselected.remove(rid)
 
     selected = np.array(selected, dtype=np.int64)
     y = _estimand(pop, oracle.reveal_many(selected))
     schemes = ["ces-initial"] * initial + ["ces-group"] * (n - initial)
-    knobs = {"n": n, "initial": initial, "group": group, "candidates": candidates, "bins": bins}
+    knobs = {"initial": initial, "group": group, "candidates": candidates, "bins": bins}
     return Draws(selected, y.mean(), probabilities, schemes, [], knobs)
-
-
-def deepest_step_probabilities(
-    chi: np.ndarray,
-    unselected: np.ndarray,
-    chi_selected_sum: float,
-    r: float,
-    threshold: float,
-):
-    """Marginal per-step selection probabilities for the adaptive sampler.
-
-    Returns (q over `unselected`, fell_back) where q mixes the weight-based
-    branch (probability r) with the uniform branch (probability 1 - r).
-    The weight-based branch is uniform over the unselected records whose
-    chi exceeds the threshold.
-    """
-    u = unselected.size
-    uniform = np.full(u, 1.0 / u)
-    above = chi[unselected] > threshold
-    m = int(above.sum())
-    if m == 0 or chi_selected_sum <= 0:
-        return uniform, True
-    wbs = np.where(above, 1.0 / m, 0.0)
-    return r * wbs + (1.0 - r) * uniform, False
 
 
 def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -344,64 +326,47 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     """
     n, r = config.budget, config.r
     verbatim_regression = config.deepest_verbatim_regression
-    if n > pop.N:
-        raise ValueError(f"budget {n} exceeds population size {pop.N}")
     if chi.sum() <= 0:
         raise ValueError("all-zero chi vector")
     threshold = float(np.quantile(chi, config.threshold_quantile))
     flags = []
 
-    # Swap-remove pools for the unselected set and its above-threshold subset.
-    unsel = np.arange(pop.N)
-    pos = np.arange(pop.N)
-    n_unsel = pop.N
-    above = np.flatnonzero(chi > threshold)
-    above_pos = np.full(pop.N, -1, dtype=np.int64)
-    above_pos[above] = np.arange(above.size)
-    n_above = above.size
-
-    def remove(rid):
-        nonlocal n_unsel, n_above
-        p = pos[rid]
-        last = unsel[n_unsel - 1]
-        unsel[p], unsel[n_unsel - 1] = last, rid
-        pos[last], pos[rid] = p, n_unsel - 1
-        n_unsel -= 1
-        ap = above_pos[rid]
-        if ap >= 0:
-            last_a = above[n_above - 1]
-            above[ap], above[n_above - 1] = last_a, rid
-            above_pos[last_a], above_pos[rid] = ap, n_above - 1
-            n_above -= 1
+    unsel = _SwapPool(pop.N)
+    above = _SwapPool(pop.N, np.flatnonzero(chi > threshold))
 
     # Selection reads chi and the pools only, so every label is revealed
     # after it, in one call.
     first = int(rng.integers(0, pop.N))
     selected = [first]
-    remove(first)
+    unsel.remove(first)
+    if chi[first] > threshold:
+        above.remove(first)
     probabilities = [1.0 / pop.N]
     schemes = ["srs-first"]
     chi_sel_sum = float(chi[first])
 
     for k in range(2, n + 1):
-        u = n_unsel
+        u, n_above = unsel.size, above.size
         # Determine the branch, then the marginal probability of the pick.
         fallback = n_above == 0 or chi_sel_sum <= 0
         use_wbs = (not fallback) and rng.bernoulli(r)
         if use_wbs:
-            pick = int(above[int(rng.integers(0, n_above))])
+            pick = int(above.ids[int(rng.integers(0, n_above))])
             schemes.append("wbs")
         else:
-            pick = int(unsel[int(rng.integers(0, u))])
+            pick = int(unsel.ids[int(rng.integers(0, u))])
             schemes.append("srs-step")
+        is_above = chi[pick] > threshold
         if fallback:
             q = 1.0 / u
             flags.append(f"step {k}: all weights zero, uniform fallback")
         else:
-            wbs_p = (1.0 / n_above) if chi[pick] > threshold else 0.0
+            wbs_p = (1.0 / n_above) if is_above else 0.0
             q = r * wbs_p + (1.0 - r) / u
         probabilities.append(q)
-        remove(pick)
+        unsel.remove(pick)
+        if is_above:
+            above.remove(pick)
         selected.append(pick)
         chi_sel_sum += float(chi[pick])
 
@@ -418,7 +383,6 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     step_total = float(np.cumsum(terms)[-1]) if n > 1 else 0.0
     estimate = (float(y[0]) + step_total / pop.N) / n
     knobs = {
-        "n": n,
         "r": r,
         "threshold_quantile": config.threshold_quantile,
         "threshold": threshold,
@@ -453,7 +417,7 @@ def ssrs_allocation(pm: PartitionMap, n: int) -> np.ndarray:
 def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws."""
     n, pm = config.budget, partition
-    alloc = ssrs_allocation(pm, n)  # refuses a budget above the population size
+    alloc = ssrs_allocation(pm, n)
     flags = []
     draws = []
     probabilities = []
@@ -471,7 +435,7 @@ def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
         if y_p.size:
             estimate += pm.sizes[p] * y_p.mean()
     estimate /= pop.N
-    knobs = {"n": n, "k": config.k, "P": pm.P, "allocation": alloc.tolist()}
+    knobs = {"allocation": alloc.tolist()}
     return Draws(selected, estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs)
 
 
@@ -538,7 +502,7 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
             continue
         estimate += sizes[p] * (sums[p] / counts[p])
     estimate /= pop.N
-    knobs = {"n": n, "k": config.k, "P": pm.P, "prior_variance": prior_variance}
+    knobs = {"prior_variance": prior_variance}
     return Draws(np.array(selected), estimate, probabilities, "gbs-wr", flags, knobs)
 
 
@@ -588,7 +552,7 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
         pool[j] = pool.get(left - 1, left - 1)  # swap with the pool's last position
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y * (sizes / psi[stage]))) / (pop.N * n)
-    knobs = {"n": n, "k": config.k, "P": pm.P, "psi": [float(x) for x in psi]}
+    knobs = {"psi": [float(x) for x in psi]}
     return Draws(selected, estimate, psi[stage] / remaining, "twoups", flags, knobs)
 
 
@@ -603,16 +567,17 @@ class Technique:
     law: Callable[..., Draws]
     needs_chi: bool
     partitioned: bool = False  # takes a PartitionMap of k-means strata on chi
+    without_replacement: bool = False  # run_technique refuses a budget above N
 
 
 #: Every technique, in report order.
 REGISTRY = {
     "srs": Technique(_srs, False),
     "sups": Technique(_sups, True),
-    "rhcs": Technique(_rhcs, True),
-    "ces": Technique(_ces, False),
-    "deepest": Technique(_deepest, True),
-    "ssrs": Technique(_ssrs, True, True),
+    "rhcs": Technique(_rhcs, True, without_replacement=True),
+    "ces": Technique(_ces, False, without_replacement=True),
+    "deepest": Technique(_deepest, True, without_replacement=True),
+    "ssrs": Technique(_ssrs, True, True, without_replacement=True),
     "gbs": Technique(_gbs, True, True),
     "twoups": Technique(_twoups, True, True),
 }
@@ -632,16 +597,24 @@ def run_technique(
     chi is the population's ``config.aux`` column.  A stratified technique
     stratifies on k-means over chi with ``config.k`` and
     ``config.partition_seed``; callers share that map across runs by passing
-    it as ``partition``.  The law draws; this function keeps its selection
-    probabilities and scheme tags, one per draw, and counts the failures
-    among the labels the oracle revealed.
+    it as ``partition``.  It refuses, before any label, a classification-only
+    aux on a regression population and a budget above N for a law that draws
+    without replacement.  The law draws; this function keeps its selection
+    probabilities and scheme tags, one per draw, adds the knobs every run
+    shares (``n``, and ``k`` and ``P`` if stratified) to the law's own, and
+    counts the failures among the labels the oracle revealed.
     """
     entry = REGISTRY[config.technique]
+    if pop.task == REGRESSION and config.aux in CLASSIFICATION_ONLY_AUX:
+        raise ValueError(f"auxiliary variable {config.aux!r} is classification-only")
     chi = None if config.aux is None else pop.aux_vector(config.aux)
     if entry.needs_chi and chi is None:
         raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
+    if entry.without_replacement and config.budget > pop.N:
+        raise ValueError(f"budget {config.budget} exceeds population size {pop.N}")
     if entry.partitioned and partition is None:
         partition = kmeans_1d(chi, config.k, config.partition_seed)
+    strata = {"k": config.k, "P": partition.P} if entry.partitioned else {}
     draws = entry.law(pop, oracle, config, rng, chi, partition)
 
     schemes = draws.schemes
@@ -665,5 +638,5 @@ def run_technique(
         schemes=schemes,
         offsets=offsets,
         flags=draws.flags,
-        knobs=draws.knobs,
+        knobs={"n": config.budget, **strata, **draws.knobs},
     )

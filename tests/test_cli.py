@@ -138,6 +138,23 @@ def test_run_refuses_classification_only_aux_on_regression(tmp_path, capsys):
     assert err["error"] == "auxiliary variable 'confidence' is classification-only"
 
 
+def test_oracle_refuses_classification_only_aux_on_regression(tmp_path, capsys):
+    # run's refusal is the test above; both come from run_technique.
+    pop = Population(
+        REGRESSION, np.arange(8), np.zeros(8), np.linspace(0.0, 14.0, 8),
+        aux={"confidence": np.linspace(0.9, 0.2, 8)},
+    )
+    path = tmp_path / "reg8.csv"
+    write_population_csv(pop, path)
+    rc = main(
+        ["oracle", "--population", str(path), "--technique", "sups", "--aux", "confidence",
+         "--budget", "2"]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "auxiliary variable 'confidence' is classification-only"
+
+
 def test_run_trace_flag_writes_the_trace(tiny_csv, tmp_path):
     argv = ["run", "--population", tiny_csv, "--technique", "sups", "--aux", "chi",
             "--budget", "6", "--seed", "4"]
@@ -243,6 +260,21 @@ def test_eval_requires_population(tmp_path, capsys):
     assert "population" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_eval_refuses_a_grid_whose_every_cell_is_skipped(tiny_csv, tmp_path, capsys):
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", tiny_csv, "--techniques", "srs", "--aux", "chi",
+         "--budgets", "5,10", "--out", str(out)]
+    )
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    reason = "technique does not use an auxiliary variable"
+    assert err["error"] == (
+        f"every cell of the grid is skipped: srs/chi/5: {reason}; srs/chi/10: {reason}"
+    )
+    assert not out.exists()
+
+
 def test_eval_rerun_is_byte_identical(tiny_csv, tmp_path):
     args = ["eval", "--population", tiny_csv, "--techniques", "srs,ssrs",
             "--aux", "none,chi", "--budgets", "5,10", "--reps", "3",
@@ -276,6 +308,15 @@ def test_oracle_rejects_non_enumerable(micro_csv, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "not enumerable" in err["error"]
+
+
+def test_oracle_refuses_ces_at_the_default_budget(micro_csv, capsys):
+    rc = main(["oracle", "--population", micro_csv, "--technique", "ces", "--aux", "chi"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["type"], err["error"]) == (
+        "NotEnumerableError", "ces is not enumerable; use Monte Carlo"
+    )
 
 
 def test_oracle_enumerates_gbs(micro_csv, capsys):

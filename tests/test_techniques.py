@@ -27,7 +27,6 @@ from opsample.techniques import (
     REGISTRY,
     TECHNIQUES,
     TechniqueConfig,
-    deepest_step_probabilities,
     run_technique,
     ssrs_allocation,
 )
@@ -455,6 +454,18 @@ def test_budget_above_population_refused_before_any_label(name, pop6):
     assert oracle.reveal_count == 0
 
 
+@pytest.mark.parametrize("name", TECHNIQUES)
+def test_run_technique_records_the_shared_knobs(name, pop6):
+    config = TechniqueConfig(technique=name, aux="chi", budget=4, k=2, **SMALL_CES)
+    res = run_technique(pop6, LabelingOracle(pop6), config, RandomStream(0))
+    assert res.knobs["n"] == 4
+    if REGISTRY[name].partitioned:
+        assert res.knobs["k"] == 2
+        assert res.knobs["P"] == kmeans_1d(CHI, 2, 0).P
+    else:
+        assert "k" not in res.knobs and "P" not in res.knobs
+
+
 class CountingOracle(LabelingOracle):
     """A labeling oracle that counts its calls."""
 
@@ -559,6 +570,30 @@ def test_trace_recording(pop6):
 # uniform fallback is traced too.
 CHI12 = np.array([0.0, 0.9, 0.1, 0.0, 0.5, 0.3, 0.7, 0.2, 0.0, 0.8, 0.4, 0.6])
 Z12 = np.array([1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0])
+
+
+def deepest_step_probabilities(
+    chi: np.ndarray,
+    unselected: np.ndarray,
+    chi_selected_sum: float,
+    r: float,
+    threshold: float,
+):
+    """Marginal per-step selection probabilities for the adaptive sampler.
+
+    Returns (q over `unselected`, fell_back) where q mixes the weight-based
+    branch (probability r) with the uniform branch (probability 1 - r).
+    The weight-based branch is uniform over the unselected records whose
+    chi exceeds the threshold.
+    """
+    u = unselected.size
+    uniform = np.full(u, 1.0 / u)
+    above = chi[unselected] > threshold
+    m = int(above.sum())
+    if m == 0 or chi_selected_sum <= 0:
+        return uniform, True
+    wbs = np.where(above, 1.0 / m, 0.0)
+    return r * wbs + (1.0 - r) * uniform, False
 
 
 @pytest.mark.parametrize("name", TECHNIQUES)
@@ -690,3 +725,29 @@ def _golden_eval_digests(task, tmp_path):
 @pytest.mark.parametrize("task", list(GOLDEN_EVAL))
 def test_golden_eval_outputs(task, tmp_path):
     assert _golden_eval_digests(task, tmp_path) == GOLDEN_EVAL[task]
+
+
+# ces bins every feature column in one vectorized pass.  This digest was
+# recorded while it still binned them column by column; the constant
+# column takes the zero-width fallback.
+GOLDEN_CES_FEATURES = "7852516ec7e30505ad6240f822f47104b5e22425b6c82bc0a997f4e5d5251783"
+
+
+def test_golden_ces_on_several_feature_columns():
+    rng = np.random.default_rng(3)
+    N = 2000
+    features = np.column_stack(
+        [rng.random(N), 5.0 * rng.normal(size=N), np.full(N, 2.5), rng.integers(0, 4, N)]
+    )
+    z = rng.integers(0, 2, N)
+    pop = Population(CLASSIFICATION, np.arange(N), z, np.zeros(N, int), features=features)
+    blobs = []
+    for budget in (9, 60, 250):
+        config = TechniqueConfig(
+            technique="ces", budget=budget,
+            ces_initial=5, ces_group=3, ces_candidates=50, ces_bins=7,
+        )
+        for seed in range(3):
+            result = run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
+            blobs.append(result.to_json(include_trace=True))
+    assert _sha256(blobs) == GOLDEN_CES_FEATURES
