@@ -64,5 +64,5 @@ theta = float(np.mean(z))
 print(f"\ntiny population: N=4, true failure rate {theta}")
 for name in ("srs", "sups", "rhcs", "deepest", "gbs"):
     tc = TechniqueConfig(technique=name, aux="chi", budget=2, k=2)
-    exact = enumerate_expectation(tiny, tc, 2)
+    exact = enumerate_expectation(tiny, tc)
     print(f"  {name:<8} exact E[estimate] over all sample paths = {exact:.15f}")

@@ -40,7 +40,7 @@ from .techniques import TECHNIQUES, TechniqueConfig, run_technique
 
 
 def _out_dir(args) -> str:
-    out = args.out or os.environ.get("OPSAMPLE_OUT", ".")
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -137,7 +137,7 @@ def cmd_oracle(args) -> int:
     require_enumerable(args.technique)  # before the config, which may refuse ces's budget
     pop = load_population(args.population)
     tc = _config(TechniqueConfig, args)
-    expectation = enumerate_expectation(pop, tc, tc.budget)
+    expectation = enumerate_expectation(pop, tc)
     truth = 1.0 - true_accuracy(pop)  # theta or Delta
     gap = abs(expectation - truth)
     print(f"exact E[estimator] = {expectation!r}")

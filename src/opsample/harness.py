@@ -14,14 +14,14 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .draw import EnumeratingStream, NotEnumerableError, RandomStream, derive_seed
 from .partition import kmeans_1d
 from .population import REGRESSION, LabelingOracle, Population, true_accuracy
-from .techniques import CLASSIFICATION_ONLY_AUX, REGISTRY, TechniqueConfig, run_technique
+from .techniques import REGISTRY, TechniqueConfig, refusal, run_technique
 
 __all__ = [
     "EvalConfig",
@@ -77,7 +77,7 @@ def require_enumerable(technique: str) -> None:
         raise NotEnumerableError("ces is not enumerable; use Monte Carlo")
 
 
-def enumerate_paths(pop: Population, config: TechniqueConfig, n: int):
+def enumerate_paths(pop: Population, config: TechniqueConfig):
     """Yield (probability, estimate) for every sample path of the technique.
 
     The technique's own law runs through :func:`run_technique` under an
@@ -85,9 +85,8 @@ def enumerate_paths(pop: Population, config: TechniqueConfig, n: int):
     the code that runs; the partition map is built once.
     """
     require_enumerable(config.technique)
-    if pop.N > 10 or n > 4:
+    if pop.N > 10 or config.budget > 4:
         raise IntractableError("enumeration supports N <= 10, n <= 4")
-    config = replace(config, budget=n)
     return _replay(pop, config, _partition_map(pop, config))
 
 
@@ -108,11 +107,11 @@ def _partition_map(pop: Population, config: TechniqueConfig):
     return None
 
 
-def enumerate_expectation(pop: Population, config: TechniqueConfig, n: int) -> float:
+def enumerate_expectation(pop: Population, config: TechniqueConfig) -> float:
     """Exact E[estimator] over all sample paths; probabilities must sum to 1."""
     total_prob = 0.0
     expectation = 0.0
-    for prob, est in enumerate_paths(pop, config, n):
+    for prob, est in enumerate_paths(pop, config):
         total_prob += prob
         expectation += prob * est
     if abs(total_prob - 1.0) > 1e-12:
@@ -345,38 +344,29 @@ def _execute_cell_worker(args):
     return rows
 
 
-def _skip_reason(pop: Population, technique, aux) -> str | None:
-    """Why a (technique, aux) pair is not run, or None when it is."""
-    if not REGISTRY[technique].needs_chi:
-        # SRS/CES ignore chi for selection probabilities; run them once
-        # under aux=None only.
-        return None if aux is None else "technique does not use an auxiliary variable"
-    if aux is None:
-        return "technique requires an auxiliary variable"
-    if pop.task == REGRESSION and aux in CLASSIFICATION_ONLY_AUX:
-        return f"{aux} is classification-only"
-    if aux not in pop.aux_names:
-        return f"auxiliary variable {aux!r} not present"
-    return None
-
-
 def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
     """Execute the full grid with independently seeded repetitions.
 
-    Each needed partition map is computed once, here, for each (aux, k,
-    partition_seed) that a stratified cell's config asks for, so cells that
-    stratify alike share one map whatever the worker count.
+    A cell that :func:`refusal` refuses is skipped with its reason, before
+    any run.  Each needed partition map is computed once, here, for each
+    (aux, k, partition_seed) that a stratified cell's config asks for, so
+    cells that stratify alike share one map whatever the worker count.
     """
     xi = true_accuracy(pop)
     skipped = []
     partitions = {None: None}  # unstratified cells take no map
     cell_args = []
     for technique, aux, budget in itertools.product(config.techniques, config.aux, config.budgets):
-        reason = _skip_reason(pop, technique, aux)
+        if not REGISTRY[technique].needs_chi and aux is not None:
+            # SRS/CES ignore chi for selection probabilities; run them once
+            # under aux=None only.
+            reason = "technique does not use an auxiliary variable"
+        else:
+            tc = _make_config(config, technique, aux, budget)
+            reason = refusal(pop, tc)
         if reason is not None:
             skipped.append({"technique": technique, "aux": aux, "budget": budget, "reason": reason})
             continue
-        tc = _make_config(config, technique, aux, budget)
         key = (tc.aux, tc.k, tc.partition_seed) if REGISTRY[technique].partitioned else None
         if key not in partitions:
             partitions[key] = _partition_map(pop, tc)

@@ -40,7 +40,8 @@ class Population:
     for regression), a dict of auxiliary columns and an optional feature
     matrix, all in record-id order.  Row k of every argument is one record;
     ``ids`` must be a permutation of 0..N-1, and rows are reordered by id.
-    A non-finite value or auxiliary value is refused with its row number.
+    A non-finite value, auxiliary value or feature value is refused with its
+    row number.
     """
 
     def __init__(self, task, ids, true, predicted, aux=None, features=None):
@@ -69,6 +70,8 @@ class Population:
             _require_finite(predicted, "non-finite predicted_value")
         if aux:
             _require_finite(np.vstack(list(aux.values())), "non-finite auxiliary value")
+        if features is not None:
+            _require_finite(features.T, "non-finite feature value")
         if not np.array_equal(np.sort(ids), np.arange(N)):
             raise ValueError("record ids must be unique and dense in [0, N)")
         if np.any(ids != np.arange(N)):
@@ -129,14 +132,16 @@ class LabelingOracle:
     def __init__(self, population: Population):
         self.population = population
         self._mask = np.zeros(population.N, dtype=bool)
-        self.reveal_count = 0
+
+    @property
+    def reveal_count(self) -> int:
+        """The number of distinct examples labeled so far."""
+        return int(np.count_nonzero(self._mask))
 
     def reveal(self, record_id: int):
         if not 0 <= record_id < self.population.N:
             raise IndexError(f"record id {record_id} out of range")
-        if not self._mask[record_id]:
-            self._mask[record_id] = True
-            self.reveal_count += 1
+        self._mask[record_id] = True
         value = self.population._true_outcomes()[record_id]
         return int(value) if self.population.task == CLASSIFICATION else float(value)
 
@@ -145,7 +150,6 @@ class LabelingOracle:
         if ids.size and (ids.min() < 0 or ids.max() >= self.population.N):
             raise IndexError("record id out of range")
         self._mask[ids] = True
-        self.reveal_count = int(np.count_nonzero(self._mask))
         return self.population._true_outcomes()[ids]
 
     def labeled_outcomes(self):
@@ -162,13 +166,7 @@ class SyntheticConfig:
     N: int = 10000
     target_accuracy: float = 0.9
     chi_correlation: float = 0.8
-    noise_seed: int | None = None
     offset_scale: float = 0.25
-    failure_slope: float = 4.0
-    # Right-skew of the auxiliary variable (0 = linear latent).  Confidence
-    # style scores on accurate models are heavily right-skewed; a skewed chi
-    # is what makes unequal-probability sampling expose many more failures.
-    chi_skew: float = 1.5
 
     def __post_init__(self):
         if self.N < 2:
@@ -177,6 +175,14 @@ class SyntheticConfig:
             raise ValueError("infeasible calibration: target accuracy must be in (0, 1)")
         if not -1.0 <= self.chi_correlation <= 1.0:
             raise ValueError("chi correlation must lie in [-1, 1]")
+
+
+# Slope of the classification failure logit in the latent u.
+_FAILURE_SLOPE = 4.0
+# Right-skew of the auxiliary variable.  Confidence style scores on accurate
+# models are heavily right-skewed; a skewed chi is what makes
+# unequal-probability sampling expose many more failures.
+_CHI_SKEW = 1.5
 
 
 def _sigmoid(x):
@@ -192,19 +198,17 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Population:
     is about failures.
     """
     rng = RandomStream(seed)
-    noise = RandomStream(config.noise_seed) if config.noise_seed is not None else rng.split("chi-noise")
+    noise = rng.split("chi-noise")
     u = rng.standard_normal(config.N)
     g = noise.standard_normal(config.N)
     rho = config.chi_correlation
     chi_latent = rho * u + math.sqrt(max(0.0, 1.0 - rho * rho)) * g
-    if config.chi_skew:
-        chi_latent = np.exp(config.chi_skew * chi_latent)
-    chi = min_max_normalize(chi_latent)
+    chi = min_max_normalize(np.exp(_CHI_SKEW * chi_latent))
 
     if config.task == CLASSIFICATION:
         target = 1.0 - config.target_accuracy
         v = rng.random(config.N)
-        b = config.failure_slope
+        b = _FAILURE_SLOPE
 
         def realized(a):
             return float(np.mean(v < _sigmoid(a + b * u)))
@@ -251,25 +255,20 @@ _CLASS_COLS = ("id", "true_label", "predicted_label")
 _REG_COLS = ("id", "true_value", "predicted_value")
 
 
-def _population_from_file(columns: dict, schema: dict | None) -> Population:
+def _population_from_file(columns: dict) -> Population:
     """Population from file columns (name -> list of raw cell values, file order)."""
-    schema = dict(schema or {})
     names = list(columns)
-
-    def actual(name):
-        return schema.get(name, name)
-
-    have_class = all(actual(c) in names for c in _CLASS_COLS[1:])
-    have_reg = all(actual(c) in names for c in _REG_COLS[1:])
+    have_class = all(c in names for c in _CLASS_COLS[1:])
+    have_reg = all(c in names for c in _REG_COLS[1:])
     if have_class and have_reg:
         raise ValueError("mixed task columns: both label and value pairs present")
     if not have_class and not have_reg:
-        missing = [c for c in _CLASS_COLS[1:] + _REG_COLS[1:] if actual(c) not in names]
+        missing = [c for c in _CLASS_COLS[1:] + _REG_COLS[1:] if c not in names]
         raise ValueError(f"missing column(s): no complete task pair among {missing}")
-    if actual("id") not in names:
-        raise ValueError(f"missing column: {actual('id')}")
+    if "id" not in names:
+        raise ValueError("missing column: id")
     task = CLASSIFICATION if have_class else REGRESSION
-    id_col, true_col, pred_col = (actual(c) for c in (_CLASS_COLS if have_class else _REG_COLS))
+    id_col, true_col, pred_col = _CLASS_COLS if have_class else _REG_COLS
     feat_cols = sorted(
         (c for c in names if c.startswith("feat_")),
         key=lambda c: int(c.split("_", 1)[1]),
@@ -291,12 +290,11 @@ def _population_from_file(columns: dict, schema: dict | None) -> Population:
     )
 
 
-def load_population(path, schema: dict | None = None) -> Population:
+def load_population(path) -> Population:
     """Read a population from CSV (header row) or JSON (list of objects).
 
-    ``schema`` maps canonical column names (id, true_label, predicted_label,
-    true_value, predicted_value) to the file's actual column names.  Any
-    other column is an auxiliary variable, except feat_0..feat_m which form
+    The columns are id and either true_label and predicted_label or
+    true_value and predicted_value.  Any other column is an auxiliary variable, except feat_0..feat_m which form
     the feature matrix.  A non-finite value, a CSV row whose field count
     differs from the header's and a JSON row whose keys differ from row 0's
     are refused with their row number (0-based, header excluded).
@@ -324,7 +322,7 @@ def load_population(path, schema: dict | None = None) -> Population:
             k = next(k for k, row in enumerate(rows) if len(row) != len(header))
             raise ValueError(f"row {k} has {len(rows[k])} fields, the header {len(header)}")
         columns = dict(zip(header, zip(*rows)))
-    return _population_from_file(columns, schema)
+    return _population_from_file(columns)
 
 
 def write_population_csv(population: Population, path):

@@ -36,6 +36,7 @@ __all__ = [
     "Technique",
     "TechniqueConfig",
     "TechniqueResult",
+    "refusal",
     "run_technique",
     "ssrs_allocation",
 ]
@@ -585,6 +586,20 @@ REGISTRY = {
 TECHNIQUES = tuple(REGISTRY)
 
 
+def refusal(pop: Population, config: TechniqueConfig) -> str | None:
+    """Why :func:`run_technique` refuses ``config`` on ``pop`` before any label, or None."""
+    entry = REGISTRY[config.technique]
+    if pop.task == REGRESSION and config.aux in CLASSIFICATION_ONLY_AUX:
+        return f"auxiliary variable {config.aux!r} is classification-only"
+    if config.aux is not None and config.aux not in pop.aux_names:
+        return f"auxiliary variable {config.aux!r} not present"
+    if entry.needs_chi and config.aux is None:
+        return f"technique {config.technique!r} needs an auxiliary variable"
+    if entry.without_replacement and config.budget > pop.N:
+        return f"budget {config.budget} exceeds population size {pop.N}"
+    return None
+
+
 def run_technique(
     pop: Population,
     oracle: LabelingOracle,
@@ -597,21 +612,17 @@ def run_technique(
     chi is the population's ``config.aux`` column.  A stratified technique
     stratifies on k-means over chi with ``config.k`` and
     ``config.partition_seed``; callers share that map across runs by passing
-    it as ``partition``.  It refuses, before any label, a classification-only
-    aux on a regression population and a budget above N for a law that draws
-    without replacement.  The law draws; this function keeps its selection
+    it as ``partition``.  It raises :func:`refusal`'s reason, if any, before
+    any label.  The law draws; this function keeps its selection
     probabilities and scheme tags, one per draw, adds the knobs every run
     shares (``n``, and ``k`` and ``P`` if stratified) to the law's own, and
     counts the failures among the labels the oracle revealed.
     """
+    reason = refusal(pop, config)
+    if reason is not None:
+        raise ValueError(reason)
     entry = REGISTRY[config.technique]
-    if pop.task == REGRESSION and config.aux in CLASSIFICATION_ONLY_AUX:
-        raise ValueError(f"auxiliary variable {config.aux!r} is classification-only")
     chi = None if config.aux is None else pop.aux_vector(config.aux)
-    if entry.needs_chi and chi is None:
-        raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
-    if entry.without_replacement and config.budget > pop.N:
-        raise ValueError(f"budget {config.budget} exceeds population size {pop.N}")
     if entry.partitioned and partition is None:
         partition = kmeans_1d(chi, config.k, config.partition_seed)
     strata = {"k": config.k, "P": partition.P} if entry.partitioned else {}

@@ -99,7 +99,7 @@ def test_criterion_1_exact_oracle_unbiasedness():
                     # excluded from the oracle check.
                     continue
             config = TechniqueConfig(technique=name, aux="chi", budget=n, k=2)
-            exact = enumerate_expectation(pop, config, n)
+            exact = enumerate_expectation(pop, config)
             gap = abs(exact - truth)
             worst = max(worst, gap)
             counts[name] += 1

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.special import logsumexp
 
 from opsample.auxvar import (
     ActivationTraces,
+    ChiVector,
     chi_from_confidence,
     compute_dsa,
     compute_lsa,
@@ -228,3 +230,24 @@ class TestSelectionProbabilities:
         np.testing.assert_allclose(
             selection_probabilities(c * x), selection_probabilities(x), rtol=1e-9
         )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ChiVector("chi", [[0.5]]), "auxiliary values must be a flat vector"),
+        (lambda: ChiVector("chi", [np.nan]), "auxiliary values must be finite"),
+        (lambda: ChiVector("chi", [-0.5]), "auxiliary values must be nonnegative"),
+        (lambda: ActivationTraces(np.zeros(3)),
+         "activation traces must be an N x L matrix with L >= 1"),
+        (lambda: ActivationTraces([[np.inf]]), "activation traces contain non-finite entries"),
+        (lambda: ActivationTraces(np.zeros((3, 2)), predicted_class=[0, 1]),
+         "one predicted class per trace required"),
+        (lambda: compute_dsa(ActivationTraces(np.zeros((3, 2)))), "DSA requires predicted classes"),
+        (lambda: compute_lsa(ActivationTraces(np.zeros((1, 2)))), "LSA needs at least two records"),
+        (lambda: selection_probabilities([0.5, -0.1]), "chi values must be nonnegative"),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

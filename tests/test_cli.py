@@ -16,6 +16,7 @@ from opsample.population import (
     REGRESSION,
     Population,
     SyntheticConfig,
+    generate_synthetic,
     load_population,
     write_population_csv,
 )
@@ -275,6 +276,26 @@ def test_eval_refuses_a_grid_whose_every_cell_is_skipped(tiny_csv, tmp_path, cap
     assert not out.exists()
 
 
+def test_eval_skips_a_cell_whose_budget_exceeds_the_pool(tmp_path, capsys):
+    path = tmp_path / "pool.csv"
+    write_population_csv(generate_synthetic(SyntheticConfig(N=300), seed=0), path)
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", str(path), "--techniques", "srs,rhcs", "--aux", "none,chi",
+         "--budgets", "50,400", "--reps", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    assert "skipped 5 incompatible cell(s)" in capsys.readouterr().out
+    skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+    assert {
+        "technique": "rhcs", "aux": "chi", "budget": 400,
+        "reason": "budget 400 exceeds population size 300",
+    } in skipped
+    with open(out / "summary.csv", newline="") as fh:
+        cells = [(r["technique"], r["aux"], r["budget"]) for r in csv.DictReader(fh)]
+    assert cells == [("rhcs", "chi", "50"), ("srs", "", "50"), ("srs", "", "400")]
+
+
 def test_eval_rerun_is_byte_identical(tiny_csv, tmp_path):
     args = ["eval", "--population", tiny_csv, "--techniques", "srs,ssrs",
             "--aux", "none,chi", "--budgets", "5,10", "--reps", "3",
@@ -402,3 +423,13 @@ def test_every_config_flag_names_a_field_and_defaults_to_none():
                 assert parser.get_default(action.dest) == (2 if small else None), (
                     command, action.dest
                 )
+
+
+def test_report_refuses_an_empty_raw_file(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("technique,aux,budget,repetition,seed,xi_hat,failures,distinct\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"true_xi": 0.9}\n')
+    rc = main(["report", "--raw", str(raw), "--manifest", str(manifest), "--out", str(tmp_path)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "empty raw file"

@@ -168,3 +168,16 @@ def test_enumerating_stream_replays_batched_forms_as_scalar_calls():
     assert paths == _paths(scalar)
     assert len(paths) == 3 * 3 * (3 * 2) * (2 * 3)
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda rng: srs_without_replacement([1, 2, 3], -1, rng), "sample size must be >= 0"),
+        (lambda rng: pps_with_replacement([], [], 1, rng), "empty weight vector"),
+        (lambda rng: pps_with_replacement([1, 2], [1.0, 1.0], 0, rng), "sample size must be >= 1"),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(RandomStream(0))

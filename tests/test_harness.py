@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,12 +81,12 @@ def test_enum_srs_three_records():
     # z = [1, 0, 0]: E[sample mean] is the population mean 1/3 for any n.
     pop = make_classification([1, 0, 0])
     config = TechniqueConfig(technique="srs", budget=2)
-    assert enumerate_expectation(pop, config, 2) == pytest.approx(1 / 3, abs=1e-15)
+    assert enumerate_expectation(pop, config) == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_enum_srs_path_count_and_probabilities():
     pop = make_classification([1, 0, 0])
-    paths = list(enumerate_paths(pop, TechniqueConfig(technique="srs", budget=2), 2))
+    paths = list(enumerate_paths(pop, TechniqueConfig(technique="srs", budget=2)))
     assert len(paths) == 9  # ordered with-replacement pairs
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-15)
 
@@ -95,30 +96,30 @@ def test_enum_sups_single_draw():
     # record estimates 1/(3 * 1/2) = 2/3, expectation 1/2 * 2/3 = 1/3.
     pop = make_classification([1, 0, 0], [2.0, 1.0, 1.0])
     config = TechniqueConfig(technique="sups", aux="chi", budget=1)
-    assert enumerate_expectation(pop, config, 1) == pytest.approx(1 / 3, abs=1e-15)
+    assert enumerate_expectation(pop, config) == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_enum_all_zero_outcomes_give_zero():
     pop = make_classification([0, 0, 0, 0], [0.4, 0.3, 0.2, 0.1])
     for name in ("srs", "sups", "rhcs", "twoups", "deepest"):
         config = TechniqueConfig(technique=name, aux="chi", budget=2, k=2)
-        assert enumerate_expectation(pop, config, 2) == pytest.approx(0.0, abs=1e-15)
+        assert enumerate_expectation(pop, config) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_enum_rejects_non_enumerable_techniques():
     pop = make_classification([1, 0], [0.2, 0.8])
     config = TechniqueConfig(technique="ces", aux="chi", budget=2, ces_initial=1)
     with pytest.raises(NotEnumerableError):
-        enumerate_expectation(pop, config, 2)
+        enumerate_expectation(pop, config)
 
 
 def test_enum_rejects_intractable_sizes():
     pop = make_classification(np.zeros(12, dtype=int), np.linspace(0.1, 1.0, 12))
     with pytest.raises(IntractableError):
-        enumerate_expectation(pop, TechniqueConfig(technique="srs", budget=2), 2)
+        enumerate_expectation(pop, TechniqueConfig(technique="srs", budget=2))
     pop11 = make_classification(np.zeros(11, dtype=int), np.linspace(0.1, 1.0, 11))
     with pytest.raises(IntractableError):
-        enumerate_expectation(pop11, TechniqueConfig(technique="deepest", aux="chi", budget=2), 2)
+        enumerate_expectation(pop11, TechniqueConfig(technique="deepest", aux="chi", budget=2))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,7 @@ def test_enum_rhcs_branches_over_compositions_not_permutations():
     # N=4 into 2 groups of 2: 4!/(2! 2!) = 6 ordered compositions, then one
     # of 2 records per group; branching over the 4! permutations would give 96.
     pop = make_classification([1, 0, 0, 1], [0.1, 0.2, 0.3, 0.4])
-    paths = list(enumerate_paths(pop, TechniqueConfig(technique="rhcs", aux="chi", budget=2), 2))
+    paths = list(enumerate_paths(pop, TechniqueConfig(technique="rhcs", aux="chi", budget=2)))
     assert len(paths) == 24
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-15)
 
@@ -143,7 +144,7 @@ def test_enum_replays_batched_draws_over_every_path(name, N, n, n_paths):
     z = [1, 0, 0, 1, 0, 1, 0, 0, 1, 1][:N]
     pop = make_classification(z, [0.1, 0.15, 0.2, 0.3, 0.35, 0.5, 0.7, 0.8, 0.85, 0.9][:N])
     config = TechniqueConfig(technique=name, aux="chi", budget=n, k=2)
-    paths = list(enumerate_paths(pop, config, n))
+    paths = list(enumerate_paths(pop, config))
     assert len(paths) == n_paths
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
     expectation = sum(p * estimate for p, estimate in paths)
@@ -154,7 +155,7 @@ def test_enum_replays_batched_draws_over_every_path(name, N, n, n_paths):
 def test_enum_deepest_skips_zero_probability_branches(r):
     pop = make_classification([1, 0, 0, 1, 0], [0.1, 0.9, 0.3, 0.8, 0.5])
     config = TechniqueConfig(technique="deepest", aux="chi", budget=3, r=r)
-    paths = list(enumerate_paths(pop, config, 3))
+    paths = list(enumerate_paths(pop, config))
     assert all(p > 0 for p, _ in paths)
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
 
@@ -171,15 +172,15 @@ def test_enum_gbs_exact_bias_on_a_fixed_population(n, bias, n_paths):
     # allocation biases its stratum means; at n=4 the exact bias is -1/48.
     pop = make_classification([0, 0, 1, 0, 0, 0], [0.1, 0.2, 0.8, 0.85, 0.9, 0.95])
     config = TechniqueConfig(technique="gbs", aux="chi", budget=n, k=2)
-    assert len(list(enumerate_paths(pop, config, n))) == n_paths
+    assert len(list(enumerate_paths(pop, config))) == n_paths
     truth = 1.0 - true_accuracy(pop)
-    assert enumerate_expectation(pop, config, n) - truth == pytest.approx(bias, abs=1e-12)
+    assert enumerate_expectation(pop, config) - truth == pytest.approx(bias, abs=1e-12)
 
 
 def test_enum_needs_the_configured_aux_for_chi_techniques():
     pop = make_classification([1, 0, 0], [2.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="needs an auxiliary variable"):
-        enumerate_expectation(pop, TechniqueConfig(technique="sups", budget=1), 1)
+        enumerate_expectation(pop, TechniqueConfig(technique="sups", budget=1))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,7 @@ def test_design_unbiasedness_classification(name):
         pop = random_tiny_population(rng)
         n = int(rng.integers(1, min(4, pop.N) + 1))
         config = TechniqueConfig(technique=name, aux="chi", budget=n, k=2)
-        exact = enumerate_expectation(pop, config, n)
+        exact = enumerate_expectation(pop, config)
         truth = 1.0 - true_accuracy(pop)
         assert exact == pytest.approx(truth, abs=1e-9)
 
@@ -210,7 +211,7 @@ def test_design_unbiasedness_deepest():
         pop = random_tiny_population(rng, n_min=3, n_max=5)
         n = int(rng.integers(1, 4))
         config = TechniqueConfig(technique="deepest", aux="chi", budget=n)
-        exact = enumerate_expectation(pop, config, n)
+        exact = enumerate_expectation(pop, config)
         truth = 1.0 - true_accuracy(pop)
         assert exact == pytest.approx(truth, abs=1e-9)
 
@@ -220,7 +221,7 @@ def test_design_unbiasedness_deepest_at_the_size_limit():
     z = [1, 0, 0, 1, 0, 1, 0, 0, 1, 1]
     pop = make_classification(z, [0.1, 0.15, 0.2, 0.3, 0.35, 0.5, 0.7, 0.8, 0.85, 0.9])
     config = TechniqueConfig(technique="deepest", aux="chi", budget=4)
-    paths = list(enumerate_paths(pop, config, 4))
+    paths = list(enumerate_paths(pop, config))
     assert len(paths) == 10_626
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
     assert sum(p * estimate for p, estimate in paths) == pytest.approx(np.mean(z), abs=1e-12)
@@ -233,7 +234,7 @@ def test_design_unbiasedness_regression():
         n = int(rng.integers(1, min(3, pop.N) + 1))
         for name in ("srs", "sups", "deepest"):
             config = TechniqueConfig(technique=name, aux="chi", budget=n)
-            exact = enumerate_expectation(pop, config, n)
+            exact = enumerate_expectation(pop, config)
             truth = float(np.mean(pop._true_outcomes() ** 2))
             assert exact == pytest.approx(truth, abs=1e-9)
 
@@ -245,7 +246,7 @@ def test_deepest_verbatim_regression_variant_is_biased():
     config = TechniqueConfig(
         technique="deepest", aux="chi", budget=2, deepest_verbatim_regression=True
     )
-    exact = enumerate_expectation(pop, config, 2)
+    exact = enumerate_expectation(pop, config)
     truth = float(np.mean(pop._true_outcomes() ** 2))
     assert exact == pytest.approx(truth * 7 / 8, abs=1e-12)
 
@@ -255,7 +256,7 @@ def test_monte_carlo_matches_enumeration():
     # enumerated expectation.
     pop = make_classification([1, 0, 1, 0], [0.7, 0.2, 0.5, 0.6])
     config = TechniqueConfig(technique="sups", aux="chi", budget=2)
-    exact = enumerate_expectation(pop, config, 2)
+    exact = enumerate_expectation(pop, config)
     runs = 4000
     total = 0.0
     sq = 0.0
@@ -290,7 +291,7 @@ def test_run_experiment_grid_arithmetic(grid_pop):
     assert len(report.cells) == 4
     assert len(report.raw_rows) == 12
     reasons = {s["reason"] for s in report.skipped}
-    assert "technique requires an auxiliary variable" in reasons
+    assert "technique 'sups' needs an auxiliary variable" in reasons
     assert "technique does not use an auxiliary variable" in reasons
 
 
@@ -345,7 +346,8 @@ def test_regression_offset_columns(tmp_path):
         techniques=["srs"], aux=[None], budgets=[5], repetitions=2,
         offset_thresholds=[0.0, 10.0, 20.0],
     )
-    report = run_experiment(pop, config)
+    with pytest.warns(UserWarning, match="unnormalized offsets"):
+        report = run_experiment(pop, config)
     raw = tmp_path / "raw.csv"
     report.write_raw_csv(raw)
     head = raw.read_text().splitlines()[0]
@@ -376,7 +378,8 @@ def test_sensitivity_needs_two_budgets(grid_pop, tmp_path):
     assert (cell.f_ratio, cell.min_rmse_budget, cell.inversion) == (None, None, None)
     path = tmp_path / "summary.csv"
     report.write_summary_csv(path)
-    (row,) = csv.DictReader(path.open())
+    with path.open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
     assert (row["f_ratio"], row["min_rmse_budget"], row["inversion"]) == ("", "", "")
     assert row["rmse"] == repr(cell.rmse)
 
@@ -419,7 +422,8 @@ def test_raw_rows_are_reproduced_by_their_cell_config(grid_pop, tmp_path):
     )
     path = tmp_path / "raw.csv"
     run_experiment(grid_pop, config).write_raw_csv(path)
-    rows = list(csv.DictReader(path.open()))
+    with path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3 * 2 * 3
     for row in rows:
         k = 3 if row["technique"] == "ssrs" else config.k
@@ -510,3 +514,16 @@ def test_pool_size_is_bounded(grid_pop, monkeypatch, budgets, cpus, expected):
     huge = run_experiment(grid_pop, EvalConfig(**base, jobs=10_000))
     assert created == expected
     assert huge.raw_rows == run_experiment(grid_pop, EvalConfig(**base)).raw_rows
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"repetitions": 0}, "repetitions must be >= 1"),
+        ({"budgets": [10, 5]}, "budgets must be strictly ascending"),
+        ({"offset_thresholds": [2.5, 0.0]}, "offset thresholds must be ascending"),
+    ],
+)
+def test_eval_config_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        EvalConfig(**kwargs)

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opsample.draw import RandomStream
-from opsample.partition import PartitionMap, _boundaries, kmeans_1d, neyman_allocation
+from opsample.partition import (
+    PartitionMap,
+    _argmin_step,
+    _boundaries,
+    kmeans_1d,
+    neyman_allocation,
+)
 
 
 def brute_force_best_split_sizes(values, k):
@@ -219,6 +225,16 @@ class TestKmeans1D:
         labels = np.repeat(ranked, np.diff(np.concatenate(([0], inner, [s.size]))))
         np.testing.assert_array_equal(labels, np.argmin(np.abs(s[:, None] - c[None, :]), axis=1))
 
+    def test_argmin_step_reseeds_an_empty_cluster_at_the_worst_fit_value(self):
+        # Centroid 1 owns no value.  After centroid 0 moves to 0.5, the worst
+        # fit is 10.0 (8.5 from centroid 2), so cluster 1 takes it and its
+        # mean, as reference_kmeans_1d's loop does; 1.0 ties to centroid 0.
+        values = np.array([0.0, 1.0, 2.0, 10.0])
+        centroids = np.array([0.5, 100.0, 1.5])
+        assignment = _argmin_step(values, centroids)
+        np.testing.assert_array_equal(assignment, [0, 0, 2, 1])
+        np.testing.assert_array_equal(centroids, [0.5, 10.0, 2.0])
+
     def test_member_lists_are_ascending_ids_per_partition(self):
         values = np.random.default_rng(4).random(300) ** 3
         pm = kmeans_1d(values, 7, seed=2)
@@ -368,3 +384,15 @@ class TestNeymanAllocation:
         pm = self._pm(chi, 2)
         with pytest.raises(ValueError):
             neyman_allocation(pm, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kmeans_1d([0.1, 0.2], 0), "k must be >= 1"),
+        (lambda: neyman_allocation(kmeans_1d([0.1, 0.2, 0.9], 2), 0), "budget must be >= 1"),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

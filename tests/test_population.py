@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from opsample.population import (
 class TestLoad:
     def test_three_row_classification_csv(self, tmp_path):
         path = tmp_path / "pop.csv"
-        path.write_text("id,true,pred,confidence\n0,1,1,0.9\n1,0,1,0.6\n2,2,2,0.8\n")
-        pop = load_population(path, schema={"true_label": "true", "predicted_label": "pred"})
+        path.write_text(
+            "id,true_label,predicted_label,confidence\n0,1,1,0.9\n1,0,1,0.6\n2,2,2,0.8\n"
+        )
+        pop = load_population(path)
         assert pop.N == 3
         assert pop.task == CLASSIFICATION
         np.testing.assert_allclose(pop.aux_vector("confidence"), [0.9, 0.6, 0.8])
@@ -127,6 +130,12 @@ class TestLoad:
         assert pop.features_matrix().shape == (2, 2)
         assert pop.aux_names == []
 
+    def test_nan_feature_rejected(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("id,true_label,predicted_label,feat_0,feat_1\n0,1,1,0.5,0.1\n1,0,1,0.2,nan\n")
+        with pytest.raises(ValueError, match="non-finite feature value at row 1"):
+            load_population(path)
+
     def test_csv_roundtrip_preserves_everything(self, tmp_path):
         pop = generate_synthetic(SyntheticConfig(N=40), seed=3)
         path = tmp_path / "out.csv"
@@ -161,6 +170,12 @@ class TestColumns:
         np.testing.assert_array_equal(pop._true_outcomes(), [0.25, 0.5])
         np.testing.assert_array_equal(pop.aux_vector("chi"), [0.9, 0.2])
         np.testing.assert_array_equal(pop.features_matrix(), [[3.0, 4.0], [1.0, 2.0]])
+
+    def test_non_finite_feature_rejected_with_its_row(self):
+        features = np.zeros((5, 2))
+        features[3, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite feature value at row 3"):
+            Population(CLASSIFICATION, np.arange(5), np.zeros(5, int), np.zeros(5, int), features=features)
 
     def test_float_labels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -292,3 +307,30 @@ class TestSynthetic:
         assert true_accuracy(pop) == pytest.approx(0.9, abs=1e-9)
         deltas = pop._true_outcomes()
         assert np.all(deltas > 0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: Population("ranking", [0], [0], [0]), ValueError, "unknown task 'ranking'"),
+        (lambda tmp: Population(CLASSIFICATION, [], [], []), ValueError,
+         "population must contain at least one record"),
+        (lambda tmp: LabelingOracle(make_classification([0, 1])).reveal_many([0, 2]), IndexError,
+         "record id out of range"),
+        (lambda tmp: SyntheticConfig(N=1), ValueError, "N must be >= 2"),
+        (lambda tmp: SyntheticConfig(chi_correlation=1.5), ValueError,
+         "chi correlation must lie in [-1, 1]"),
+        (lambda tmp: load_population(_write(tmp / "pop.json", "[]")), ValueError,
+         "empty population file"),
+        (lambda tmp: load_population(_write(tmp / "pop.csv", "id,true_label,predicted_label\n")),
+         ValueError, "empty population file"),
+    ],
+)
+def test_refusals(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path

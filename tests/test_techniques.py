@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from opsample.techniques import (
     REGISTRY,
     TECHNIQUES,
     TechniqueConfig,
+    refusal,
     run_technique,
     ssrs_allocation,
 )
@@ -751,3 +753,44 @@ def test_golden_ces_on_several_feature_columns():
             result = run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
             blobs.append(result.to_json(include_trace=True))
     assert _sha256(blobs) == GOLDEN_CES_FEATURES
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"technique": "bogus"}, "unknown technique 'bogus'"),
+        ({"budget": 0}, "budget must be >= 1"),
+        ({"r": 1.5}, "r must lie in [0, 1]"),
+        ({"ces_group": 0}, "CES sizes must be >= 1"),
+        ({"k": 0}, "k must be >= 1"),
+    ],
+)
+def test_technique_config_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TechniqueConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "task, kwargs, message",
+    [
+        (REGRESSION, {"technique": "sups", "aux": "dsa"},
+         "auxiliary variable 'dsa' is classification-only"),
+        (CLASSIFICATION, {"technique": "sups", "aux": "lsa"}, "auxiliary variable 'lsa' not present"),
+        (CLASSIFICATION, {"technique": "sups"}, "technique 'sups' needs an auxiliary variable"),
+        (CLASSIFICATION, {"technique": "rhcs", "aux": "chi", "budget": 5},
+         "budget 5 exceeds population size 4"),
+        (CLASSIFICATION, {"technique": "srs", "budget": 5}, None),
+    ],
+)
+def test_run_technique_refuses_what_refusal_names(task, kwargs, message):
+    pop = Population(
+        task, np.arange(4), [0, 1, 0, 0], [0, 0, 0, 0],
+        aux={"chi": [0.1, 0.4, 0.2, 0.3], "dsa": [0.5, 0.5, 0.5, 0.5]},
+    )
+    config = TechniqueConfig(**kwargs)
+    assert refusal(pop, config) == message
+    if message is not None:
+        oracle = LabelingOracle(pop)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_technique(pop, oracle, config, RandomStream(0))
+        assert oracle.reveal_count == 0
