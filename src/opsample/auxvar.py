@@ -74,6 +74,16 @@ def chi_from_confidence(confidences) -> ChiVector:
     return ChiVector("confidence", 1.0 - conf)
 
 
+_BLOCK_ELEMENTS = 1 << 15  # float64s in one block of score-matrix rows: 256 KB
+
+
+def _row_blocks(n: int):
+    """Consecutive row slices of an n x n matrix: memory is O(n) plus one block."""
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
 def compute_dsa(ats: ActivationTraces) -> ChiVector:
     """Distance-based surprise: nearest-neighbour distance ratio sigma_A/sigma_B.
 
@@ -95,16 +105,16 @@ def compute_dsa(ats: ActivationTraces) -> ChiVector:
         bad = uniq[counts < 2][0]
         raise ValueError(f"predicted class {bad!r} has a single member; sigma_A undefined")
 
-    # Full pairwise distances; fine for the moderate N this is used at.
     sq = np.sum(X * X, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)
-    np.fill_diagonal(dist, np.inf)
-
-    same = classes[:, None] == classes[None, :]
-    sigma_a = np.min(np.where(same, dist, np.inf), axis=1)
-    sigma_b = np.min(np.where(~same, dist, np.inf), axis=1)
+    sigma_a, sigma_b = np.empty(n), np.empty(n)
+    for rows in _row_blocks(n):
+        d2 = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
+        np.maximum(d2, 0.0, out=d2)
+        dist = np.sqrt(d2)
+        np.fill_diagonal(dist[:, rows.start:], np.inf)  # this block's part of the diagonal
+        same = classes[rows, None] == classes[None, :]
+        sigma_a[rows] = np.min(np.where(same, dist, np.inf), axis=1)
+        sigma_b[rows] = np.min(np.where(~same, dist, np.inf), axis=1)
 
     values = np.zeros(n)
     zero_a = sigma_a == 0
@@ -146,14 +156,16 @@ def compute_lsa(ats: ActivationTraces) -> ChiVector:
     d = X.shape[1]
     bw = np.sqrt(var[keep]) * n ** (-1.0 / (d + 4))
 
-    # log kernel matrix: log K(i, j) summed over dimensions, diagonal excluded.
-    log_k = np.zeros((n, n))
-    for dim in range(d):
-        diff = (X[:, dim, None] - X[None, :, dim]) / bw[dim]
-        log_k -= 0.5 * diff * diff
     log_norm = np.sum(np.log(bw * math.sqrt(2.0 * math.pi)))
-    np.fill_diagonal(log_k, -np.inf)
-    log_density = logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
+    log_density = np.empty(n)
+    for rows in _row_blocks(n):
+        # log kernel rows: log K(i, j) summed over dimensions, diagonal excluded.
+        log_k = np.zeros((rows.stop - rows.start, n))
+        for dim in range(d):
+            diff = (X[rows, dim, None] - X[None, :, dim]) / bw[dim]
+            log_k -= 0.5 * diff * diff
+        np.fill_diagonal(log_k[:, rows.start:], -np.inf)
+        log_density[rows] = logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
     return ChiVector("lsa", shift_positive(-log_density))
 
 

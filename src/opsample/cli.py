@@ -22,7 +22,6 @@ from .draw import RandomStream
 from .harness import (
     EvalConfig,
     enumerate_expectation,
-    require_enumerable,
     run_experiment,
     summarize,
 )
@@ -134,7 +133,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    require_enumerable(args.technique)  # before the config, which may refuse ces's budget
     pop = load_population(args.population)
     tc = _config(TechniqueConfig, args)
     expectation = enumerate_expectation(pop, tc)

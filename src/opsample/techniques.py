@@ -85,8 +85,6 @@ class TechniqueConfig:
         for name in ("gbs_prior_variance", "gbs_variance_floor"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.technique == "ces" and self.budget < self.ces_initial:
-            raise ValueError("CES budget must cover the initial set")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -593,10 +591,17 @@ def refusal(pop: Population, config: TechniqueConfig) -> str | None:
         return f"auxiliary variable {config.aux!r} is classification-only"
     if config.aux is not None and config.aux not in pop.aux_names:
         return f"auxiliary variable {config.aux!r} not present"
+    if config.aux is not None:
+        try:
+            pop.aux_vector(config.aux)  # refuses a negative column
+        except ValueError as exc:
+            return str(exc)
     if entry.needs_chi and config.aux is None:
         return f"technique {config.technique!r} needs an auxiliary variable"
     if entry.without_replacement and config.budget > pop.N:
         return f"budget {config.budget} exceeds population size {pop.N}"
+    if config.technique == "ces" and config.budget < config.ces_initial:
+        return "CES budget must cover the initial set"
     return None
 
 

@@ -1,5 +1,7 @@
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +82,92 @@ class TestDSA:
         np.testing.assert_allclose(
             compute_dsa(ActivationTraces(moved, classes)).values, base, atol=1e-10
         )
+
+
+def reference_dsa(ats):
+    """compute_dsa over the full N x N distance matrix: the unblocked reference."""
+    X, classes, n = ats.matrix, ats.predicted_class, ats.matrix.shape[0]
+    sq = np.sum(X * X, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    dist = np.sqrt(d2)
+    np.fill_diagonal(dist, np.inf)
+    same = classes[:, None] == classes[None, :]
+    sigma_a = np.min(np.where(same, dist, np.inf), axis=1)
+    sigma_b = np.min(np.where(~same, dist, np.inf), axis=1)
+    values = np.zeros(n)
+    zero_a, zero_b = sigma_a == 0, sigma_b == 0
+    regular = ~zero_a & ~zero_b
+    values[regular] = sigma_a[regular] / sigma_b[regular]
+    degenerate = zero_b & ~zero_a
+    if np.any(degenerate):
+        finite_max = values[regular].max() if np.any(regular) else 1.0
+        values[degenerate] = 10.0 * max(finite_max, 1e-12)
+        warnings.warn("DSA set to a large sentinel", stacklevel=2)
+    return values
+
+
+def reference_lsa(ats):
+    """compute_lsa over the full N x N log-kernel matrix: the unblocked reference."""
+    X, n = ats.matrix, ats.matrix.shape[0]
+    var = X.var(axis=0)
+    keep = var >= 1e-5
+    X = X[:, keep]
+    d = X.shape[1]
+    bw = np.sqrt(var[keep]) * n ** (-1.0 / (d + 4))
+    log_k = np.zeros((n, n))
+    for dim in range(d):
+        diff = (X[:, dim, None] - X[None, :, dim]) / bw[dim]
+        log_k -= 0.5 * diff * diff
+    log_norm = np.sum(np.log(bw * math.sqrt(2.0 * math.pi)))
+    np.fill_diagonal(log_k, -np.inf)
+    log_density = logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
+    return shift_positive(-log_density)
+
+
+def _blocky_traces():
+    """300 traces (blocks of 109, 109 and 82 rows) with duplicates across blocks.
+
+    Entries lie on a 1/8 grid, so a duplicate's squared distance is exactly 0.
+    Rows 5 and 250 are same-class duplicates (sigma_A == 0); rows 10 and 200
+    are a cross-class duplicate (sigma_B == 0, the sentinel).  The last
+    dimension is constant.
+    """
+    rng = np.random.default_rng(7)
+    X = np.round(rng.normal(0.0, 2.0, size=(300, 4)) * 8) / 8
+    X[:, 3] = 1.5
+    classes = np.arange(300) % 5
+    X[250], classes[250] = X[5], classes[5]
+    X[200] = X[10]
+    classes[200] = (classes[10] + 1) % 5
+    return ActivationTraces(X, classes)
+
+
+def test_blocked_scores_match_the_full_matrix():
+    ats = _blocky_traces()
+    with pytest.warns(UserWarning, match="sentinel"):
+        expected_dsa = reference_dsa(ats)
+    with pytest.warns(UserWarning, match="sentinel"):
+        dsa = compute_dsa(ats).values
+    assert expected_dsa[5] == expected_dsa[250] == 0.0
+    assert expected_dsa[10] == expected_dsa[200] > 5 * np.delete(expected_dsa, [10, 200]).max()
+    np.testing.assert_allclose(dsa, expected_dsa, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(compute_lsa(ats).values, reference_lsa(ats))
+
+
+@pytest.mark.parametrize("scorer", [compute_dsa, compute_lsa])
+def test_scoring_memory_is_one_block_not_n_squared(scorer):
+    # At N=3000 one N x N float64 matrix alone takes 72 MB.
+    rng = np.random.default_rng(0)
+    classes = np.arange(3000) % 10
+    ats = ActivationTraces(rng.normal(size=(10, 8))[classes] + rng.normal(size=(3000, 8)), classes)
+    tracemalloc.start()
+    try:
+        scorer(ats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def _unshifted_lsa(X):

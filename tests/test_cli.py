@@ -296,6 +296,64 @@ def test_eval_skips_a_cell_whose_budget_exceeds_the_pool(tmp_path, capsys):
     assert cells == [("rhcs", "chi", "50"), ("srs", "", "50"), ("srs", "", "400")]
 
 
+def test_eval_skips_ces_cells_below_the_initial_set(tmp_path, capsys):
+    path = tmp_path / "pool.csv"
+    write_population_csv(generate_synthetic(SyntheticConfig(N=300), seed=0), path)
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", str(path), "--techniques", "srs,ces", "--aux", "none",
+         "--budgets", "5,50", "--reps", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    assert "skipped 1 incompatible cell(s)" in capsys.readouterr().out
+    skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+    assert skipped == [{
+        "technique": "ces", "aux": None, "budget": 5,
+        "reason": "CES budget must cover the initial set",
+    }]
+    with open(out / "summary.csv", newline="") as fh:
+        cells = [(r["technique"], r["aux"], r["budget"]) for r in csv.DictReader(fh)]
+    assert cells == [("ces", "", "50"), ("srs", "", "5"), ("srs", "", "50")]
+
+
+def test_run_refuses_a_ces_budget_below_the_initial_set(tmp_path, capsys):
+    path = tmp_path / "pool.csv"
+    write_population_csv(generate_synthetic(SyntheticConfig(N=300), seed=0), path)
+    rc = main(
+        ["run", "--population", str(path), "--technique", "ces", "--budget", "5",
+         "--out", str(tmp_path / "out")]
+    )
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "CES budget must cover the initial set"
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_skips_the_cells_of_a_negative_aux_column(tmp_path, capsys):
+    path = tmp_path / "pool.csv"
+    write_population_csv(generate_synthetic(SyntheticConfig(N=300), seed=0), path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[0].append("neg")
+    for i, row in enumerate(rows[1:]):
+        row.append("-0.5" if i == 7 else "0.25")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", str(path), "--techniques", "srs,sups", "--aux", "none,neg",
+         "--budgets", "5,50", "--reps", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+    reason = "auxiliary values must be nonnegative"
+    assert [s for s in skipped if s["technique"] == "sups" and s["aux"] == "neg"] == [
+        {"technique": "sups", "aux": "neg", "budget": b, "reason": reason} for b in (5, 50)
+    ]
+    with open(out / "summary.csv", newline="") as fh:
+        cells = [(r["technique"], r["aux"], r["budget"]) for r in csv.DictReader(fh)]
+    assert cells == [("srs", "", "5"), ("srs", "", "50")]
+
+
 def test_eval_rerun_is_byte_identical(tiny_csv, tmp_path):
     args = ["eval", "--population", tiny_csv, "--techniques", "srs,ssrs",
             "--aux", "none,chi", "--budgets", "5,10", "--reps", "3",
@@ -321,7 +379,6 @@ def test_oracle_exact_expectation(micro_csv, capsys):
 
 
 def test_oracle_rejects_non_enumerable(micro_csv, capsys):
-    # --budget 30 so that the ces config covers its default initial set.
     rc = main(
         ["oracle", "--population", micro_csv, "--technique", "ces",
          "--aux", "chi", "--budget", "30"]

@@ -780,12 +780,14 @@ def test_technique_config_refusals(kwargs, message):
         (CLASSIFICATION, {"technique": "rhcs", "aux": "chi", "budget": 5},
          "budget 5 exceeds population size 4"),
         (CLASSIFICATION, {"technique": "srs", "budget": 5}, None),
+        (CLASSIFICATION, {"technique": "sups", "aux": "neg"}, "auxiliary values must be nonnegative"),
+        (CLASSIFICATION, {"technique": "ces", "budget": 3}, "CES budget must cover the initial set"),
     ],
 )
 def test_run_technique_refuses_what_refusal_names(task, kwargs, message):
     pop = Population(
         task, np.arange(4), [0, 1, 0, 0], [0, 0, 0, 0],
-        aux={"chi": [0.1, 0.4, 0.2, 0.3], "dsa": [0.5, 0.5, 0.5, 0.5]},
+        aux={"chi": [0.1, 0.4, 0.2, 0.3], "dsa": [0.5, 0.5, 0.5, 0.5], "neg": [0.1, -0.5, 0.2, 0.3]},
     )
     config = TechniqueConfig(**kwargs)
     assert refusal(pop, config) == message
