@@ -189,6 +189,31 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def _failure_intercept(u, v, target: float) -> float:
+    """The intercept a whose failure rate mean(v < sigmoid(a + slope * u)) is closest to target.
+
+    Bisection on [-60, 60], stopped at its fixed point: once a step leaves
+    (lo, hi) as it was, every later step recomputes the same midpoint.
+    """
+
+    def realized(a):
+        return float(np.mean(v < _sigmoid(a + _FAILURE_SLOPE * u)))
+
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        step = (mid, hi) if realized(mid) < target else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
+    # Bisection lands between adjacent crossing points, so the gap is at
+    # most one record (1/N <= 1/sqrt(N)); pick the closest endpoint.
+    a = min((lo, 0.5 * (lo + hi), hi), key=lambda c: abs(realized(c) - target))
+    if abs(realized(a) - target) > 1.0 / math.sqrt(u.size):
+        raise ValueError("infeasible calibration: cannot reach target accuracy")
+    return a
+
+
 def generate_synthetic(config: SyntheticConfig, seed: int) -> Population:
     """Population with a tunable chi-to-failure correlation.
 
@@ -206,26 +231,9 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Population:
     chi = min_max_normalize(np.exp(_CHI_SKEW * chi_latent))
 
     if config.task == CLASSIFICATION:
-        target = 1.0 - config.target_accuracy
         v = rng.random(config.N)
-        b = _FAILURE_SLOPE
-
-        def realized(a):
-            return float(np.mean(v < _sigmoid(a + b * u)))
-
-        lo, hi = -60.0, 60.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if realized(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        # Bisection lands between adjacent crossing points, so the gap is at
-        # most one record (1/N <= 1/sqrt(N)); pick the closest endpoint.
-        a = min((lo, 0.5 * (lo + hi), hi), key=lambda c: abs(realized(c) - target))
-        if abs(realized(a) - target) > 1.0 / math.sqrt(config.N):
-            raise ValueError("infeasible calibration: cannot reach target accuracy")
-        true = (v < _sigmoid(a + b * u)).astype(np.int64)
+        a = _failure_intercept(u, v, 1.0 - config.target_accuracy)
+        true = (v < _sigmoid(a + _FAILURE_SLOPE * u)).astype(np.int64)
         predicted = np.zeros(config.N, dtype=np.int64)
     else:
         base = np.exp(config.offset_scale * u)
@@ -255,8 +263,12 @@ _CLASS_COLS = ("id", "true_label", "predicted_label")
 _REG_COLS = ("id", "true_value", "predicted_value")
 
 
-def _population_from_file(columns: dict) -> Population:
-    """Population from file columns (name -> list of raw cell values, file order)."""
+def _population_from_file(columns: dict, parsed: bool = False) -> Population:
+    """Population from file columns, name -> cells in file order.
+
+    The cells are raw values, parsed here one by one (int() for the id and
+    class labels, float() for the rest), or arrays parsed already if ``parsed``.
+    """
     names = list(columns)
     have_class = all(c in names for c in _CLASS_COLS[1:])
     have_reg = all(c in names for c in _REG_COLS[1:])
@@ -276,18 +288,53 @@ def _population_from_file(columns: dict) -> Population:
     reserved = {id_col, true_col, pred_col, *feat_cols}
 
     def floats(name):
-        return np.array(list(map(float, columns[name])), dtype=float)
+        return columns[name] if parsed else np.array(list(map(float, columns[name])), dtype=float)
 
-    # int() per cell keeps Python's message for a non-integer label.
-    convert = (lambda name: list(map(int, columns[name]))) if have_class else floats
+    def ints(name):
+        # int() per cell keeps Python's message for a non-integer label.
+        return columns[name] if parsed else list(map(int, columns[name]))
+
+    convert = ints if have_class else floats
     return Population(
         task,
-        list(map(int, columns[id_col])),
+        ints(id_col),
         convert(true_col),
         convert(pred_col),
         aux={c: floats(c) for c in names if c not in reserved},
         features=np.column_stack([floats(c) for c in feat_cols]) if feat_cols else None,
     )
+
+
+# The bytes numpy's CSV parser reads exactly as float() and int() do.  numpy
+# also strips \x1c-\x1f as whitespace, which Python refuses, and some
+# non-ASCII cells crash its integer parser, so a file holding any other byte
+# takes the per-cell parse.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+
+def _parse_csv_body(path: str, header: list, header_lines: int) -> dict | None:
+    """The CSV body as one array per header name, parsed by numpy in one pass.
+
+    id, and true_label and predicted_label when both are present, are int64;
+    every other column is float64.  None if numpy refuses the file.
+    """
+    with open(path, "rb") as fh:
+        chunks = iter(lambda: fh.read(1 << 16), b"")
+        if any(chunk.translate(None, _PLAIN_BYTES) for chunk in chunks):
+            return None
+    labels = set(_CLASS_COLS[1:])
+    ints = {"id", *labels} if labels <= set(header) else {"id"}
+    try:
+        dtype = np.dtype([(name, np.int64 if name in ints else np.float64) for name in header])
+        if dtype.names != tuple(header):  # numpy renames an empty name
+            return None
+        body = np.loadtxt(
+            path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            skiprows=header_lines, ndmin=1, encoding="utf-8",
+        )
+    except ValueError:
+        return None
+    return {name: np.ascontiguousarray(body[name]) for name in header}
 
 
 def load_population(path) -> Population:
@@ -298,6 +345,9 @@ def load_population(path) -> Population:
     the feature matrix.  A non-finite value, a CSV row whose field count
     differs from the header's and a JSON row whose keys differ from row 0's
     are refused with their row number (0-based, header excluded).
+
+    numpy parses a CSV body in one pass; a file it refuses is parsed cell
+    by cell, which gives the same values and names the first bad cell or row.
     """
     path = str(path)
     if path.endswith(".json"):
@@ -310,19 +360,22 @@ def load_population(path) -> Population:
         if k is not None:
             missing, extra = sorted(keys - rows[k].keys()), sorted(rows[k].keys() - keys)
             raise ValueError(f"row {k} has other keys than row 0: missing {missing}, extra {extra}")
-        columns = {c: [row[c] for row in rows] for c in keys}
-    else:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader if row]
-        if not rows:
+        return _population_from_file({c: [row[c] for row in rows] for c in keys})
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        header_lines = reader.line_num
+        first = next(filter(None, reader), None)  # the first non-blank row
+        if first is None:
             raise ValueError("empty population file")
-        if set(map(len, rows)) != {len(header)}:
-            k = next(k for k, row in enumerate(rows) if len(row) != len(header))
-            raise ValueError(f"row {k} has {len(rows[k])} fields, the header {len(header)}")
-        columns = dict(zip(header, zip(*rows)))
-    return _population_from_file(columns)
+        body = _parse_csv_body(path, header, header_lines)
+        if body is not None:
+            return _population_from_file(body, parsed=True)
+        rows = [first, *filter(None, reader)]
+    if set(map(len, rows)) != {len(header)}:
+        k = next(k for k, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"row {k} has {len(rows[k])} fields, the header {len(header)}")
+    return _population_from_file(dict(zip(header, zip(*rows))))
 
 
 def write_population_csv(population: Population, path):

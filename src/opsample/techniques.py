@@ -215,9 +215,7 @@ def _ces_features(pop: Population, chi) -> np.ndarray:
         return feats
     if chi is not None:
         return chi[:, None]
-    if pop.aux_names:
-        return np.column_stack([pop.aux_vector(a) for a in pop.aux_names])
-    raise ValueError("CES needs feature columns or at least one auxiliary variable")
+    return np.column_stack([pop.aux_vector(a) for a in pop.aux_names])
 
 
 class _SwapPool:
@@ -591,17 +589,30 @@ def refusal(pop: Population, config: TechniqueConfig) -> str | None:
         return f"auxiliary variable {config.aux!r} is classification-only"
     if config.aux is not None and config.aux not in pop.aux_names:
         return f"auxiliary variable {config.aux!r} not present"
-    if config.aux is not None:
-        try:
-            pop.aux_vector(config.aux)  # refuses a negative column
-        except ValueError as exc:
-            return str(exc)
+    reason = _negative_aux(pop, [] if config.aux is None else [config.aux])
+    if reason is not None:
+        return reason
     if entry.needs_chi and config.aux is None:
         return f"technique {config.technique!r} needs an auxiliary variable"
     if entry.without_replacement and config.budget > pop.N:
         return f"budget {config.budget} exceeds population size {pop.N}"
     if config.technique == "ces" and config.budget < config.ces_initial:
         return "CES budget must cover the initial set"
+    if config.technique == "ces" and config.aux is None and pop.features_matrix() is None:
+        # _ces_features then stacks every aux column.
+        if not pop.aux_names:
+            return "CES needs feature columns or at least one auxiliary variable"
+        return _negative_aux(pop, pop.aux_names)
+    return None
+
+
+def _negative_aux(pop: Population, names) -> str | None:
+    """aux_vector's refusal of the first named column holding a negative value, or None."""
+    for name in names:
+        try:
+            pop.aux_vector(name)
+        except ValueError as exc:
+            return str(exc)
     return None
 
 

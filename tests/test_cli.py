@@ -316,6 +316,39 @@ def test_eval_skips_ces_cells_below_the_initial_set(tmp_path, capsys):
     assert cells == [("ces", "", "50"), ("srs", "", "5"), ("srs", "", "50")]
 
 
+@pytest.mark.parametrize(
+    "extra, reason",
+    [
+        ("neg", "auxiliary values must be nonnegative"),
+        (None, "CES needs feature columns or at least one auxiliary variable"),
+    ],
+)
+def test_eval_skips_ces_on_the_aux_columns_it_would_stack(tmp_path, capsys, extra, reason):
+    # Without features or --aux, ces stacks every aux column: here one with a
+    # negative value, or none at all once chi is dropped.
+    path = tmp_path / "pool.csv"
+    write_population_csv(generate_synthetic(SyntheticConfig(N=300), seed=0), path)
+    with open(path, newline="") as fh:
+        rows = [row[:3] for row in csv.reader(fh)]
+    if extra is not None:
+        rows[0].append(extra)
+        for i, row in enumerate(rows[1:]):
+            row.append("-0.5" if i == 7 else "0.25")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", str(path), "--techniques", "srs,ces", "--aux", "none",
+         "--budgets", "50", "--reps", "2", "--out", str(out)]
+    )
+    assert rc == 0
+    skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+    assert skipped == [{"technique": "ces", "aux": None, "budget": 50, "reason": reason}]
+    with open(out / "summary.csv", newline="") as fh:
+        cells = [(r["technique"], r["aux"], r["budget"]) for r in csv.DictReader(fh)]
+    assert cells == [("srs", "", "50")]
+
+
 def test_run_refuses_a_ces_budget_below_the_initial_set(tmp_path, capsys):
     path = tmp_path / "pool.csv"
     write_population_csv(generate_synthetic(SyntheticConfig(N=300), seed=0), path)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from opsample.population import (
     LabelingOracle,
     Population,
     SyntheticConfig,
+    _failure_intercept,
     generate_synthetic,
     load_population,
     true_accuracy,
@@ -161,6 +163,110 @@ class TestLoad:
         assert back.aux_names == ["chi"]
 
 
+_CLASS_HEAD = "id,true_label,predicted_label,chi\n"
+_REG_HEAD = "id,true_value,predicted_value,chi\n"
+_ROWS = "0,1,1,0.5\n1,0,1,0.25\n"
+_LOADED = (CLASSIFICATION, [1, 0], [1, 1], {"chi": [0.5, 0.25]}, None)
+
+# CSV body -> what load_population gives: (task, true, predicted, aux,
+# features) compared bitwise, or the exact (error type, message).  Recorded
+# from the loader that parsed every file cell by cell with float() and int().
+LOADER_CASES = {
+    "quoted-cells": (_CLASS_HEAD + '"0","1","1","0.5"\n1,0,"1",0.25\n', _LOADED),
+    "spaces-around-values": (_CLASS_HEAD + "0, 1 ,1 , 0.5\n 1,0,1,0.25 \n", _LOADED),
+    "blank-lines": (_CLASS_HEAD + "\n0,1,1,0.5\n\n1,0,1,0.25\n\n", _LOADED),
+    "whitespace-only-row": (_CLASS_HEAD + "0,1,1,0.5\n   \n1,0,1,0.25\n",
+                            (ValueError, "row 1 has 1 fields, the header 4")),
+    "hash-inside-a-cell": (_CLASS_HEAD + "0,1,1,0.5#x\n1,0,1,0.25\n",
+                           (ValueError, "could not convert string to float: '0.5#x'")),
+    "underscore-float": (_CLASS_HEAD + "0,1,1,1_0\n1,0,1,0.25\n",
+                         (CLASSIFICATION, [1, 0], [1, 1], {"chi": [10.0, 0.25]}, None)),
+    "underscore-label": (_CLASS_HEAD + "0,1_0,1,1\n1,0,1,0.25\n",
+                         (CLASSIFICATION, [10, 0], [1, 1], {"chi": [1.0, 0.25]}, None)),
+    "infinity-aux": (_CLASS_HEAD + "0,1,1,0.5\n1,0,1,Infinity\n",
+                     (ValueError, "non-finite auxiliary value at row 1")),
+    "nan-true-value": (_REG_HEAD + "0,1.5,1.0,1\n1,nan,2.25,0.25\n",
+                       (ValueError, "non-finite true_value at row 1")),
+    "inf-predicted-value": (_REG_HEAD + "0,1.5,inf,1\n1,2.0,2.25,0.25\n",
+                            (ValueError, "non-finite predicted_value at row 0")),
+    "plus-signs": (_CLASS_HEAD + "+0,+1,1,+0.5\n1,0,+1,0.25\n", _LOADED),
+    "float-label": (_CLASS_HEAD + "0,1.0,1,0.5\n1,0,1,0.25\n",
+                    (ValueError, "invalid literal for int() with base 10: '1.0'")),
+    "cr-only": ((_CLASS_HEAD + _ROWS).replace("\n", "\r"), _LOADED),
+    "crlf": ((_REG_HEAD + "0,1.5,1.0,0.5\n1,2.0,2.25,0.25\n").replace("\n", "\r\n"),
+             (REGRESSION, [1.5, 2.0], [1.0, 2.25], {"chi": [0.5, 0.25]}, None)),
+    "header-only": (_CLASS_HEAD, (ValueError, "empty population file")),
+    "header-and-blank-lines": (_CLASS_HEAD + "\n\r\n\n", (ValueError, "empty population file")),
+    "twenty-digit-id": (_CLASS_HEAD + "0,1,1,0.5\n12345678901234567890,0,1,0.25\n",
+                        (OverflowError, "Python int too large to convert to C long")),
+    "duplicate-header-name": (
+        "id,true_label,predicted_label,chi,chi\n0,1,1,0.5,0.75\n1,0,1,0.25,0.125\n",
+        (CLASSIFICATION, [1, 0], [1, 1], {"chi": [0.75, 0.125]}, None),
+    ),
+    "empty-header-name": ("id,true_label,predicted_label,\n" + _ROWS,
+                          (CLASSIFICATION, [1, 0], [1, 1], {"": [0.5, 0.25]}, None)),
+    "quoted-newline-in-header": ('id,true_label,predicted_label,"c\nhi"\n' + _ROWS,
+                                 (CLASSIFICATION, [1, 0], [1, 1], {"c\nhi": [0.5, 0.25]}, None)),
+    "empty-cell": (_CLASS_HEAD + "0,1,1,\n1,0,1,0.25\n",
+                   (ValueError, "could not convert string to float: ''")),
+    "negative-zero": (
+        "id,true_value,predicted_value,true_label\n0,-0,-0.0,-0\n1,2.0,2.25,3\n",
+        (REGRESSION, [-0.0, 2.0], [-0.0, 2.25], {"true_label": [-0.0, 3.0]}, None),
+    ),
+    "features": ("id,true_value,predicted_value,feat_1,feat_0\n1,0.1,0.2,3e-1,4\n0,1e0,-2,5,.5\n",
+                 (REGRESSION, [1.0, 0.1], [-2.0, 0.2], {}, [[0.5, 5.0], [4.0, 0.3]])),
+    "file-separator-before-an-id": (_CLASS_HEAD + "0,1,1,0.5\n\x1c1,0,1,0.25\n",
+                                    (ValueError, "invalid literal for int() with base 10: '\\x1c1'")),
+    "arabic-indic-digit": (_CLASS_HEAD + "٠,1,1,0.5\n1,0,1,0.25\n", _LOADED),
+}
+
+
+def _assert_bitwise(actual, expected, dtype):
+    expected = np.array(expected, dtype=dtype)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", list(LOADER_CASES))
+def test_loader_gives_the_per_cell_parse(tmp_path, case):
+    body, expected = LOADER_CASES[case]
+    path = tmp_path / "pop.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(body)
+    if isinstance(expected[0], type):
+        error, message = expected
+        with pytest.raises(error) as info:
+            load_population(path)
+        assert type(info.value) is error and str(info.value) == message
+        return
+    task, true, predicted, aux, features = expected
+    pop = load_population(path)
+    assert pop.task == task
+    label = np.int64 if task == CLASSIFICATION else np.float64
+    _assert_bitwise(pop._true, true, label)
+    _assert_bitwise(pop._predicted, predicted, label)
+    assert pop.aux_names == sorted(aux)
+    for name, values in aux.items():
+        _assert_bitwise(pop.aux_vector(name), values, np.float64)
+    if features is None:
+        assert pop.features_matrix() is None
+    else:
+        _assert_bitwise(np.ascontiguousarray(pop.features_matrix()), features, np.float64)
+
+
+def test_load_memory_is_columns_not_row_lists(tmp_path):
+    # At N=2*10^4 the per-row str lists of a csv.reader parse peak near 9 MB.
+    path = tmp_path / "pool.csv"
+    write_population_csv(generate_synthetic(SyntheticConfig(task=REGRESSION, N=20_000), seed=0), path)
+    tracemalloc.start()
+    try:
+        load_population(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 class TestColumns:
     def test_columns_reordered_by_id(self):
         pop = Population(
@@ -301,12 +407,37 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="infeasible"):
             SyntheticConfig(N=100, target_accuracy=0.0)
 
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
+    def test_intercept_is_the_200_step_bisection(self, n):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            u, v = rng.standard_normal(n), rng.random(n)
+            for accuracy in (0.5, 0.9, 0.99):
+                target = 1.0 - accuracy
+                assert _failure_intercept(u, v, target) == _reference_intercept(u, v, target)
+
     def test_regression_offsets(self):
         cfg = SyntheticConfig(task=REGRESSION, N=1000, target_accuracy=0.9)
         pop = generate_synthetic(cfg, seed=4)
         assert true_accuracy(pop) == pytest.approx(0.9, abs=1e-9)
         deltas = pop._true_outcomes()
         assert np.all(deltas > 0)
+
+
+def _reference_intercept(u, v, target):
+    """The failure intercept by all 200 bisection steps, without the fixed-point stop."""
+
+    def realized(a):
+        return float(np.mean(v < 1.0 / (1.0 + np.exp(-(a + 4.0 * u)))))
+
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if realized(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return min((lo, 0.5 * (lo + hi), hi), key=lambda c: abs(realized(c) - target))
 
 
 @pytest.mark.parametrize(

@@ -782,6 +782,8 @@ def test_technique_config_refusals(kwargs, message):
         (CLASSIFICATION, {"technique": "srs", "budget": 5}, None),
         (CLASSIFICATION, {"technique": "sups", "aux": "neg"}, "auxiliary values must be nonnegative"),
         (CLASSIFICATION, {"technique": "ces", "budget": 3}, "CES budget must cover the initial set"),
+        (CLASSIFICATION, {"technique": "ces", "budget": 3, "ces_initial": 2},
+         "auxiliary values must be nonnegative"),
     ],
 )
 def test_run_technique_refuses_what_refusal_names(task, kwargs, message):
