@@ -263,13 +263,14 @@ _CLASS_COLS = ("id", "true_label", "predicted_label")
 _REG_COLS = ("id", "true_value", "predicted_value")
 
 
-def _population_from_file(columns: dict, parsed: bool = False) -> Population:
-    """Population from file columns, name -> cells in file order.
+def _layout(names) -> tuple:
+    """The roles of a file's columns: (task, integer columns, key, aux, features).
 
-    The cells are raw values, parsed here one by one (int() for the id and
-    class labels, float() for the rest), or arrays parsed already if ``parsed``.
+    key is (id, true, predicted); the integer columns are id, and the class
+    labels of a classification file; aux keeps file order and features go by
+    index, feat_0..feat_m.  Names with both task pairs, neither, or no id are
+    refused.
     """
-    names = list(columns)
     have_class = all(c in names for c in _CLASS_COLS[1:])
     have_reg = all(c in names for c in _REG_COLS[1:])
     if have_class and have_reg:
@@ -279,30 +280,43 @@ def _population_from_file(columns: dict, parsed: bool = False) -> Population:
         raise ValueError(f"missing column(s): no complete task pair among {missing}")
     if "id" not in names:
         raise ValueError("missing column: id")
-    task = CLASSIFICATION if have_class else REGRESSION
-    id_col, true_col, pred_col = _CLASS_COLS if have_class else _REG_COLS
-    feat_cols = sorted(
+    key = _CLASS_COLS if have_class else _REG_COLS
+    feats = sorted(
         (c for c in names if c.startswith("feat_")),
         key=lambda c: int(c.split("_", 1)[1]),
     )
-    reserved = {id_col, true_col, pred_col, *feat_cols}
+    aux = [c for c in names if c not in {*key, *feats}]
+    task = CLASSIFICATION if have_class else REGRESSION
+    return task, set(key if have_class else key[:1]), key, aux, feats
 
-    def floats(name):
-        return columns[name] if parsed else np.array(list(map(float, columns[name])), dtype=float)
 
-    def ints(name):
-        # int() per cell keeps Python's message for a non-integer label.
-        return columns[name] if parsed else list(map(int, columns[name]))
-
-    convert = ints if have_class else floats
+def _population_from_columns(columns: dict) -> Population:
+    """Population from parsed file columns, name -> values in file order."""
+    task, _, (id_col, true_col, pred_col), aux, feats = _layout(list(columns))
     return Population(
         task,
-        ints(id_col),
-        convert(true_col),
-        convert(pred_col),
-        aux={c: floats(c) for c in names if c not in reserved},
-        features=np.column_stack([floats(c) for c in feat_cols]) if feat_cols else None,
+        columns[id_col],
+        columns[true_col],
+        columns[pred_col],
+        aux={c: columns[c] for c in aux},
+        features=np.column_stack([columns[c] for c in feats]) if feats else None,
     )
+
+
+def _population_from_cells(columns: dict) -> Population:
+    """Population from raw file cells, name -> cells in file order, parsed one by one.
+
+    int() parses the integer columns and keeps Python's message for a
+    non-integer id or label; float() parses the rest.  Cells are parsed in
+    the order id, true, predicted, aux, features, so the first bad one named
+    does not depend on where its column sits in the file.
+    """
+    _, ints, key, aux, feats = _layout(list(columns))
+    return _population_from_columns({
+        name: list(map(int, columns[name])) if name in ints
+        else np.array(list(map(float, columns[name])), dtype=float)
+        for name in (*key, *aux, *feats)
+    })
 
 
 # The bytes numpy's CSV parser reads exactly as float() and int() do.  numpy
@@ -315,23 +329,27 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 def _parse_csv_body(path: str, header: list, header_lines: int) -> dict | None:
     """The CSV body as one array per header name, parsed by numpy in one pass.
 
-    id, and true_label and predicted_label when both are present, are int64;
-    every other column is float64.  None if numpy refuses the file.
+    The integer columns of the header's layout are int64, every other
+    column is float64.  None if numpy refuses the file or the header.
     """
     with open(path, "rb") as fh:
         chunks = iter(lambda: fh.read(1 << 16), b"")
         if any(chunk.translate(None, _PLAIN_BYTES) for chunk in chunks):
             return None
-    labels = set(_CLASS_COLS[1:])
-    ints = {"id", *labels} if labels <= set(header) else {"id"}
     try:
+        ints = _layout(header)[1]
         dtype = np.dtype([(name, np.int64 if name in ints else np.float64) for name in header])
         if dtype.names != tuple(header):  # numpy renames an empty name
             return None
-        body = np.loadtxt(
-            path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-            skiprows=header_lines, ndmin=1, encoding="utf-8",
-        )
+        with warnings.catch_warnings():
+            # numpy releases that still deprecate (not refuse) reading an
+            # integer cell such as 1.5 through a float only warn and truncate;
+            # as an error the warning becomes numpy's ValueError.
+            warnings.simplefilter("error", DeprecationWarning)
+            body = np.loadtxt(
+                path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                skiprows=header_lines, ndmin=1, encoding="utf-8",
+            )
     except ValueError:
         return None
     return {name: np.ascontiguousarray(body[name]) for name in header}
@@ -360,7 +378,7 @@ def load_population(path) -> Population:
         if k is not None:
             missing, extra = sorted(keys - rows[k].keys()), sorted(rows[k].keys() - keys)
             raise ValueError(f"row {k} has other keys than row 0: missing {missing}, extra {extra}")
-        return _population_from_file({c: [row[c] for row in rows] for c in keys})
+        return _population_from_cells({c: [row[c] for row in rows] for c in keys})
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -370,12 +388,12 @@ def load_population(path) -> Population:
             raise ValueError("empty population file")
         body = _parse_csv_body(path, header, header_lines)
         if body is not None:
-            return _population_from_file(body, parsed=True)
+            return _population_from_columns(body)
         rows = [first, *filter(None, reader)]
     if set(map(len, rows)) != {len(header)}:
         k = next(k for k, row in enumerate(rows) if len(row) != len(header))
         raise ValueError(f"row {k} has {len(rows[k])} fields, the header {len(header)}")
-    return _population_from_file(dict(zip(header, zip(*rows))))
+    return _population_from_cells(dict(zip(header, zip(*rows))))
 
 
 def write_population_csv(population: Population, path):

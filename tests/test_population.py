@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,12 @@ LOADER_CASES = {
     "plus-signs": (_CLASS_HEAD + "+0,+1,1,+0.5\n1,0,+1,0.25\n", _LOADED),
     "float-label": (_CLASS_HEAD + "0,1.0,1,0.5\n1,0,1,0.25\n",
                     (ValueError, "invalid literal for int() with base 10: '1.0'")),
+    "fractional-label": (_CLASS_HEAD + "0,1,1,0.5\n1,1.5,1,0.25\n",
+                         (ValueError, "invalid literal for int() with base 10: '1.5'")),
+    "fractional-id": (_CLASS_HEAD + "0,1,1,0.5\n2.7,0,1,0.25\n",
+                      (ValueError, "invalid literal for int() with base 10: '2.7'")),
+    "exponent-id": (_REG_HEAD + "0,1,1,0.5\n1e0,0,1,0.25\n",
+                    (ValueError, "invalid literal for int() with base 10: '1e0'")),
     "cr-only": ((_CLASS_HEAD + _ROWS).replace("\n", "\r"), _LOADED),
     "crlf": ((_REG_HEAD + "0,1.5,1.0,0.5\n1,2.0,2.25,0.25\n").replace("\n", "\r\n"),
              (REGRESSION, [1.5, 2.0], [1.0, 2.25], {"chi": [0.5, 0.25]}, None)),
@@ -218,6 +225,12 @@ LOADER_CASES = {
     "file-separator-before-an-id": (_CLASS_HEAD + "0,1,1,0.5\n\x1c1,0,1,0.25\n",
                                     (ValueError, "invalid literal for int() with base 10: '\\x1c1'")),
     "arabic-indic-digit": (_CLASS_HEAD + "٠,1,1,0.5\n1,0,1,0.25\n", _LOADED),
+    "mixed-task-and-bad-cells": (
+        "id,true_label,predicted_label,true_value,predicted_value\n0,1.5,1,2,x\n",
+        (ValueError, "mixed task columns: both label and value pairs present"),
+    ),
+    "bad-aux-cell-before-a-bad-id": ("chi,id,true_value,predicted_value\nx,y,1,2\n",
+                                     (ValueError, "invalid literal for int() with base 10: 'y'")),
 }
 
 
@@ -227,12 +240,21 @@ def _assert_bitwise(actual, expected, dtype):
     assert actual.tobytes() == expected.tobytes()
 
 
+# "ignore" is what a user gets: Python ignores a DeprecationWarning raised
+# in library code, where the suite turns every warning into an error.
+@pytest.mark.parametrize("warning_filter", ["error", "ignore"])
 @pytest.mark.parametrize("case", list(LOADER_CASES))
-def test_loader_gives_the_per_cell_parse(tmp_path, case):
+def test_loader_gives_the_per_cell_parse(tmp_path, case, warning_filter):
     body, expected = LOADER_CASES[case]
     path = tmp_path / "pop.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_filter)
+        _assert_loads(path, expected)
+
+
+def _assert_loads(path, expected):
     if isinstance(expected[0], type):
         error, message = expected
         with pytest.raises(error) as info:
@@ -252,6 +274,27 @@ def test_loader_gives_the_per_cell_parse(tmp_path, case):
         assert pop.features_matrix() is None
     else:
         _assert_bitwise(np.ascontiguousarray(pop.features_matrix()), features, np.float64)
+
+
+@pytest.mark.filterwarnings("ignore")
+def test_integer_cell_read_through_a_float_takes_the_per_cell_parse(tmp_path, monkeypatch):
+    # Older numpy releases read an int64 cell such as 1.5 through a float,
+    # truncate it and only warn; with the warning as an error they raise.
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, dtype, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning, stacklevel=2)
+        except DeprecationWarning as warning:
+            raise ValueError("could not convert string '1.5' to int64") from warning
+        floats = np.dtype([(name, np.float64) for name in dtype.names])
+        return loadtxt(*args, dtype=floats, **kwargs).astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    path = tmp_path / "pop.csv"
+    path.write_text(_CLASS_HEAD + "0,1,1,0.5\n1,1.5,1,0.25\n", encoding="utf-8")
+    _assert_loads(path, (ValueError, "invalid literal for int() with base 10: '1.5'"))
 
 
 def test_load_memory_is_columns_not_row_lists(tmp_path):
