@@ -8,7 +8,9 @@ assumed to correlate with failure probability.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +80,44 @@ _BLOCK_ELEMENTS = 1 << 15  # float64s in one block of score-matrix rows: 256 KB
 
 
 def _row_blocks(n: int):
-    """Consecutive row slices of an n x n matrix: memory is O(n) plus one block."""
+    """Consecutive row slices of an n x n matrix: memory is O(n) plus a block per thread."""
     step = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
+
+
+_MAX_BLOCK_THREADS = 4  # a block in flight holds up to about 1.5 MB
+
+
+def _each_block(n: int, work) -> None:
+    """Call ``work(rows)`` for every slice of :func:`_row_blocks`, on up to 4 threads.
+
+    Each call writes only its own rows of the outputs, and numpy releases
+    the GIL inside its loops, so blocks run side by side.  Worker k of W
+    takes blocks k, k+W, ... in order; a single worker runs on the calling
+    thread.  After a block raises, the workers stop at their next block and
+    the first exception is re-raised.
+    """
+    blocks = list(_row_blocks(n))
+    workers = min(os.cpu_count() or 1, len(blocks), _MAX_BLOCK_THREADS)
+    failed = []
+
+    def run(k):
+        for rows in blocks[k::workers]:
+            if failed:
+                return
+            try:
+                work(rows)
+            except BaseException as exc:  # noqa: BLE001 - re-raised in the caller
+                failed.append(exc)
+
+    if workers == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, range(workers)))
+    if failed:
+        raise failed[0]
 
 
 def compute_dsa(ats: ActivationTraces) -> ChiVector:
@@ -107,7 +143,8 @@ def compute_dsa(ats: ActivationTraces) -> ChiVector:
 
     sq = np.sum(X * X, axis=1)
     sigma_a, sigma_b = np.empty(n), np.empty(n)
-    for rows in _row_blocks(n):
+
+    def block(rows):
         d2 = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
         np.maximum(d2, 0.0, out=d2)
         dist = np.sqrt(d2)
@@ -115,6 +152,8 @@ def compute_dsa(ats: ActivationTraces) -> ChiVector:
         same = classes[rows, None] == classes[None, :]
         sigma_a[rows] = np.min(np.where(same, dist, np.inf), axis=1)
         sigma_b[rows] = np.min(np.where(~same, dist, np.inf), axis=1)
+
+    _each_block(n, block)
 
     values = np.zeros(n)
     zero_a = sigma_a == 0
@@ -158,7 +197,8 @@ def compute_lsa(ats: ActivationTraces) -> ChiVector:
 
     log_norm = np.sum(np.log(bw * math.sqrt(2.0 * math.pi)))
     log_density = np.empty(n)
-    for rows in _row_blocks(n):
+
+    def block(rows):
         # log kernel rows: log K(i, j) summed over dimensions, diagonal excluded.
         log_k = np.zeros((rows.stop - rows.start, n))
         for dim in range(d):
@@ -166,6 +206,8 @@ def compute_lsa(ats: ActivationTraces) -> ChiVector:
             log_k -= 0.5 * diff * diff
         np.fill_diagonal(log_k[:, rows.start:], -np.inf)
         log_density[rows] = logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
+
+    _each_block(n, block)
     return ChiVector("lsa", shift_positive(-log_density))
 
 

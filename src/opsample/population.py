@@ -397,17 +397,24 @@ def load_population(path) -> Population:
 
 
 def write_population_csv(population: Population, path):
-    """Inverse of load_population for the canonical column layout."""
+    """Inverse of load_population for the canonical column layout.
+
+    The body goes out 4096 rows at a time, as one string with the bytes
+    ``csv.writer`` writes: the repr of each Python int and float (none needs
+    quoting) and CRLF line ends.  Only one block of rows is ever held as
+    Python objects.
+    """
     aux_names = population.aux_names
     feats = population.features_matrix()
     head = list(_CLASS_COLS if population.task == CLASSIFICATION else _REG_COLS) + aux_names
-    # tolist() gives Python ints and floats, which csv writes as their repr.
-    columns = [range(population.N), population._true.tolist(), population._predicted.tolist()]
-    columns += [population._aux[a].tolist() for a in aux_names]
+    columns = [np.arange(population.N), population._true, population._predicted]
+    columns += [population._aux[a] for a in aux_names]
     if feats is not None:
         head += [f"feat_{j}" for j in range(feats.shape[1])]
-        columns += feats.T.tolist()
+        columns += list(feats.T)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head)
-        writer.writerows(zip(*columns))
+        csv.writer(fh).writerow(head)
+        for start in range(0, population.N, 4096):
+            # tolist() gives Python ints and floats, whose repr csv.writer writes.
+            cells = (map(repr, column[start:start + 4096].tolist()) for column in columns)
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")

@@ -1,5 +1,9 @@
+import itertools
 import math
+import os
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from opsample import auxvar
 from opsample.auxvar import (
     ActivationTraces,
     ChiVector,
@@ -168,6 +173,56 @@ def test_scoring_memory_is_one_block_not_n_squared(scorer):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _clustered_traces(n, seed):
+    """Traces like the benchmark's: one Gaussian blob in 16 dimensions per class of 10."""
+    rng = np.random.default_rng(seed)
+    classes = rng.permutation(np.arange(n) % 10)
+    return ActivationTraces(rng.normal(0.0, 3.0, size=(10, 16))[classes] + rng.normal(size=(n, 16)),
+                            classes)
+
+
+@pytest.mark.filterwarnings("ignore:.*sentinel")
+@pytest.mark.parametrize("traces", [_blocky_traces, lambda: _clustered_traces(1000, 0)],
+                         ids=["blocky", "clustered-1000"])
+def test_thread_count_does_not_change_the_scores(traces, monkeypatch):
+    ats = traces()
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    one_thread = compute_dsa(ats).values
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch often, so a lost row write would show
+    try:
+        for cpus in (1, 2, 3, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert compute_dsa(ats).values.tobytes() == one_thread.tobytes()
+            np.testing.assert_array_equal(compute_lsa(ats).values, reference_lsa(ats))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("scorer", [compute_dsa, compute_lsa])
+def test_scoring_memory_holds_on_64_cpus(scorer, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    test_scoring_memory_is_one_block_not_n_squared(scorer)
+
+
+def test_a_failing_block_reaches_the_caller(monkeypatch):
+    calls = itertools.count(1)
+
+    def failing_logsumexp(*args, **kwargs):
+        if next(calls) == 2:
+            raise RuntimeError("block failed")
+        return logsumexp(*args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(auxvar, "logsumexp", failing_logsumexp)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="block failed"):
+        compute_lsa(_clustered_traces(1000, 0))  # 32 blocks
+    assert threading.active_count() == threads
+    # The workers stop at their next block: the failing one plus one in flight per other worker.
+    assert next(calls) - 1 <= 2 + 3
 
 
 def _unshifted_lsa(X):

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import tracemalloc
@@ -308,6 +309,58 @@ def test_load_memory_is_columns_not_row_lists(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def _csv_writer_reference(population, path):
+    """write_population_csv as csv.writer wrote it, row by row: the byte reference."""
+    aux_names = population.aux_names
+    feats = population.features_matrix()
+    head = ["id", "true_label", "predicted_label"] if population.task == CLASSIFICATION else [
+        "id", "true_value", "predicted_value"]
+    head += aux_names
+    columns = [range(population.N), population._true.tolist(), population._predicted.tolist()]
+    columns += [population._aux[a].tolist() for a in aux_names]
+    if feats is not None:
+        head += [f"feat_{j}" for j in range(feats.shape[1])]
+        columns += feats.T.tolist()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(head)
+        writer.writerows(zip(*columns))
+
+
+def _writer_pools():
+    floats = np.array([-0.0, 5e-324, 1e-5, 1e-4, 0.1, 1.0, 1e16])
+    n = floats.size
+    odd_aux = {"chi": floats[::-1].copy(), 'odd, "name"': -floats}
+    floats_features = np.column_stack([floats, floats[::-1], 1.0 / np.arange(3, n + 3)])
+    rng = np.random.default_rng(5)
+    big = 5000  # rows in two blocks of the writer
+    return {
+        "classification": generate_synthetic(SyntheticConfig(N=40), seed=3),
+        "regression": generate_synthetic(SyntheticConfig(task=REGRESSION, N=40), seed=3),
+        "floats-classification": Population(
+            CLASSIFICATION, np.arange(n)[::-1], [0, 1, -3, 2**62, 7, 0, 1], [1, 1, 0, 5, 7, 0, 2],
+            aux=odd_aux, features=floats_features,
+        ),
+        "floats-regression": Population(
+            REGRESSION, np.arange(n), floats, -floats[::-1], aux=odd_aux, features=floats_features,
+        ),
+        "two-blocks-regression": Population(
+            REGRESSION, rng.permutation(big), rng.normal(size=big), rng.normal(size=big),
+            aux={"chi": rng.random(big), "x y": rng.normal(size=big)},
+            features=rng.normal(size=(big, 2)) * 10.0 ** rng.integers(-30, 30, size=(big, 2)),
+        ),
+        "two-blocks-classification": generate_synthetic(SyntheticConfig(N=4097), seed=1),
+    }
+
+
+@pytest.mark.parametrize("pool", list(_writer_pools()))
+def test_writer_gives_the_csv_writer_bytes(tmp_path, pool):
+    population = _writer_pools()[pool]
+    write_population_csv(population, tmp_path / "pop.csv")
+    _csv_writer_reference(population, tmp_path / "reference.csv")
+    assert (tmp_path / "pop.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestColumns:
