@@ -14,7 +14,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "ChiVector",
@@ -141,6 +140,7 @@ def compute_dsa(ats: ActivationTraces) -> ChiVector:
         bad = uniq[counts < 2][0]
         raise ValueError(f"predicted class {bad!r} has a single member; sigma_A undefined")
 
+    X = X - X.mean(axis=0)  # same distances; sq_i + sq_j - 2 x_i.x_j cancels less
     sq = np.sum(X * X, axis=1)
     sigma_a, sigma_b = np.empty(n), np.empty(n)
 
@@ -194,21 +194,34 @@ def compute_lsa(ats: ActivationTraces) -> ChiVector:
     X = X[:, keep]
     d = X.shape[1]
     bw = np.sqrt(var[keep]) * n ** (-1.0 / (d + 4))
+    Z = (X - X.mean(axis=0)) / bw
+    half_sq = 0.5 * np.sum(Z * Z, axis=1)
 
     log_norm = np.sum(np.log(bw * math.sqrt(2.0 * math.pi)))
     log_density = np.empty(n)
 
     def block(rows):
-        # log kernel rows: log K(i, j) summed over dimensions, diagonal excluded.
-        log_k = np.zeros((rows.stop - rows.start, n))
-        for dim in range(d):
-            diff = (X[rows, dim, None] - X[None, :, dim]) / bw[dim]
-            log_k -= 0.5 * diff * diff
+        # log K(i, j) = -|z_i - z_j|^2 / 2, diagonal excluded.  einsum, unlike
+        # a BLAS matmul, gives a row the same bits whatever the block's shape.
+        log_k = np.einsum("ik,jk->ij", Z[rows], Z)
+        log_k -= half_sq[rows, None]
+        log_k -= half_sq[None, :]
+        np.minimum(log_k, 0.0, out=log_k)
         np.fill_diagonal(log_k[:, rows.start:], -np.inf)
         log_density[rows] = logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
 
     _each_block(n, block)
     return ChiVector("lsa", shift_positive(-log_density))
+
+
+def logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log(sum(exp(a))) along ``axis``, shifted by the maximum so no exp overflows.
+
+    Every slice must hold a finite maximum.
+    """
+    top = np.max(a, axis=axis, keepdims=True)
+    total = np.sum(np.exp(a - top), axis=axis)
+    return np.log(total) + np.squeeze(top, axis=axis)
 
 
 def reconstruction_error(original, reconstructed) -> float:

@@ -323,8 +323,6 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     """
     n, r = config.budget, config.r
     verbatim_regression = config.deepest_verbatim_regression
-    if chi.sum() <= 0:
-        raise ValueError("all-zero chi vector")
     threshold = float(np.quantile(chi, config.threshold_quantile))
     flags = []
 
@@ -565,18 +563,19 @@ class Technique:
     needs_chi: bool
     partitioned: bool = False  # takes a PartitionMap of k-means strata on chi
     without_replacement: bool = False  # run_technique refuses a budget above N
+    weighted: bool = False  # draws in proportion to chi: run_technique refuses an all-zero chi
 
 
 #: Every technique, in report order.
 REGISTRY = {
     "srs": Technique(_srs, False),
-    "sups": Technique(_sups, True),
-    "rhcs": Technique(_rhcs, True, without_replacement=True),
+    "sups": Technique(_sups, True, weighted=True),
+    "rhcs": Technique(_rhcs, True, without_replacement=True, weighted=True),
     "ces": Technique(_ces, False, without_replacement=True),
-    "deepest": Technique(_deepest, True, without_replacement=True),
+    "deepest": Technique(_deepest, True, without_replacement=True, weighted=True),
     "ssrs": Technique(_ssrs, True, True, without_replacement=True),
     "gbs": Technique(_gbs, True, True),
-    "twoups": Technique(_twoups, True, True),
+    "twoups": Technique(_twoups, True, True, weighted=True),
 }
 
 TECHNIQUES = tuple(REGISTRY)
@@ -594,6 +593,8 @@ def refusal(pop: Population, config: TechniqueConfig) -> str | None:
         return reason
     if entry.needs_chi and config.aux is None:
         return f"technique {config.technique!r} needs an auxiliary variable"
+    if entry.weighted and not pop.aux_vector(config.aux).any():
+        return f"auxiliary variable {config.aux!r} is all-zero, and {config.technique} draws by it"
     if entry.without_replacement and config.budget > pop.N:
         return f"budget {config.budget} exceeds population size {pop.N}"
     if config.technique == "ces" and config.budget < config.ces_initial:

@@ -120,13 +120,13 @@ def reference_lsa(ats):
     X = X[:, keep]
     d = X.shape[1]
     bw = np.sqrt(var[keep]) * n ** (-1.0 / (d + 4))
-    log_k = np.zeros((n, n))
-    for dim in range(d):
-        diff = (X[:, dim, None] - X[None, :, dim]) / bw[dim]
-        log_k -= 0.5 * diff * diff
+    Z = (X - X.mean(axis=0)) / bw
+    half_sq = 0.5 * np.sum(Z * Z, axis=1)
+    log_k = np.einsum("ik,jk->ij", Z, Z) - half_sq[:, None] - half_sq[None, :]
+    np.minimum(log_k, 0.0, out=log_k)
     log_norm = np.sum(np.log(bw * math.sqrt(2.0 * math.pi)))
     np.fill_diagonal(log_k, -np.inf)
-    log_density = logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
+    log_density = auxvar.logsumexp(log_k, axis=1) - math.log(n - 1) - log_norm
     return shift_positive(-log_density)
 
 
@@ -226,13 +226,34 @@ def test_a_failing_block_reaches_the_caller(monkeypatch):
 
 
 def _unshifted_lsa(X):
-    """-log of the leave-one-out Gaussian KDE, computed directly, without a shift."""
+    """-log of the leave-one-out Gaussian KDE, computed directly, without a shift.
+
+    Differences are taken per dimension, so an offset shared by every trace cancels exactly.
+    """
     n, d = X.shape
     bw = X.std(axis=0) * n ** (-1.0 / (d + 4))
-    diff = (X[:, None, :] - X[None, :, :]) / bw
-    log_k = -0.5 * (diff * diff).sum(axis=2) - np.sum(np.log(bw * math.sqrt(2 * math.pi)))
+    log_k = np.full((n, n), -np.sum(np.log(bw * math.sqrt(2 * math.pi))))
+    for dim in range(d):
+        diff = (X[:, dim, None] - X[None, :, dim]) / bw[dim]
+        log_k -= 0.5 * diff * diff
     np.fill_diagonal(log_k, -np.inf)
     return -(logsumexp(log_k, axis=1) - math.log(n - 1))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_lsa_matches_the_elementwise_kde(offset):
+    X = _clustered_traces(1000, 0).matrix + offset
+    expected = shift_positive(_unshifted_lsa(X))
+    np.testing.assert_allclose(compute_lsa(ActivationTraces(X)).values, expected, rtol=1e-12)
+
+
+def test_dsa_ignores_an_offset_shared_by_every_trace():
+    # X - 1e6 is exact, so both calls score the same distances.
+    ats = _clustered_traces(1000, 0)
+    offset = ats.matrix + 1e6
+    plain = compute_dsa(ActivationTraces(offset - 1e6, ats.predicted_class)).values
+    np.testing.assert_allclose(compute_dsa(ActivationTraces(offset, ats.predicted_class)).values,
+                               plain, rtol=1e-12, atol=0)
 
 
 class TestLSA:

@@ -13,6 +13,7 @@ from conftest import make_classification, make_regression
 from opsample.cli import build_parser, main
 from opsample.harness import EvalConfig
 from opsample.population import (
+    CLASSIFICATION,
     REGRESSION,
     Population,
     SyntheticConfig,
@@ -385,6 +386,30 @@ def test_eval_skips_the_cells_of_a_negative_aux_column(tmp_path, capsys):
     with open(out / "summary.csv", newline="") as fh:
         cells = [(r["technique"], r["aux"], r["budget"]) for r in csv.DictReader(fh)]
     assert cells == [("srs", "", "5"), ("srs", "", "50")]
+
+
+def test_eval_skips_the_weighted_cells_of_an_all_zero_aux_column(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    pop = Population(CLASSIFICATION, np.arange(200), (rng.random(200) < 0.2).astype(int),
+                     np.zeros(200, int), aux={"chi": rng.random(200), "zero": np.zeros(200)})
+    path = tmp_path / "pool.csv"
+    write_population_csv(pop, path)
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", str(path), "--techniques", "srs,sups,rhcs,deepest,twoups,ssrs,gbs",
+         "--aux", "chi,zero", "--budgets", "10,20", "--reps", "3", "--out", str(out)]
+    )
+    assert rc == 0
+    skipped = json.loads((out / "manifest.json").read_text())["skipped"]
+    assert [s for s in skipped if s["aux"] == "zero" and s["technique"] != "srs"] == [
+        {"technique": t, "aux": "zero", "budget": b,
+         "reason": f"auxiliary variable 'zero' is all-zero, and {t} draws by it"}
+        for t in ("sups", "rhcs", "deepest", "twoups") for b in (10, 20)
+    ]
+    with open(out / "summary.csv", newline="") as fh:
+        cells = {(r["technique"], r["aux"]) for r in csv.DictReader(fh)}
+    assert {("ssrs", "zero"), ("gbs", "zero"), ("sups", "chi"), ("twoups", "chi")} <= cells
+    assert (out / "raw.csv").exists()
 
 
 def test_eval_rerun_is_byte_identical(tiny_csv, tmp_path):

@@ -4,7 +4,10 @@ A deletion or a move then cannot leave a stale export or an unwrapped benchmark 
 """
 
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,18 @@ def test_bench_span_targets_resolve():
     spec.loader.exec_module(spans)
     assert spans.TARGETS
     assert [name for name, _, _ in spans.TARGETS if spans._resolve(name) is None] == []
+
+
+def test_the_cli_does_not_import_scipy():
+    # scipy is a test dependency only; importing it costs every command about 0.35 s.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, opsample.cli; print(sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "'opsample.cli'" in proc.stdout and "'scipy'" not in proc.stdout
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -784,12 +784,16 @@ def test_technique_config_refusals(kwargs, message):
         (CLASSIFICATION, {"technique": "ces", "budget": 3}, "CES budget must cover the initial set"),
         (CLASSIFICATION, {"technique": "ces", "budget": 3, "ces_initial": 2},
          "auxiliary values must be nonnegative"),
+        (CLASSIFICATION, {"technique": "twoups", "aux": "zero"},
+         "auxiliary variable 'zero' is all-zero, and twoups draws by it"),
+        (CLASSIFICATION, {"technique": "gbs", "aux": "zero", "budget": 4}, None),
     ],
 )
 def test_run_technique_refuses_what_refusal_names(task, kwargs, message):
     pop = Population(
         task, np.arange(4), [0, 1, 0, 0], [0, 0, 0, 0],
-        aux={"chi": [0.1, 0.4, 0.2, 0.3], "dsa": [0.5, 0.5, 0.5, 0.5], "neg": [0.1, -0.5, 0.2, 0.3]},
+        aux={"chi": [0.1, 0.4, 0.2, 0.3], "dsa": [0.5, 0.5, 0.5, 0.5], "neg": [0.1, -0.5, 0.2, 0.3],
+             "zero": [0.0, 0.0, 0.0, 0.0]},
     )
     config = TechniqueConfig(**kwargs)
     assert refusal(pop, config) == message
