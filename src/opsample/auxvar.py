@@ -147,11 +147,12 @@ def compute_dsa(ats: ActivationTraces) -> ChiVector:
     def block(rows):
         d2 = sq[rows, None] + sq[None, :] - 2.0 * (X[rows] @ X.T)
         np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
-        np.fill_diagonal(dist[:, rows.start:], np.inf)  # this block's part of the diagonal
+        np.fill_diagonal(d2[:, rows.start:], np.inf)  # this block's part of the diagonal
         same = classes[rows, None] == classes[None, :]
-        sigma_a[rows] = np.min(np.where(same, dist, np.inf), axis=1)
-        sigma_b[rows] = np.min(np.where(~same, dist, np.inf), axis=1)
+        # sqrt is monotone and correctly rounded, so the root of a row's
+        # least squared distance is its least distance, bit for bit.
+        sigma_a[rows] = np.sqrt(np.min(np.where(same, d2, np.inf), axis=1))
+        sigma_b[rows] = np.sqrt(np.min(np.where(same, np.inf, d2), axis=1))
 
     _each_block(n, block)
 

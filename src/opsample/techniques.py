@@ -245,6 +245,12 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     (of ``candidates`` random proposals) that minimizes the average add-one
     smoothed cross-entropy between the operational and selected per-feature
     histograms.  The estimate is the plain sample mean.
+
+    A step scores every candidate in a few whole-array passes: the
+    candidates' per-cell counts from one ``bincount``, and their cells'
+    terms gathered from a (cells, g + 1) table.  Each score sums its row of
+    terms in cell order with ``.sum(axis=1)``; numpy sums a row pairwise,
+    so another order would change last bits and could flip a near-tie.
     """
     n, initial, group = config.budget, config.ces_initial, config.ces_group
     candidates, bins = config.ces_candidates, config.ces_bins
@@ -257,10 +263,8 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     bin_idx = np.minimum(((X - lo) / width * bins).astype(np.int64), bins - 1)
 
     n_cells = n_dims * bins
-    cell_ids = np.arange(n_cells)
-    row_starts = np.arange(candidates)[:, None] * n_cells  # candidate c's cells in delta
     flat_idx = bin_idx + np.arange(n_dims) * bins  # per record: flattened (dim, bin) cells
-    pop_flat = np.bincount(flat_idx.ravel(), minlength=n_cells) / pop.N
+    pop_col = (np.bincount(flat_idx.ravel(), minlength=n_cells) / pop.N)[:, None]
     unselected = _SwapPool(pop.N)
     selected = list(srs_without_replacement(np.arange(pop.N), initial, rng))
     for rid in selected:
@@ -268,36 +272,44 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     sel_flat = np.bincount(flat_idx[selected].ravel(), minlength=n_cells).astype(float)
     probabilities = [1.0 / pop.N] * initial
 
+    tables_g = None
     while len(selected) < n:
         g = min(group, n - len(selected))
+        if g != tables_g:  # only the last group can be smaller: built at most twice
+            tables_g = g
+            k1 = np.arange(g + 1) + 1.0  # k + 1 for k = 0..g records added to a cell
+            row_starts = np.repeat(np.arange(candidates) * n_cells, g * n_dims)
+            row_starts = row_starts.reshape(candidates, -1)  # candidate c's cells in delta
+            # Cell c's row in the term table, for each candidate's cells in delta.
+            cell_rows = np.tile(np.arange(n_cells) * (g + 1), (candidates, 1))
+            left, right = np.nonzero(np.less.outer(np.arange(g), np.arange(g)))  # column pairs
         pool = unselected.ids[:unselected.size]
-        # Candidate groups: iid index draws with within-group duplicates
-        # redrawn, equivalent to SRS without replacement per group.
+        # Candidate groups: iid index draws, and every row holding a
+        # duplicate redrawn whole, equivalent to SRS without replacement
+        # per group.
         idx = rng.integers(0, pool.size, size=(candidates, g))
-        if g > 1:
-            while True:
-                srt = np.sort(idx, axis=1)
-                same = srt[:, 1:] == srt[:, :-1]
-                if not same.any():
-                    break
-                dup = same.any(axis=1)
-                idx[dup] = rng.integers(0, pool.size, size=(int(dup.sum()), g))
-        cand = pool[idx]
-        cells = flat_idx[cand].reshape(candidates, -1)  # (C, g * n_dims)
-        combined = (row_starts + cells).ravel()
-        delta = np.bincount(combined, minlength=candidates * n_cells)
+        dup = (idx[:, left] == idx[:, right]).any(axis=1)
+        while dup.any():
+            idx[dup] = rng.integers(0, pool.size, size=(np.count_nonzero(dup), g))
+            dup = (idx[:, left] == idx[:, right]).any(axis=1)
+        cand = pool.take(idx)
+        cells = flat_idx.take(cand, axis=0).reshape(candidates, -1)  # (C, g * n_dims)
+        cells += row_starts
+        delta = np.bincount(cells.ravel(), minlength=candidates * n_cells)
         delta = delta.reshape(candidates, n_cells)
         total = len(selected) + g
-        # Cell c's term when a candidate adds k records to it, for k = 0..g;
-        # each candidate's terms are gathered from this table.
-        k = np.arange(g + 1)[:, None]
-        terms = pop_flat * np.log((sel_flat + k + 1.0) / (total + bins))
-        ce = -terms.ravel()[delta * n_cells + cell_ids].sum(axis=1) / n_dims
-        best = int(np.argmin(ce))
-        sel_flat += delta[best]
-        selected.extend(cand[best].tolist())
+        # Cell c's term when a candidate adds k records to it, at [c, k];
+        # sel_flat holds whole counts, so sel_flat + (k + 1) is exact.
+        terms = pop_col * np.log((sel_flat[:, None] + k1) / (total + bins))
+        delta += cell_rows
+        # s / -n is -s / n bit for bit: a float quotient's sign is independent of its rounding.
+        ce = terms.take(delta).sum(axis=1) / -n_dims
+        best = int(ce.argmin())
+        sel_flat += delta[best] - cell_rows[best]
+        chosen = cand[best].tolist()
+        selected.extend(chosen)
         probabilities.extend([1.0 / pool.size] * g)
-        for rid in cand[best]:
+        for rid in chosen:
             unselected.remove(rid)
 
     selected = np.array(selected, dtype=np.int64)
@@ -583,38 +595,41 @@ TECHNIQUES = tuple(REGISTRY)
 
 def refusal(pop: Population, config: TechniqueConfig) -> str | None:
     """Why :func:`run_technique` refuses ``config`` on ``pop`` before any label, or None."""
+    try:
+        _accepted_chi(pop, config)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _accepted_chi(pop: Population, config: TechniqueConfig) -> np.ndarray | None:
+    """``pop``'s ``config.aux`` column, or None without one; raises :func:`refusal`'s reason.
+
+    The column is read once, so its scan for negative values runs once per run.
+    """
     entry = REGISTRY[config.technique]
     if pop.task == REGRESSION and config.aux in CLASSIFICATION_ONLY_AUX:
-        return f"auxiliary variable {config.aux!r} is classification-only"
+        raise ValueError(f"auxiliary variable {config.aux!r} is classification-only")
     if config.aux is not None and config.aux not in pop.aux_names:
-        return f"auxiliary variable {config.aux!r} not present"
-    reason = _negative_aux(pop, [] if config.aux is None else [config.aux])
-    if reason is not None:
-        return reason
-    if entry.needs_chi and config.aux is None:
-        return f"technique {config.technique!r} needs an auxiliary variable"
-    if entry.weighted and not pop.aux_vector(config.aux).any():
-        return f"auxiliary variable {config.aux!r} is all-zero, and {config.technique} draws by it"
+        raise ValueError(f"auxiliary variable {config.aux!r} not present")
+    chi = None if config.aux is None else pop.aux_vector(config.aux)  # refuses a negative value
+    if entry.needs_chi and chi is None:
+        raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
+    if entry.weighted and not chi.any():
+        raise ValueError(
+            f"auxiliary variable {config.aux!r} is all-zero, and {config.technique} draws by it"
+        )
     if entry.without_replacement and config.budget > pop.N:
-        return f"budget {config.budget} exceeds population size {pop.N}"
+        raise ValueError(f"budget {config.budget} exceeds population size {pop.N}")
     if config.technique == "ces" and config.budget < config.ces_initial:
-        return "CES budget must cover the initial set"
-    if config.technique == "ces" and config.aux is None and pop.features_matrix() is None:
+        raise ValueError("CES budget must cover the initial set")
+    if config.technique == "ces" and chi is None and pop.features_matrix() is None:
         # _ces_features then stacks every aux column.
         if not pop.aux_names:
-            return "CES needs feature columns or at least one auxiliary variable"
-        return _negative_aux(pop, pop.aux_names)
-    return None
-
-
-def _negative_aux(pop: Population, names) -> str | None:
-    """aux_vector's refusal of the first named column holding a negative value, or None."""
-    for name in names:
-        try:
-            pop.aux_vector(name)
-        except ValueError as exc:
-            return str(exc)
-    return None
+            raise ValueError("CES needs feature columns or at least one auxiliary variable")
+        for name in pop.aux_names:
+            pop.aux_vector(name)  # refuses the first column holding a negative value
+    return chi
 
 
 def run_technique(
@@ -635,11 +650,8 @@ def run_technique(
     shares (``n``, and ``k`` and ``P`` if stratified) to the law's own, and
     counts the failures among the labels the oracle revealed.
     """
-    reason = refusal(pop, config)
-    if reason is not None:
-        raise ValueError(reason)
+    chi = _accepted_chi(pop, config)
     entry = REGISTRY[config.technique]
-    chi = None if config.aux is None else pop.aux_vector(config.aux)
     if entry.partitioned and partition is None:
         partition = kmeans_1d(chi, config.k, config.partition_seed)
     strata = {"k": config.k, "P": partition.P} if entry.partitioned else {}

@@ -122,6 +122,7 @@ ALL_CONFIGS = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_partition):
     start = time.perf_counter()
     R = 10_000
@@ -222,6 +223,7 @@ def test_criterion_5_budget_scaling(main_pop):
            f"RMSE 800 {stats_by_n[800][1]:.5f} < RMSE 50 {stats_by_n[50][1]:.5f}: {no_inversion}")
 
 
+@pytest.mark.slow
 def test_criterion_6_degenerations(main_pop):
     R = 10_000
     srs_cfg = TechniqueConfig(technique="srs", budget=200)

@@ -12,7 +12,7 @@ from conftest import make_classification, make_regression
 
 from opsample.auxvar import selection_probabilities
 from opsample.cli import main
-from opsample.draw import RandomStream
+from opsample.draw import RandomStream, srs_without_replacement
 from opsample import techniques
 from opsample.partition import kmeans_1d
 from opsample.population import (
@@ -198,6 +198,107 @@ def test_ces_refuses_a_population_without_features_or_aux():
     pop = make_classification([1, 0, 0, 1])
     with pytest.raises(ValueError, match="CES needs feature columns"):
         run_named("ces", pop, 3, 0, ces_initial=2)
+
+
+def reference_ces(pop, oracle, config, rng, chi, partition):
+    """The ces law as it was before its step became whole-array passes: the byte reference."""
+    n, initial, group = config.budget, config.ces_initial, config.ces_group
+    candidates, bins = config.ces_candidates, config.ces_bins
+    X = techniques._ces_features(pop, chi)
+    n_dims = X.shape[1]
+    lo = X.min(axis=0)
+    width = X.max(axis=0) - lo
+    width[width == 0] = 1.0
+    bin_idx = np.minimum(((X - lo) / width * bins).astype(np.int64), bins - 1)
+
+    n_cells = n_dims * bins
+    cell_ids = np.arange(n_cells)
+    row_starts = np.arange(candidates)[:, None] * n_cells
+    flat_idx = bin_idx + np.arange(n_dims) * bins
+    pop_flat = np.bincount(flat_idx.ravel(), minlength=n_cells) / pop.N
+    unselected = techniques._SwapPool(pop.N)
+    selected = list(srs_without_replacement(np.arange(pop.N), initial, rng))
+    for rid in selected:
+        unselected.remove(rid)
+    sel_flat = np.bincount(flat_idx[selected].ravel(), minlength=n_cells).astype(float)
+    probabilities = [1.0 / pop.N] * initial
+
+    while len(selected) < n:
+        g = min(group, n - len(selected))
+        pool = unselected.ids[:unselected.size]
+        idx = rng.integers(0, pool.size, size=(candidates, g))
+        if g > 1:
+            while True:
+                srt = np.sort(idx, axis=1)
+                same = srt[:, 1:] == srt[:, :-1]
+                if not same.any():
+                    break
+                dup = same.any(axis=1)
+                idx[dup] = rng.integers(0, pool.size, size=(int(dup.sum()), g))
+        cand = pool[idx]
+        cells = flat_idx[cand].reshape(candidates, -1)
+        combined = (row_starts + cells).ravel()
+        delta = np.bincount(combined, minlength=candidates * n_cells)
+        delta = delta.reshape(candidates, n_cells)
+        total = len(selected) + g
+        k = np.arange(g + 1)[:, None]
+        terms = pop_flat * np.log((sel_flat + k + 1.0) / (total + bins))
+        ce = -terms.ravel()[delta * n_cells + cell_ids].sum(axis=1) / n_dims
+        best = int(np.argmin(ce))
+        sel_flat += delta[best]
+        selected.extend(cand[best].tolist())
+        probabilities.extend([1.0 / pool.size] * g)
+        for rid in cand[best]:
+            unselected.remove(rid)
+
+    selected = np.array(selected, dtype=np.int64)
+    y = techniques._estimand(pop, oracle.reveal_many(selected))
+    schemes = ["ces-initial"] * initial + ["ces-group"] * (n - initial)
+    knobs = {"initial": initial, "group": group, "candidates": candidates, "bins": bins}
+    return techniques.Draws(selected, y.mean(), probabilities, schemes, [], knobs)
+
+
+def _pool_with_features(task):
+    """N=200 with 4 feature columns, one of them constant."""
+    pop = generate_synthetic(SyntheticConfig(task=task, N=200), seed=7)
+    rng = np.random.default_rng(8)
+    features = np.column_stack(
+        [rng.random(200), rng.normal(size=200), np.full(200, -1.5), rng.integers(0, 3, 200)]
+    )
+    return Population(
+        task, np.arange(200), pop._true, pop._predicted, aux={"chi": pop.aux_vector("chi")},
+        features=features,
+    )
+
+
+@pytest.mark.parametrize(
+    "task, features, budget, kwargs",
+    [
+        (CLASSIFICATION, False, 60, {"ces_group": 1}),
+        (CLASSIFICATION, False, 47, {"ces_group": 5}),  # last group of 2
+        (CLASSIFICATION, False, 60, {"ces_candidates": 1}),
+        (CLASSIFICATION, False, 60, {"ces_bins": 1}),
+        (CLASSIFICATION, False, 190, {}),  # 10 records left: redraws are frequent
+        (CLASSIFICATION, True, 80, {"ces_group": 3, "ces_bins": 7}),
+        (REGRESSION, False, 93, {"ces_group": 4}),
+        (REGRESSION, True, 120, {}),
+    ],
+)
+def test_ces_matches_the_reference_law(task, features, budget, kwargs):
+    if features:
+        pop, chi = _pool_with_features(task), None
+    else:
+        pop = generate_synthetic(SyntheticConfig(task=task, N=200), seed=7)
+        chi = pop.aux_vector("chi")
+    config = TechniqueConfig(technique="ces", budget=budget, **kwargs)
+    for seed in range(3):
+        got = techniques._ces(pop, LabelingOracle(pop), config, RandomStream(seed), chi, None)
+        want = reference_ces(pop, LabelingOracle(pop), config, RandomStream(seed), chi, None)
+        assert got.selected.tolist() == want.selected.tolist()
+        assert got.probabilities == want.probabilities
+        assert got.schemes == want.schemes
+        assert got.estimate == want.estimate
+
 
 # ---------------------------------------------------------------------------
 # Adaptive failure-seeking sampler
@@ -802,3 +903,18 @@ def test_run_technique_refuses_what_refusal_names(task, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             run_technique(pop, oracle, config, RandomStream(0))
         assert oracle.reveal_count == 0
+
+
+@pytest.mark.parametrize("name", [name for name, entry in REGISTRY.items() if entry.weighted])
+def test_a_weighted_run_reads_its_aux_column_once(name, pop6, monkeypatch):
+    reads = []
+    aux_vector = Population.aux_vector
+
+    def counted(self, aux):
+        reads.append(aux)
+        return aux_vector(self, aux)
+
+    monkeypatch.setattr(Population, "aux_vector", counted)
+    config = TechniqueConfig(technique=name, aux="chi", budget=3)
+    run_technique(pop6, LabelingOracle(pop6), config, RandomStream(0))
+    assert reads == ["chi"]
