@@ -41,7 +41,7 @@ class Population:
     matrix, all in record-id order.  Row k of every argument is one record;
     ``ids`` must be a permutation of 0..N-1, and rows are reordered by id.
     A non-finite value, auxiliary value or feature value is refused with its
-    row number.
+    row number, and so is an auxiliary value above ``max_float / (16 N^2)``.
     """
 
     def __init__(self, task, ids, true, predicted, aux=None, features=None):
@@ -66,12 +66,17 @@ class Population:
         ):
             raise ValueError(f"every column must hold one entry per record ({N})")
         if task == REGRESSION:
-            _require_finite(true, "non-finite true_value")
-            _require_finite(predicted, "non-finite predicted_value")
+            _refuse_rows(~np.isfinite(true), "non-finite true_value")
+            _refuse_rows(~np.isfinite(predicted), "non-finite predicted_value")
         if aux:
-            _require_finite(np.vstack(list(aux.values())), "non-finite auxiliary value")
+            stacked = np.vstack(list(aux.values()))
+            _refuse_rows(~np.isfinite(stacked), "non-finite auxiliary value")
+            # Below this bound a sum over N values and kmeans_1d's N^2-sized
+            # rounding slack stay finite.
+            _refuse_rows(np.abs(stacked) > np.finfo(float).max / (16 * N * N),
+                         "auxiliary value too large")
         if features is not None:
-            _require_finite(features.T, "non-finite feature value")
+            _refuse_rows(~np.isfinite(features.T), "non-finite feature value")
         if not np.array_equal(np.sort(ids), np.arange(N)):
             raise ValueError("record ids must be unique and dense in [0, N)")
         if np.any(ids != np.arange(N)):
@@ -114,9 +119,8 @@ class Population:
         return self._outcomes
 
 
-def _require_finite(columns: np.ndarray, what: str):
-    """Refuse the first row (last axis) holding a non-finite entry in any column."""
-    bad = ~np.isfinite(columns)
+def _refuse_rows(bad: np.ndarray, what: str):
+    """Refuse the first row (last axis) where ``bad`` holds in any column."""
     if bad.any():
         row = int(np.flatnonzero(bad.reshape(-1, bad.shape[-1]).any(axis=0))[0])
         raise ValueError(f"{what} at row {row}")

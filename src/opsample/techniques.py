@@ -55,7 +55,6 @@ class TechniqueConfig:
     # DeepEST
     r: float = 0.8
     threshold_quantile: float = 0.7
-    deepest_verbatim_regression: bool = False
     # CES
     ces_initial: int = 30
     ces_group: int = 5
@@ -95,7 +94,8 @@ class TechniqueResult:
 
     Draw s selected ``selected_ids[s]`` with selection probability
     ``probabilities[s]`` under the scheme tagged ``schemes[s]``: the trace
-    that audits the run's unbiasedness.
+    that audits the run's unbiasedness.  ``counts`` holds the law's
+    counters, each a nonnegative int under a fixed key.
     """
 
     technique: str
@@ -107,7 +107,7 @@ class TechniqueResult:
     probabilities: np.ndarray
     schemes: list
     offsets: np.ndarray | None = None
-    flags: list = field(default_factory=list)
+    counts: dict = field(default_factory=dict)
     knobs: dict = field(default_factory=dict)
 
     def to_json(self, include_trace: bool = False) -> str:
@@ -119,7 +119,7 @@ class TechniqueResult:
             "xi_hat": self.xi_hat,
             "failures": self.failures,
             "offsets": None if self.offsets is None else [float(x) for x in self.offsets],
-            "flags": self.flags,
+            "counts": self.counts,
             "knobs": self.knobs,
         }
         if include_trace:
@@ -144,7 +144,7 @@ def _estimand(pop: Population, outcomes):
 
 
 class Draws(NamedTuple):
-    """What a sampling law returns: its draws in order and what it noted.
+    """What a sampling law returns: its draws in order and what it counted.
 
     ``probabilities`` holds one selection probability per draw, and
     ``schemes`` is either one scheme tag for every draw or one tag per draw.
@@ -155,7 +155,7 @@ class Draws(NamedTuple):
     estimate: float
     probabilities: np.ndarray
     schemes: str | list
-    flags: list
+    counts: dict
     knobs: dict
 
 
@@ -169,7 +169,7 @@ def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
     n = config.budget
     selected = srs_with_replacement(np.arange(pop.N), n, rng)
     y = _estimand(pop, oracle.reveal_many(selected))
-    return Draws(selected, y.mean(), np.full(n, 1.0 / pop.N), "srs-wr", [], {})
+    return Draws(selected, y.mean(), np.full(n, 1.0 / pop.N), "srs-wr", {}, {})
 
 
 def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -179,7 +179,7 @@ def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
     selected = pps_with_replacement(np.arange(pop.N), pi, n, rng)
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y / pi[selected])) / (n * pop.N)
-    return Draws(selected, estimate, pi[selected], "pps-wr", [], {})
+    return Draws(selected, estimate, pi[selected], "pps-wr", {}, {})
 
 
 def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -206,7 +206,7 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     pi_selected = pi[selected]
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y * (q / pi_selected))) / pop.N
-    return Draws(selected, estimate, pi_selected / q, "rhc-pps", [], {})
+    return Draws(selected, estimate, pi_selected / q, "rhc-pps", {}, {})
 
 
 def _ces_features(pop: Population, chi) -> np.ndarray:
@@ -316,7 +316,7 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     y = _estimand(pop, oracle.reveal_many(selected))
     schemes = ["ces-initial"] * initial + ["ces-group"] * (n - initial)
     knobs = {"initial": initial, "group": group, "candidates": candidates, "bins": bins}
-    return Draws(selected, y.mean(), probabilities, schemes, [], knobs)
+    return Draws(selected, y.mean(), probabilities, schemes, {}, knobs)
 
 
 def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -334,9 +334,8 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     label.  It is unbiased, but it is not the plain sample mean.
     """
     n, r = config.budget, config.r
-    verbatim_regression = config.deepest_verbatim_regression
     threshold = float(np.quantile(chi, config.threshold_quantile))
-    flags = []
+    fallbacks = 0
 
     unsel = _SwapPool(pop.N)
     above = _SwapPool(pop.N, np.flatnonzero(chi > threshold))
@@ -352,7 +351,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     schemes = ["srs-first"]
     chi_sel_sum = float(chi[first])
 
-    for k in range(2, n + 1):
+    for _ in range(n - 1):
         u, n_above = unsel.size, above.size
         # Determine the branch, then the marginal probability of the pick.
         fallback = n_above == 0 or chi_sel_sum <= 0
@@ -366,7 +365,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
         is_above = chi[pick] > threshold
         if fallback:
             q = 1.0 / u
-            flags.append(f"step {k}: all weights zero, uniform fallback")
+            fallbacks += 1
         else:
             wbs_p = (1.0 / n_above) if is_above else 0.0
             q = r * wbs_p + (1.0 - r) / u
@@ -381,22 +380,16 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     # q; cumsum adds in step order, as running sums would.
     y = _estimand(pop, oracle.reveal_many(selected)).astype(float)
     q = np.array(probabilities[1:])
-    before = np.cumsum(y)[:-1]
-    if pop.task == CLASSIFICATION or not verbatim_regression:
-        terms = before + y[1:] / q
-    else:
-        k = np.arange(2, n + 1)
-        terms = before / (k - 1) + (y[1:] / k) / q
+    terms = np.cumsum(y)[:-1] + y[1:] / q
     step_total = float(np.cumsum(terms)[-1]) if n > 1 else 0.0
     estimate = (float(y[0]) + step_total / pop.N) / n
     knobs = {
         "r": r,
         "threshold_quantile": config.threshold_quantile,
         "threshold": threshold,
-        "transposed_weights": False,  # kept so result files keep their keys
-        "verbatim_regression": verbatim_regression,
     }
-    return Draws(np.array(selected), estimate, probabilities, schemes, flags, knobs)
+    counts = {"uniform_fallbacks": fallbacks}
+    return Draws(np.array(selected), estimate, probabilities, schemes, counts, knobs)
 
 
 def ssrs_allocation(pm: PartitionMap, n: int) -> np.ndarray:
@@ -425,14 +418,10 @@ def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws."""
     n, pm = config.budget, partition
     alloc = ssrs_allocation(pm, n)
-    flags = []
     draws = []
     probabilities = []
     members = pm.member_lists()
     for p, n_p in enumerate(alloc.tolist()):
-        if n_p == 0:
-            flags.append(f"partition {p}: zero allocation, contributes 0")
-            continue
         draws.append(srs_without_replacement(members[p], n_p, rng))
         probabilities.append(1.0 / (pm.sizes[p] - np.arange(n_p)))
     selected = np.concatenate(draws)
@@ -443,7 +432,8 @@ def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
             estimate += pm.sizes[p] * y_p.mean()
     estimate /= pop.N
     knobs = {"allocation": alloc.tolist()}
-    return Draws(selected, estimate, np.concatenate(probabilities), "ssrs-wor", flags, knobs)
+    counts = {"zero_allocations": int(np.count_nonzero(alloc == 0))}
+    return Draws(selected, estimate, np.concatenate(probabilities), "ssrs-wor", counts, knobs)
 
 
 def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -461,7 +451,6 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     """
     n, pm, prior_variance = config.budget, partition, config.gbs_prior_variance
     floor = config.gbs_variance_floor
-    flags = []
     members = pm.member_lists()
     sizes = pm.sizes.tolist()
     weight_sq = ((pm.sizes / pop.N) ** 2).tolist()
@@ -487,7 +476,6 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     warm = pm.P
     if n < pm.P:
         warm = n
-        flags.append(f"budget {n} below partition count {pm.P}: warm-up truncated")
         order = np.argsort(-pm.sizes, kind="stable")[:warm]
     else:
         order = np.arange(pm.P)
@@ -504,13 +492,12 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
 
     estimate = 0.0
     for p in range(pm.P):
-        if counts[p] == 0:
-            flags.append(f"partition {p}: no draws, contributes 0")
-            continue
-        estimate += sizes[p] * (sums[p] / counts[p])
+        if counts[p]:  # only a truncated warm-up leaves a partition undrawn
+            estimate += sizes[p] * (sums[p] / counts[p])
     estimate /= pop.N
     knobs = {"prior_variance": prior_variance}
-    return Draws(np.array(selected), estimate, probabilities, "gbs-wr", flags, knobs)
+    undrawn = {"undrawn_partitions": pm.P - warm}
+    return Draws(np.array(selected), estimate, probabilities, "gbs-wr", undrawn, knobs)
 
 
 def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -518,8 +505,8 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
 
     Partition selection probability is the partition's share of total
     normalized chi.  Repeat hits on a partition keep drawing from its
-    shrinking without-replacement pool; an exhausted pool is restored (and
-    flagged), falling back to with-replacement reuse.
+    shrinking without-replacement pool; an exhausted pool is restored, and
+    counted, falling back to with-replacement reuse.
 
     The pool size at each draw follows from the stage-one partitions alone,
     so the within-partition positions are drawn in one call, and the
@@ -541,10 +528,7 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     sizes = pm.sizes[stage]
     taken = hit % sizes
     remaining = sizes - taken
-    flags = [
-        f"partition {p}: pool exhausted, reused with replacement"
-        for p in stage[hit == sizes].tolist()
-    ]
+    exhausted = {"exhausted_partitions": int(np.count_nonzero(hit == sizes))}
 
     moved = [{} for _ in range(pm.P)]  # per pool: position -> member index now there
     selected = np.empty(n, dtype=np.int64)
@@ -560,7 +544,7 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y * (sizes / psi[stage]))) / (pop.N * n)
     knobs = {"psi": [float(x) for x in psi]}
-    return Draws(selected, estimate, psi[stage] / remaining, "twoups", flags, knobs)
+    return Draws(selected, estimate, psi[stage] / remaining, "twoups", exhausted, knobs)
 
 
 @dataclass(frozen=True)
@@ -619,6 +603,13 @@ def _accepted_chi(pop: Population, config: TechniqueConfig) -> np.ndarray | None
         raise ValueError(
             f"auxiliary variable {config.aux!r} is all-zero, and {config.technique} draws by it"
         )
+    if config.technique in ("sups", "rhcs", "twoups"):
+        # A selection probability that rounds to 0 biases the reweighted
+        # estimate (rhcs's turns NaN). None does while the smallest value,
+        # after selection_probabilities' floor for zeros, is >= 2^-1000 max.
+        top, bottom = chi.max(), chi.min()
+        if (bottom if bottom > 0 else 1e-9 * top) / top < 2.0**-1000:
+            raise ValueError(f"auxiliary variable {config.aux!r} spans too wide a range")
     if entry.without_replacement and config.budget > pop.N:
         raise ValueError(f"budget {config.budget} exceeds population size {pop.N}")
     if config.technique == "ces" and config.budget < config.ces_initial:
@@ -677,6 +668,6 @@ def run_technique(
         probabilities=np.asarray(draws.probabilities, dtype=float),
         schemes=schemes,
         offsets=offsets,
-        flags=draws.flags,
+        counts=draws.counts,
         knobs={"n": config.budget, **strata, **draws.knobs},
     )

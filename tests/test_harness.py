@@ -239,18 +239,6 @@ def test_design_unbiasedness_regression():
             assert exact == pytest.approx(truth, abs=1e-9)
 
 
-def test_deepest_verbatim_regression_variant_is_biased():
-    # The per-step averaged variant is not design-unbiased; document the
-    # gap on a two-record case where the factor works out to 7/8.
-    pop = make_regression([2.0, 0.0], [1.0, 1.0])
-    config = TechniqueConfig(
-        technique="deepest", aux="chi", budget=2, deepest_verbatim_regression=True
-    )
-    exact = enumerate_expectation(pop, config)
-    truth = float(np.mean(pop._true_outcomes() ** 2))
-    assert exact == pytest.approx(truth * 7 / 8, abs=1e-12)
-
-
 def test_monte_carlo_matches_enumeration():
     # Cross-check: the empirical mean of many runs converges to the exact
     # enumerated expectation.

@@ -379,6 +379,17 @@ class TestColumns:
         with pytest.raises(ValueError, match="non-finite feature value at row 3"):
             Population(CLASSIFICATION, np.arange(5), np.zeros(5, int), np.zeros(5, int), features=features)
 
+    def test_aux_value_above_the_bound_rejected_with_its_row(self):
+        bound = np.finfo(float).max / (16 * 5 * 5)
+        chi = np.full(5, bound)
+        Population(CLASSIFICATION, np.arange(5), np.zeros(5, int), np.zeros(5, int), aux={"chi": chi})
+        chi[2] = np.nextafter(bound, np.inf)
+        with pytest.raises(ValueError, match="auxiliary value too large at row 2"):
+            Population(
+                CLASSIFICATION, np.arange(5), np.zeros(5, int), np.zeros(5, int),
+                aux={"ok": np.ones(5), "chi": chi},
+            )
+
     def test_float_labels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             Population(CLASSIFICATION, [0, 1], [0.0, 1.0], [0, 0])

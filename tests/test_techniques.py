@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_classification, make_regression
 
@@ -346,19 +348,17 @@ def test_deepest_rejects_all_zero_chi(pop6):
         run_named("deepest", pop6, 2, 0, chi=np.zeros(6))
 
 
-def test_deepest_regression_variants_differ():
-    pop = make_regression([1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3, 0.4])
-    chi = np.array([0.1, 0.2, 0.3, 0.4])
-    default = run_named("deepest", pop, 3, 8, chi=chi)
-    verbatim = run_named("deepest", pop, 3, 8, chi=chi, deepest_verbatim_regression=True)
-    assert list(default.selected_ids) == list(verbatim.selected_ids)
-    assert default.estimate != verbatim.estimate
+def test_deepest_counts_every_uniform_fallback(pop6):
+    # At the 1.0 quantile no chi lies above the threshold, so every step
+    # after the first falls back to uniform.
+    for seed in range(5):
+        res = run_named("deepest", pop6, 4, seed, chi=CHI, threshold_quantile=1.0)
+        assert res.counts == {"uniform_fallbacks": 3}
+        assert res.schemes == ["srs-first"] + ["srs-step"] * 3
 
 
-
-@pytest.mark.parametrize("verbatim", [False, True])
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-def test_deepest_estimate_equals_running_step_sums(task, verbatim):
+def test_deepest_estimate_equals_running_step_sums(task):
     # deepest labels after it selects and sums the steps by cumsum; the
     # per-step running sums give the same float.
     rng = np.random.default_rng(3)
@@ -367,16 +367,13 @@ def test_deepest_estimate_equals_running_step_sums(task, verbatim):
         pop = make_classification((rng.random(40) < 0.3).astype(int), chi)
     else:
         pop = make_regression(rng.random(40), chi)
-    res = run_named("deepest", pop, 15, 2, chi=chi, deepest_verbatim_regression=verbatim)
+    res = run_named("deepest", pop, 15, 2, chi=chi)
     outcomes = pop._true_outcomes()
     y = [float(outcomes[i] if task == CLASSIFICATION else outcomes[i] ** 2)
          for i in res.selected_ids]
     y_sel_sum, step_total = y[0], 0.0
-    for k, (y_pick, q) in enumerate(zip(y[1:], res.probabilities[1:].tolist()), start=2):
-        if task == CLASSIFICATION or not verbatim:
-            step_total += y_sel_sum + y_pick / q
-        else:
-            step_total += y_sel_sum / (k - 1) + (y_pick / k) / q
+    for y_pick, q in zip(y[1:], res.probabilities[1:].tolist()):
+        step_total += y_sel_sum + y_pick / q
         y_sel_sum += y_pick
     assert res.estimate == (y[0] + step_total / pop.N) / 15
 
@@ -408,8 +405,10 @@ def test_ssrs_two_strata_hand_case():
 def test_ssrs_zero_allocation_is_flagged():
     chi = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     pop = make_classification(np.zeros(6, dtype=int), chi)
-    res = run_named("ssrs", pop, 1, 0, chi=chi, k=2)
-    assert any("zero allocation" in f for f in res.flags)
+    for n, zeros in ((1, 1), (2, 0)):
+        res = run_named("ssrs", pop, n, 0, chi=chi, k=2)
+        assert res.knobs["allocation"].count(0) == zeros
+        assert res.counts == {"zero_allocations": zeros}
 
 
 def test_ssrs_respects_allocation_budget(pop6):
@@ -460,17 +459,23 @@ def test_gbs_single_partition_is_with_replacement_mean(pop6):
 
 
 def test_gbs_warm_up_covers_every_partition(pop6):
-    res = run_named("gbs", pop6, 6, 4, chi=CHI, k=3)
-    assert res.knobs["P"] == 3
-    # with budget >= P every partition receives at least one draw, so no
-    # zero-draw flag is raised
-    assert not any("no draws" in f for f in res.flags)
+    # With budget >= P the warm-up gives every partition a draw.
+    pm = kmeans_1d(CHI, 3, 0)
+    for n in (3, 6):
+        res = run_named("gbs", pop6, n, 4, chi=CHI, k=3)
+        assert res.knobs["P"] == 3
+        assert res.counts == {"undrawn_partitions": 0}
+        assert np.unique(pm.assignment[res.selected_ids]).size == 3
 
 
 def test_gbs_truncated_warm_up_flagged(pop6):
-    res = run_named("gbs", pop6, 2, 4, chi=CHI, k=3)
-    assert any("warm-up truncated" in f for f in res.flags)
-    assert len(res.selected_ids) == 2
+    # A budget n below P leaves exactly P - n partitions undrawn.
+    pm = kmeans_1d(CHI, 3, 0)
+    for n in (1, 2):
+        res = run_named("gbs", pop6, n, 4, chi=CHI, k=3)
+        assert len(res.selected_ids) == n
+        assert res.counts == {"undrawn_partitions": 3 - n}
+        assert np.unique(pm.assignment[res.selected_ids]).size == n
 
 
 def test_gbs_steers_draws_toward_heterogeneous_partitions():
@@ -516,13 +521,17 @@ def test_twoups_estimate_matches_two_stage_formula(pop6):
 def test_twoups_pool_exhaustion_flagged():
     chi = np.array([0.1, 0.9])
     pop = make_classification([0, 1], chi)
-    flagged = False
+    pm = kmeans_1d(chi, 2, 0)
+    seen = set()
     for seed in range(30):
         res = run_named("twoups", pop, 2, seed, chi=chi, k=2)
-        flagged = flagged or any("reused with replacement" in f for f in res.flags)
         assert len(res.selected_ids) == 2
+        drawn = np.bincount(pm.assignment[res.selected_ids], minlength=pm.P)
+        exhausted = int(np.count_nonzero(drawn > pm.sizes))
+        assert res.counts == {"exhausted_partitions": exhausted}
+        seen.add(exhausted)
     # n=2 over two singleton partitions double-hits one partition often
-    assert flagged
+    assert seen == {0, 1}
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +753,10 @@ def test_result_json_round_trip(pop6):
 # Golden outputs: the draws, estimates and traces of every law, pinned byte
 # for byte.  A change to how a law consumes its random stream, or to the
 # float operations behind an estimate or a selection probability, changes
-# these digests.  They were recorded before the per-draw loops were batched.
+# these digests.  The draws and estimates they pin date from before the
+# per-draw loops were batched.  They were re-recorded once when the result's
+# free-text flags became counters: every field but those, and deepest's two
+# deleted knob keys, was checked equal to the old output run by run.
 
 
 def _golden_population(task):
@@ -759,22 +771,22 @@ def _sha256(chunks):
 
 
 GOLDEN_RUNS = {
-    (CLASSIFICATION, "srs"): "d3c2d6d995b8f2606d0e74f5e2d25a836d66a573f4c45b0a9004b56784401ecf",
-    (CLASSIFICATION, "sups"): "69cb8c6add6f85d587c8e48e825bf9e2d1c491755dba2efc546233d8622e163d",
-    (CLASSIFICATION, "rhcs"): "74c5ee8f3aff7116473d32a71fcace79408f2a9565d118236ca27ae743974263",
-    (CLASSIFICATION, "ces"): "d33b6d077b758b57d13cdf315a88bab3c00857c4b5604668351bf7a0fd779151",
-    (CLASSIFICATION, "deepest"): "dcb9259f4b52044c3ad58fac9eb5b7cf7a05ca7e40b5833b2bbb4b9c56c7572a",
-    (CLASSIFICATION, "ssrs"): "bea87df5154dd4aa6e4113e2367e929889df0111e45639038cb7c5e904f94fdb",
-    (CLASSIFICATION, "gbs"): "b726a50a3d5609d982593bd984071634bbae6b46c510842b2fedf3ded8535f78",
-    (CLASSIFICATION, "twoups"): "bd8084050e632ccf5125034ffc0b89c6f96bfd41b64dd87b799f64bb388ce0f3",
-    (REGRESSION, "srs"): "a2469cf84b57eb9aea4545c40bae9c6a9ce7f5d394b02c137a387df5d63f958a",
-    (REGRESSION, "sups"): "577e7d1f3a3fff99fd96e36bc8328e3823e4327ccb08a8a99859e257154a703e",
-    (REGRESSION, "rhcs"): "adfca0f8758a075e22859c9f2445b5ca5ef3d1e17684fdd4c797d2c7a0511ab3",
-    (REGRESSION, "ces"): "1a5627c33c1a7e77dff38ea07d88f62007a77710cdf8ee68f209aefb5006f94b",
-    (REGRESSION, "deepest"): "af822e8e81a084a85ff701d40cfd4c43c4dd7de35b97a12b253330b914260efa",
-    (REGRESSION, "ssrs"): "ebedc116e2646f2a2a5b1f4bd970270e802c94d8bced8550c92e78fa0aa06c5f",
-    (REGRESSION, "gbs"): "5616c9fe985274ff91ed288705e5c346c57da56ea5805d45c30cba902522a5f9",
-    (REGRESSION, "twoups"): "d3f0bc9fac133cd4e2d0eb0006876f1d12e9335b5b354ebef2acbcd9f09918f1",
+    (CLASSIFICATION, "srs"): "74b86c601c779cc7caf8271a1ab78da7db36c94a972d2b703cd7c870da2fd1b4",
+    (CLASSIFICATION, "sups"): "53faa05b28af540240456c144a7979c3c89c0c21a0c5dd6fae4a81d10c21b8c5",
+    (CLASSIFICATION, "rhcs"): "48aaf447d1ddeb45a44d2c34b98d12634eac5d88613ae4652e11f8ca3599029c",
+    (CLASSIFICATION, "ces"): "c4ab7704f18c1e9ab308a1738d06cea8a636669cf3b082db222d2d7e6a4e15e8",
+    (CLASSIFICATION, "deepest"): "82234a254b6334f46ada3b0c38c9081f179ee0d851a84518ef3f1a46a61f1eec",
+    (CLASSIFICATION, "ssrs"): "6188651f77d9341c83cda47320513bab92170b2fd2724b37a1b0b6880bca7998",
+    (CLASSIFICATION, "gbs"): "405fba9f890e22afc5eab3eeee2a7121898f792a1a754543bd4750482e24b57d",
+    (CLASSIFICATION, "twoups"): "fea5956c9c9f6dd33ecad82dc74f5507ee22f90992287c3e6878b1d4b3250aae",
+    (REGRESSION, "srs"): "b8c6415e96de084b133d3073b002ff3c50e171c06e15024a264901d81bb6bc0d",
+    (REGRESSION, "sups"): "2d9b8ce4b458f49bbc494e62dfd042f9fb71b305f3f2950c4dd7319b8c0ef895",
+    (REGRESSION, "rhcs"): "0a07bd41e4464cda6ef707b6c7e6f17ba161b75ad79d30b9ff7554bce057fffd",
+    (REGRESSION, "ces"): "56570d3851ece290ff65eb28f8fd20ad628e7a6ea3c701d0942f3e52dd18e79c",
+    (REGRESSION, "deepest"): "b6b1efc30b86f7d9ba7db338e0e1764f28761db478632e60d8a5458e3a1935fd",
+    (REGRESSION, "ssrs"): "d3b49389f9481bf7715c94778449eb06f612181f4676f4de8115ec3f828a16bf",
+    (REGRESSION, "gbs"): "4952a59e4ae8eee8b24f4e2bb61600046317b93265f6bf834fa8fd02ff0d14e9",
+    (REGRESSION, "twoups"): "b2f16cbea3b8dd5fa9bc5e9ac553c057889af12b81593a195362cb578edf79d5",
 }
 
 
@@ -830,10 +842,11 @@ def test_golden_eval_outputs(task, tmp_path):
     assert _golden_eval_digests(task, tmp_path) == GOLDEN_EVAL[task]
 
 
-# ces bins every feature column in one vectorized pass.  This digest was
-# recorded while it still binned them column by column; the constant
-# column takes the zero-width fallback.
-GOLDEN_CES_FEATURES = "7852516ec7e30505ad6240f822f47104b5e22425b6c82bc0a997f4e5d5251783"
+# ces bins every feature column in one vectorized pass.  The draws this
+# digest pins date from when it still binned them column by column (it was
+# re-recorded with the golden runs above); the constant column takes the
+# zero-width fallback.
+GOLDEN_CES_FEATURES = "98620d62b6bf63293595c66567a7731745bb6c93fc7ecf7547bbc0fa8d32f281"
 
 
 def test_golden_ces_on_several_feature_columns():
@@ -888,13 +901,21 @@ def test_technique_config_refusals(kwargs, message):
         (CLASSIFICATION, {"technique": "twoups", "aux": "zero"},
          "auxiliary variable 'zero' is all-zero, and twoups draws by it"),
         (CLASSIFICATION, {"technique": "gbs", "aux": "zero", "budget": 4}, None),
+        # 5e-324 / 4 and selection_probabilities' floor 1e-9 * 1e-320 round to 0.
+        (CLASSIFICATION, {"technique": "rhcs", "aux": "wide", "budget": 4},
+         "auxiliary variable 'wide' spans too wide a range"),
+        (CLASSIFICATION, {"technique": "sups", "aux": "tiny"},
+         "auxiliary variable 'tiny' spans too wide a range"),
+        (CLASSIFICATION, {"technique": "deepest", "aux": "wide", "budget": 4}, None),
+        (CLASSIFICATION, {"technique": "twoups", "aux": "chi"}, None),
     ],
 )
 def test_run_technique_refuses_what_refusal_names(task, kwargs, message):
     pop = Population(
         task, np.arange(4), [0, 1, 0, 0], [0, 0, 0, 0],
         aux={"chi": [0.1, 0.4, 0.2, 0.3], "dsa": [0.5, 0.5, 0.5, 0.5], "neg": [0.1, -0.5, 0.2, 0.3],
-             "zero": [0.0, 0.0, 0.0, 0.0]},
+             "zero": [0.0, 0.0, 0.0, 0.0], "wide": [5e-324, 2.0, 1.0, 1.0],
+             "tiny": [0.0, 1e-320, 1e-320, 1e-320]},
     )
     config = TechniqueConfig(**kwargs)
     assert refusal(pop, config) == message
@@ -918,3 +939,94 @@ def test_a_weighted_run_reads_its_aux_column_once(name, pop6, monkeypatch):
     config = TechniqueConfig(technique=name, aux="chi", budget=3)
     run_technique(pop6, LabelingOracle(pop6), config, RandomStream(0))
     assert reads == ["chi"]
+
+
+# ---------------------------------------------------------------------------
+# Adversarial auxiliary values
+
+
+def aux_bound(N):
+    """The largest auxiliary value a population of N records accepts."""
+    return np.finfo(float).max / (16 * N * N)
+
+
+def _population(task, outcomes, chi):
+    N = len(chi)
+    if task == CLASSIFICATION:
+        return Population(task, np.arange(N), outcomes, np.zeros(N, int), aux={"chi": chi})
+    return Population(task, np.arange(N), np.zeros(N), outcomes, aux={"chi": chi})
+
+
+@pytest.mark.parametrize("N", [50, 2000])
+@pytest.mark.parametrize("name", TECHNIQUES)
+def test_every_law_is_finite_at_the_aux_bound(name, N):
+    rng = np.random.default_rng(N)
+    chi = aux_bound(N) * rng.random(N)
+    chi[::7] = 0.0
+    chi[1] = aux_bound(N)
+    config = TechniqueConfig(technique=name, aux="chi", budget=10, ces_initial=5)
+    for task, outcomes in ((CLASSIFICATION, rng.integers(0, 2, N)), (REGRESSION, rng.random(N))):
+        pop = _population(task, outcomes, chi)
+        res = run_technique(pop, LabelingOracle(pop), config, RandomStream(0))
+        assert np.isfinite(res.estimate)
+        chi_above = chi.copy()
+        chi_above[3] = np.nextafter(aux_bound(N), np.inf)
+        with pytest.raises(ValueError, match="auxiliary value too large at row 3"):
+            _population(task, outcomes, chi_above)
+
+
+#: The counters each law records, under fixed keys.
+COUNTERS = {
+    "srs": set(), "sups": set(), "rhcs": set(), "ces": set(),
+    "deepest": {"uniform_fallbacks"}, "ssrs": {"zero_allocations"},
+    "gbs": {"undrawn_partitions"}, "twoups": {"exhausted_partitions"},
+}
+
+
+@st.composite
+def adversarial_runs(draw):
+    """A population of at most 50 records with chi from an adversarial family, and a config."""
+    N = draw(st.integers(1, 50))
+    family = draw(st.sampled_from(["one nonzero", "1e-300 range", "subnormal", "constant", "bound"]))
+    top = {"1e-300 range": 1e-300, "subnormal": 2.2e-308, "bound": aux_bound(N)}.get(family, 1.0)
+    values = st.floats(0.0, top)
+    if family == "one nonzero":
+        chi = np.zeros(N)
+        chi[draw(st.integers(0, N - 1))] = draw(st.floats(5e-324, aux_bound(N)))
+    elif family == "constant":
+        chi = np.full(N, draw(st.floats(0.0, aux_bound(N))))
+    else:
+        chi = np.array(draw(st.lists(values, min_size=N, max_size=N)))
+    task = draw(st.sampled_from([CLASSIFICATION, REGRESSION]))
+    if task == CLASSIFICATION:
+        outcomes = np.array(draw(st.lists(st.integers(0, 1), min_size=N, max_size=N)))
+    else:
+        outcomes = np.array(draw(st.lists(st.floats(0.0, 100.0), min_size=N, max_size=N)))
+    budget = draw(st.integers(1, 60))
+    config = TechniqueConfig(
+        technique=draw(st.sampled_from(TECHNIQUES)), aux="chi", budget=budget,
+        k=draw(st.integers(1, 10)), ces_initial=min(budget, 3), ces_group=2,
+        ces_candidates=10, ces_bins=4,
+    )
+    return _population(task, outcomes, chi), config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=adversarial_runs())
+def test_every_law_is_finite_or_refused_on_adversarial_chi(case):
+    pop, config, seed = case
+
+    def run():
+        return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
+
+    reason = refusal(pop, config)
+    if reason is not None:
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            run()
+        return
+    res = run()
+    assert np.isfinite(res.estimate)
+    assert res.distinct_labeled <= config.budget
+    assert res.to_json(include_trace=True) == run().to_json(include_trace=True)
+    assert set(res.counts) == COUNTERS[config.technique]
+    assert all(type(v) is int and v >= 0 for v in res.counts.values())
