@@ -257,7 +257,9 @@ def selection_probabilities(chi) -> np.ndarray:
 
     If any value is exactly zero, a floor of ``1e-9 * max(chi)`` is
     added to every value first: the unequal-probability estimators are only
-    unbiased over the whole population when every record is selectable.
+    unbiased over the whole population when every record is selectable.  So
+    chi whose range is too wide for that, where a probability rounds to 0,
+    is refused.
     """
     values = np.asarray(chi, dtype=float)
     if np.any(values < 0):
@@ -267,4 +269,7 @@ def selection_probabilities(chi) -> np.ndarray:
         raise ValueError("all-zero chi vector")
     if values.min() == 0:
         values = values + 1e-9 * top
-    return values / values.sum()
+    pi = values / values.sum()
+    if pi.min() == 0:
+        raise ValueError("chi values span too wide a range: a selection probability rounds to 0")
+    return pi

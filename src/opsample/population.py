@@ -41,7 +41,12 @@ class Population:
     matrix, all in record-id order.  Row k of every argument is one record;
     ``ids`` must be a permutation of 0..N-1, and rows are reordered by id.
     A non-finite value, auxiliary value or feature value is refused with its
-    row number, and so is an auxiliary value above ``max_float / (16 N^2)``.
+    row number, and so is an auxiliary value above ``max_float / (16 N^2)``
+    and a feature value above ``max_float / 2`` in magnitude.
+
+    The auxiliary and feature columns are read-only copies, so label-free
+    values derived from them can be kept: each is computed once per
+    population under a key (see :meth:`_derived`), and none is pickled.
     """
 
     def __init__(self, task, ids, true, predicted, aux=None, features=None):
@@ -58,9 +63,9 @@ class Population:
             true, predicted = true.astype(np.int64), predicted.astype(np.int64)
         else:
             true, predicted = np.asarray(true, dtype=float), np.asarray(predicted, dtype=float)
-        aux = {name: np.asarray(col, dtype=float) for name, col in (aux or {}).items()}
+        aux = {name: np.array(col, dtype=float) for name, col in (aux or {}).items()}
         if features is not None:
-            features = np.asarray(features, dtype=float)
+            features = np.array(features, dtype=float)
         if any(col.shape != (N,) for col in (true, predicted, *aux.values())) or (
             features is not None and (features.ndim != 2 or len(features) != N)
         ):
@@ -77,6 +82,8 @@ class Population:
                          "auxiliary value too large")
         if features is not None:
             _refuse_rows(~np.isfinite(features.T), "non-finite feature value")
+            # Below this bound a column's max - min stays finite.
+            _refuse_rows(np.abs(features.T) > np.finfo(float).max / 2, "feature value too large")
         if not np.array_equal(np.sort(ids), np.arange(N)):
             raise ValueError("record ids must be unique and dense in [0, N)")
         if np.any(ids != np.arange(N)):
@@ -90,6 +97,8 @@ class Population:
         self._predicted = predicted
         self._aux = aux
         self._features = features
+        self._read_only_columns()
+        self._memo = {}
         # Outcome: z (misclassification flag) or delta (absolute offset).
         if task == CLASSIFICATION:
             self._outcomes = (predicted != true).astype(float)
@@ -102,17 +111,51 @@ class Population:
 
     def aux_vector(self, name: str) -> np.ndarray:
         """A read-only view of the named auxiliary column; refused if any value is negative."""
+        self._aux_range(name)
+        return self._aux[name].view()  # a view of a read-only column cannot be made writeable
+
+    def _aux_range(self, name: str) -> tuple:
+        """(min, max) of the named auxiliary column; refused if the min is negative."""
         if name not in self._aux:
             raise KeyError(f"auxiliary variable {name!r} not present (have {self.aux_names})")
-        values = self._aux[name].view()
-        if np.any(values < 0):
+        col = self._aux[name]
+        lo, hi = self._derived(("aux", name), lambda: (col.min(), col.max()))
+        if lo < 0:
             raise ValueError("auxiliary values must be nonnegative")
-        values.flags.writeable = False
-        return values
+        return lo, hi
+
+    def _derived(self, key: tuple, compute):
+        """``compute()``, computed once under ``key``; arrays in it are made read-only.
+
+        ``key`` names every input that ``compute`` reads, and none is an
+        outcome, so every run on this population may share the value.
+        """
+        if key not in self._memo:
+            value = compute()
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            self._memo[key] = value
+        return self._memo[key]
+
+    def _read_only_columns(self):
+        for col in (*self._aux.values(), self._features):
+            if col is not None:
+                col.flags.writeable = False
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_memo"]  # derived values are computed again, not shipped
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._read_only_columns()  # unpickled arrays come back writeable
+        self._memo = {}
 
     def features_matrix(self) -> np.ndarray | None:
-        """Feature vectors for representativeness-driven selection, if present."""
-        return self._features
+        """Feature vectors for representativeness-driven selection, if present; a read-only view."""
+        return None if self._features is None else self._features.view()
 
     def _true_outcomes(self) -> np.ndarray:
         """Full ground truth; evaluation-side only, never handed to techniques."""

@@ -160,8 +160,15 @@ class Draws(NamedTuple):
 
 
 # Every law has the signature law(pop, oracle, config, rng, chi, partition):
-# chi is the float array of the auxiliary variable (or None) and partition
-# the k-means map of the stratified techniques (or None).
+# chi is pop.aux_vector(config.aux), or None when config.aux is None, and
+# partition the k-means map of the stratified techniques (or None).  What a
+# law derives from chi or the features alone it keeps with pop._derived,
+# keyed by config.aux and the knobs it reads, so a run pays for its draws.
+
+
+def _pi(pop, config, chi) -> np.ndarray:
+    """The PPS selection probabilities of ``config.aux``'s column."""
+    return pop._derived(("pi", config.aux), lambda: selection_probabilities(chi))
 
 
 def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -175,8 +182,9 @@ def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
 def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
     """PPS with replacement; Hansen-Hurwitz estimator reweights by 1/probability."""
     n = config.budget
-    pi = selection_probabilities(chi)
-    selected = pps_with_replacement(np.arange(pop.N), pi, n, rng)
+    pi = _pi(pop, config, chi)
+    # pps_with_replacement(np.arange(N), pi, n, rng), on the kept cumulative sum.
+    selected = rng.weighted_index(pop._derived(("cum", config.aux), lambda: np.cumsum(pi)), n)
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y / pi[selected])) / (n * pop.N)
     return Draws(selected, estimate, pi[selected], "pps-wr", {}, {})
@@ -190,7 +198,7 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     without-replacement overall while keeping the estimator unbiased.
     """
     n = config.budget
-    pi = selection_probabilities(chi)
+    pi = _pi(pop, config, chi)
     # n near-equal groups: rem groups of base + 1, then n - rem of base.
     # Each run of equal sizes is one block with a group per row.
     base, rem = divmod(pop.N, n)
@@ -219,10 +227,10 @@ def _ces_features(pop: Population, chi) -> np.ndarray:
 
 
 class _SwapPool:
-    """The ids not drawn yet, ``ids[:size]``: all N ids, or the ``ids`` given."""
+    """The ids not drawn yet, ``ids[:size]``: all N ids, or a copy of the ``ids`` given."""
 
     def __init__(self, N: int, ids: np.ndarray | None = None):
-        self.ids = np.arange(N) if ids is None else ids
+        self.ids = np.arange(N) if ids is None else ids.copy()
         self.pos = np.arange(N)  # pos[i] is id i's place in ids while i is in the pool
         if ids is not None:
             self.pos[ids] = np.arange(ids.size)
@@ -236,6 +244,21 @@ class _SwapPool:
         ids[p], ids[end] = last, rid
         pos[last], pos[rid] = p, end
         self.size = end
+
+
+def _ces_cells(X: np.ndarray, bins: int) -> tuple:
+    """Each record's flattened (dimension, bin) cells, and the cells' population shares.
+
+    Bins are equal-width per dimension over the operational range.
+    """
+    n_dims = X.shape[1]
+    lo = X.min(axis=0)
+    width = X.max(axis=0) - lo
+    width[width == 0] = 1.0
+    bin_idx = np.minimum(((X - lo) / width * bins).astype(np.int64), bins - 1)
+    flat_idx = bin_idx + np.arange(n_dims) * bins
+    pop_col = (np.bincount(flat_idx.ravel(), minlength=n_dims * bins) / len(X))[:, None]
+    return flat_idx, pop_col
 
 
 def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -254,17 +277,13 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     """
     n, initial, group = config.budget, config.ces_initial, config.ces_group
     candidates, bins = config.ces_candidates, config.ces_bins
-    X = _ces_features(pop, chi)
-    n_dims = X.shape[1]
-    # Equal-width bins per dimension over the operational range.
-    lo = X.min(axis=0)
-    width = X.max(axis=0) - lo
-    width[width == 0] = 1.0
-    bin_idx = np.minimum(((X - lo) / width * bins).astype(np.int64), bins - 1)
-
+    # _ces_features' source: the features, else chi, else every aux column.
+    source = "features" if pop.features_matrix() is not None else ("aux", config.aux)
+    flat_idx, pop_col = pop._derived(
+        ("ces", source, bins), lambda: _ces_cells(_ces_features(pop, chi), bins)
+    )
+    n_dims = flat_idx.shape[1]
     n_cells = n_dims * bins
-    flat_idx = bin_idx + np.arange(n_dims) * bins  # per record: flattened (dim, bin) cells
-    pop_col = (np.bincount(flat_idx.ravel(), minlength=n_cells) / pop.N)[:, None]
     unselected = _SwapPool(pop.N)
     selected = list(srs_without_replacement(np.arange(pop.N), initial, rng))
     for rid in selected:
@@ -334,11 +353,14 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     label.  It is unbiased, but it is not the plain sample mean.
     """
     n, r = config.budget, config.r
-    threshold = float(np.quantile(chi, config.threshold_quantile))
+    threshold, above_ids = pop._derived(
+        ("deepest", config.aux, config.threshold_quantile),
+        lambda: _above_quantile(chi, config.threshold_quantile),
+    )
     fallbacks = 0
 
     unsel = _SwapPool(pop.N)
-    above = _SwapPool(pop.N, np.flatnonzero(chi > threshold))
+    above = _SwapPool(pop.N, above_ids)
 
     # Selection reads chi and the pools only, so every label is revealed
     # after it, in one call.
@@ -390,6 +412,12 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     }
     counts = {"uniform_fallbacks": fallbacks}
     return Draws(np.array(selected), estimate, probabilities, schemes, counts, knobs)
+
+
+def _above_quantile(chi, quantile: float) -> tuple:
+    """deepest's threshold, chi's ``quantile``, and the ids of the records above it."""
+    threshold = float(np.quantile(chi, quantile))
+    return threshold, np.flatnonzero(chi > threshold)
 
 
 def ssrs_allocation(pm: PartitionMap, n: int) -> np.ndarray:
@@ -513,10 +541,8 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     swap-with-last pools are replayed on maps of the positions they moved.
     """
     n, pm = config.budget, partition
-    pi = selection_probabilities(chi)
+    psi = _partition_shares(pm, config.aux, _pi(pop, config, chi))
     members = pm.member_lists()
-    psi = np.array([pi[m].sum() for m in members])
-    psi = psi / psi.sum()
 
     stage = pps_with_replacement(np.arange(pm.P), psi, n, rng)
     # Draw t (from 0) on a partition of size s finds t % s of its pool
@@ -545,6 +571,21 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     estimate = float(np.sum(y * (sizes / psi[stage]))) / (pop.N * n)
     knobs = {"psi": [float(x) for x in psi]}
     return Draws(selected, estimate, psi[stage] / remaining, "twoups", exhausted, knobs)
+
+
+def _partition_shares(pm: PartitionMap, aux, pi: np.ndarray) -> np.ndarray:
+    """Each partition's share of ``pi``, cached on the map per aux column; read-only.
+
+    An entry holds the ``pi`` it was computed from, so no other array can
+    share its identity: another population's ``pi`` computes the shares again.
+    """
+    cached = pm._psi.get(aux)
+    if cached is None or cached[0] is not pi:
+        psi = np.array([pi[m].sum() for m in pm.member_lists()])
+        psi = psi / psi.sum()
+        psi.flags.writeable = False
+        pm._psi[aux] = cached = (pi, psi)
+    return cached[1]
 
 
 @dataclass(frozen=True)
@@ -589,7 +630,8 @@ def refusal(pop: Population, config: TechniqueConfig) -> str | None:
 def _accepted_chi(pop: Population, config: TechniqueConfig) -> np.ndarray | None:
     """``pop``'s ``config.aux`` column, or None without one; raises :func:`refusal`'s reason.
 
-    The column is read once, so its scan for negative values runs once per run.
+    The column is read once, and its scan for negative values and its range
+    are computed once per population.
     """
     entry = REGISTRY[config.technique]
     if pop.task == REGRESSION and config.aux in CLASSIFICATION_ONLY_AUX:
@@ -599,15 +641,16 @@ def _accepted_chi(pop: Population, config: TechniqueConfig) -> np.ndarray | None
     chi = None if config.aux is None else pop.aux_vector(config.aux)  # refuses a negative value
     if entry.needs_chi and chi is None:
         raise ValueError(f"technique {config.technique!r} needs an auxiliary variable")
-    if entry.weighted and not chi.any():
-        raise ValueError(
-            f"auxiliary variable {config.aux!r} is all-zero, and {config.technique} draws by it"
-        )
+    if entry.weighted:
+        bottom, top = pop._aux_range(config.aux)
+        if top == 0:
+            raise ValueError(
+                f"auxiliary variable {config.aux!r} is all-zero, and {config.technique} draws by it"
+            )
     if config.technique in ("sups", "rhcs", "twoups"):
         # A selection probability that rounds to 0 biases the reweighted
         # estimate (rhcs's turns NaN). None does while the smallest value,
         # after selection_probabilities' floor for zeros, is >= 2^-1000 max.
-        top, bottom = chi.max(), chi.min()
         if (bottom if bottom > 0 else 1e-9 * top) / top < 2.0**-1000:
             raise ValueError(f"auxiliary variable {config.aux!r} spans too wide a range")
     if entry.without_replacement and config.budget > pop.N:

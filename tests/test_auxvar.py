@@ -387,6 +387,15 @@ class TestSelectionProbabilities:
         assert pi[0] > 0
         assert abs(pi.sum() - 1.0) < 1e-12
 
+    def test_zero_floor_values_are_pinned(self):
+        pi = selection_probabilities(np.array([0.0, 1.0]))
+        assert [float(p).hex() for p in pi] == ["0x1.12e0be79343a6p-30", "0x1.fffffff768fa0p-1"]
+
+    @pytest.mark.parametrize("chi", [[0.0, 1e-320], [5e-324, 2.0]])
+    def test_a_probability_rounding_to_zero_is_refused(self, chi):
+        with pytest.raises(ValueError, match="span too wide a range"):
+            selection_probabilities(np.array(chi))
+
     @given(st.lists(st.floats(0.01, 1e3), min_size=2, max_size=20), st.floats(0.01, 100))
     @settings(max_examples=50, deadline=None)
     def test_scale_invariance(self, xs, c):

@@ -379,6 +379,16 @@ class TestColumns:
         with pytest.raises(ValueError, match="non-finite feature value at row 3"):
             Population(CLASSIFICATION, np.arange(5), np.zeros(5, int), np.zeros(5, int), features=features)
 
+    def test_feature_value_too_large_rejected_with_its_row(self):
+        # (i - 4.5) * 2e307 spans more than the float range: max - min overflows.
+        features = np.column_stack([np.zeros(10), (np.arange(10) - 4.5) * 2e307])
+        with pytest.raises(ValueError, match="feature value too large at row 0"):
+            Population(CLASSIFICATION, np.arange(10), np.zeros(10, int), np.zeros(10, int),
+                       features=features)
+        features[[0, 9], 1] = np.finfo(float).max / 2 * np.array([-1, 1])
+        Population(CLASSIFICATION, np.arange(10), np.zeros(10, int), np.zeros(10, int),
+                   features=features)
+
     def test_aux_value_above_the_bound_rejected_with_its_row(self):
         bound = np.finfo(float).max / (16 * 5 * 5)
         chi = np.full(5, bound)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import re
 from dataclasses import replace
 
@@ -292,7 +293,8 @@ def test_ces_matches_the_reference_law(task, features, budget, kwargs):
     else:
         pop = generate_synthetic(SyntheticConfig(task=task, N=200), seed=7)
         chi = pop.aux_vector("chi")
-    config = TechniqueConfig(technique="ces", budget=budget, **kwargs)
+    aux = None if features else "chi"
+    config = TechniqueConfig(technique="ces", aux=aux, budget=budget, **kwargs)
     for seed in range(3):
         got = techniques._ces(pop, LabelingOracle(pop), config, RandomStream(seed), chi, None)
         want = reference_ces(pop, LabelingOracle(pop), config, RandomStream(seed), chi, None)
@@ -747,6 +749,108 @@ def test_result_json_round_trip(pop6):
     assert len(payload["trace"]) == 3
     assert "trace" not in json.loads(res.to_json())
     assert payload["xi_hat"] == pytest.approx(1.0 - payload["estimate"])
+
+
+# ---------------------------------------------------------------------------
+# Label-free set-up kept per population: a run on a population that earlier
+# runs used must give the bytes of a run on a fresh copy.
+
+
+def _memo_pool(task):
+    """N=60 without features, so ces bins the aux columns; "other" ranks unlike chi."""
+    base = generate_synthetic(SyntheticConfig(task=task, N=60), seed=11)
+    other = np.random.default_rng(12).random(60)
+    return dict(
+        task=task, ids=np.arange(60), true=base._true, predicted=base._predicted,
+        aux={"chi": base.aux_vector("chi"), "other": other},
+    )
+
+
+def _memo_run(pop, name, budget, seed=5, **kwargs):
+    kwargs.setdefault("aux", "chi" if REGISTRY[name].needs_chi else None)
+    config = TechniqueConfig(technique=name, budget=budget, ces_initial=1, **kwargs)
+    return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
+
+
+def _warm_up(pop):
+    """Run every law under other aux columns and other deepest, ces and k knobs."""
+    for name in TECHNIQUES:
+        for aux in ("other", "chi", None):
+            if REGISTRY[name].needs_chi and aux is None:
+                continue
+            _memo_run(pop, name, 7, seed=1, aux=aux, threshold_quantile=0.4, ces_bins=4, k=3)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+def test_a_used_population_runs_as_a_fresh_one(task):
+    columns = _memo_pool(task)
+    warm = Population(**columns)
+    _warm_up(warm)
+    for name in TECHNIQUES:
+        for budget in (1, 3, 50):
+            got = _memo_run(warm, name, budget).to_json(include_trace=True)
+            want = _memo_run(Population(**columns), name, budget).to_json(include_trace=True)
+            assert got == want, (name, budget)
+
+
+def test_kept_set_up_is_read_only_and_not_pickled():
+    columns = _memo_pool(CLASSIFICATION)
+    warm = Population(**columns)
+    _warm_up(warm)
+    kinds = {key[0] for key in warm._memo}
+    assert kinds == {"aux", "pi", "cum", "ces", "deepest"}
+    for value in warm._memo.values():
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                assert not part.flags.writeable
+    assert pickle.dumps(warm) == pickle.dumps(Population(**columns))
+    back = pickle.loads(pickle.dumps(warm))
+    assert back._memo == {}
+    assert not back.aux_vector("chi").flags.writeable
+    assert _memo_run(back, "deepest", 9).to_json() == _memo_run(warm, "deepest", 9).to_json()
+
+
+def test_one_map_serves_twoups_under_two_aux_columns_and_two_populations():
+    columns = _memo_pool(CLASSIFICATION)
+    pop = Population(**columns)
+    shifted = Population(**{**columns, "aux": {"chi": columns["aux"]["chi"] + 1.0}})
+    pm = kmeans_1d(pop.aux_vector("chi"), 4, 0)
+
+    def run(population, aux, partition):
+        config = TechniqueConfig(technique="twoups", aux=aux, budget=20, k=4)
+        oracle = LabelingOracle(population)
+        result = run_technique(population, oracle, config, RandomStream(2), partition)
+        return result.to_json(include_trace=True)
+
+    for population, aux in ((pop, "chi"), (pop, "other"), (shifted, "chi"), (pop, "chi")):
+        aux_columns = {a: population.aux_vector(a) for a in population.aux_names}
+        fresh = Population(**{**columns, "aux": aux_columns})
+        assert run(population, aux, pm) == run(fresh, aux, kmeans_1d(pop.aux_vector("chi"), 4, 0))
+    assert not any(psi.flags.writeable for _, psi in pm._psi.values())
+
+
+def test_writing_the_callers_columns_after_construction_changes_no_run():
+    columns = _memo_pool(CLASSIFICATION)
+    chi, features = columns["aux"]["chi"].copy(), np.random.default_rng(3).random((60, 2))
+    pop = Population(**{**columns, "aux": {"chi": chi}}, features=features)
+    before = [_memo_run(pop, name, 20).to_json(include_trace=True) for name in TECHNIQUES]
+    chi[:] = chi[::-1]
+    features[:] = features[::-1]
+    after = [_memo_run(pop, name, 20).to_json(include_trace=True) for name in TECHNIQUES]
+    assert after == before
+
+
+def test_ces_runs_finite_on_features_at_the_bound():
+    bound = np.finfo(float).max / 2
+    features = np.column_stack([bound * np.linspace(-1.0, 1.0, 10), np.arange(10.0)])
+    pop = Population(CLASSIFICATION, np.arange(10), np.arange(10) % 2, np.zeros(10, int),
+                     features=features)
+    config = TechniqueConfig(technique="ces", budget=6, ces_initial=2, ces_group=2,
+                             ces_candidates=5, ces_bins=4)
+    result = run_technique(pop, LabelingOracle(pop), config, RandomStream(0))
+    assert np.isfinite(result.estimate)
+    cells, _ = pop._memo[("ces", "features", 4)]
+    assert set(cells[:, 0].tolist()) == {0, 1, 2, 3}  # the wide column is binned, not all in bin 0
 
 
 # ---------------------------------------------------------------------------
