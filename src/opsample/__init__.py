@@ -11,13 +11,7 @@ from .auxvar import (
     selection_probabilities,
     shift_positive,
 )
-from .draw import (
-    RandomStream,
-    derive_seed,
-    pps_with_replacement,
-    srs_with_replacement,
-    srs_without_replacement,
-)
+from .draw import RandomStream, derive_seed, srs_without_replacement
 from .harness import (
     EvalConfig,
     EvalReport,

@@ -27,9 +27,7 @@ __all__ = [
     "EnumeratingStream",
     "NotEnumerableError",
     "derive_seed",
-    "srs_with_replacement",
     "srs_without_replacement",
-    "pps_with_replacement",
 ]
 
 _KEY_MASK = (1 << 256) - 1
@@ -195,16 +193,6 @@ class EnumeratingStream:
     random = permutation = standard_normal = _refuse
 
 
-def srs_with_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:
-    """n independent uniform draws from ids; duplicates allowed."""
-    ids = np.asarray(ids)
-    if ids.size == 0:
-        raise ValueError("empty id set")
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    return ids[rng.integers(0, ids.size, size=n)]
-
-
 def srs_without_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:
     """Partial Fisher-Yates draw of n distinct ids; all n-subsets equiprobable.
 
@@ -227,22 +215,3 @@ def srs_without_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:
         moved[j] = moved.get(i, i)
     return ids[picks]
 
-
-def _cumulative(weights) -> np.ndarray:
-    weights = np.asarray(weights, dtype=float)
-    if weights.size == 0:
-        raise ValueError("empty weight vector")
-    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite and nonnegative")
-    cum = np.cumsum(weights)
-    if cum[-1] <= 0:
-        raise ValueError("all weights are zero")
-    return cum
-
-
-def pps_with_replacement(ids, weights, n: int, rng: RandomStream) -> np.ndarray:
-    """n independent PPS draws (multiset)."""
-    ids = np.asarray(ids)
-    if n < 1:
-        raise ValueError("sample size must be >= 1")
-    return ids[rng.weighted_index(_cumulative(weights), n)]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .draw import EnumeratingStream, NotEnumerableError, RandomStream, derive_seed
-from .partition import kmeans_1d
+from .partition import kmeans_1d  # noqa: F401  bench/spans.py traces opsample.harness.kmeans_1d
 from .population import REGRESSION, LabelingOracle, Population, true_accuracy
 from .techniques import REGISTRY, TechniqueConfig, refusal, run_technique
 
@@ -82,29 +82,22 @@ def enumerate_paths(pop: Population, config: TechniqueConfig):
 
     The technique's own law runs through :func:`run_technique` under an
     :class:`EnumeratingStream`, once per sample path, so the oracle checks
-    the code that runs; the partition map is built once.
+    the code that runs; ``pop`` keeps the partition map, so it is built once.
     """
     require_enumerable(config.technique)
     if pop.N > 10 or config.budget > 4:
         raise IntractableError("enumeration supports N <= 10, n <= 4")
-    return _replay(pop, config, _partition_map(pop, config))
+    return _replay(pop, config)
 
 
-def _replay(pop, config, partition):
+def _replay(pop, config):
     """One run of the law per sample path, depth first."""
     stream = EnumeratingStream()
     while True:
-        result = run_technique(pop, LabelingOracle(pop), config, stream, partition)
+        result = run_technique(pop, LabelingOracle(pop), config, stream)
         yield stream.probability, result.estimate
         if not stream.next_path():
             return
-
-
-def _partition_map(pop: Population, config: TechniqueConfig):
-    """The k-means map that a stratified config's runs share; None for other techniques."""
-    if REGISTRY[config.technique].partitioned and config.aux is not None:
-        return kmeans_1d(pop.aux_vector(config.aux), config.k, config.partition_seed)
-    return None
 
 
 def enumerate_expectation(pop: Population, config: TechniqueConfig) -> float:
@@ -320,13 +313,13 @@ def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
 
 def _execute_cell_worker(args):
     """Raw rows of one grid cell; the same function runs in-process and in pool workers."""
-    pop, config, tc, partition = args
+    pop, config, tc = args
     technique, aux, budget = tc.technique, tc.aux, tc.budget
     rows = []
     for rep in range(config.repetitions):
         seed = derive_seed(config.master_seed, technique, aux, budget, rep)
         oracle = LabelingOracle(pop)
-        result = run_technique(pop, oracle, tc, RandomStream(seed), partition)
+        result = run_technique(pop, oracle, tc, RandomStream(seed))
         row = {
             "technique": technique,
             "aux": aux,
@@ -348,13 +341,11 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
     """Execute the full grid with independently seeded repetitions.
 
     A cell that :func:`refusal` refuses is skipped with its reason, before
-    any run.  Each needed partition map is computed once, here, for each
-    (aux, k, partition_seed) that a stratified cell's config asks for, so
-    cells that stratify alike share one map whatever the worker count.
+    any run.  Cells that stratify alike share the map ``pop`` keeps; a
+    worker process receives ``pop`` without it and builds its own.
     """
     xi = true_accuracy(pop)
     skipped = []
-    partitions = {None: None}  # unstratified cells take no map
     cell_args = []
     for technique, aux, budget in itertools.product(config.techniques, config.aux, config.budgets):
         if not REGISTRY[technique].needs_chi and aux is not None:
@@ -367,10 +358,7 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
         if reason is not None:
             skipped.append({"technique": technique, "aux": aux, "budget": budget, "reason": reason})
             continue
-        key = (tc.aux, tc.k, tc.partition_seed) if REGISTRY[technique].partitioned else None
-        if key not in partitions:
-            partitions[key] = _partition_map(pop, tc)
-        cell_args.append((pop, config, tc, partitions[key]))
+        cell_args.append((pop, config, tc))
     workers = min(config.jobs, os.cpu_count() or 1, len(cell_args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:

@@ -22,10 +22,7 @@ _EPS = np.finfo(float).eps
 class PartitionMap:
     """Assignment of every record to one of P partitions, centroids ascending.
 
-    ``values`` are the scores the map stratifies, and ``allocations`` caches
-    the allocations over them per budget.  ``_psi`` caches, per aux column,
-    twoups's partition shares of that column's selection probabilities.
-    ``dataclasses.replace`` empties both caches.
+    ``values`` are the scores the map stratifies.
     """
 
     assignment: np.ndarray
@@ -34,8 +31,6 @@ class PartitionMap:
     P: int
     values: np.ndarray
     _members: list | None = field(default=None, init=False, repr=False, compare=False)
-    allocations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _psi: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def member_lists(self) -> list:
         """Record ids of each partition, ascending; computed once per map."""

@@ -20,12 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .auxvar import selection_probabilities
-from .draw import (
-    RandomStream,
-    pps_with_replacement,
-    srs_with_replacement,
-    srs_without_replacement,
-)
+from .draw import RandomStream, srs_without_replacement
 from .partition import PartitionMap, kmeans_1d, neyman_allocation
 from .population import CLASSIFICATION, REGRESSION, LabelingOracle, Population
 
@@ -163,7 +158,8 @@ class Draws(NamedTuple):
 # chi is pop.aux_vector(config.aux), or None when config.aux is None, and
 # partition the k-means map of the stratified techniques (or None).  What a
 # law derives from chi or the features alone it keeps with pop._derived,
-# keyed by config.aux and the knobs it reads, so a run pays for its draws.
+# keyed by config.aux and the knobs it reads, so a run pays for its draws;
+# the map is kept there too, under _strata_key(config).
 
 
 def _pi(pop, config, chi) -> np.ndarray:
@@ -171,10 +167,15 @@ def _pi(pop, config, chi) -> np.ndarray:
     return pop._derived(("pi", config.aux), lambda: selection_probabilities(chi))
 
 
+def _strata_key(config) -> tuple:
+    """The key of ``config``'s k-means map: every input :func:`kmeans_1d` reads."""
+    return ("strata", config.aux, config.k, config.partition_seed)
+
+
 def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Simple random sampling with replacement; estimate is the sample mean."""
     n = config.budget
-    selected = srs_with_replacement(np.arange(pop.N), n, rng)
+    selected = rng.integers(0, pop.N, size=n)
     y = _estimand(pop, oracle.reveal_many(selected))
     return Draws(selected, y.mean(), np.full(n, 1.0 / pop.N), "srs-wr", {}, {})
 
@@ -183,7 +184,6 @@ def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
     """PPS with replacement; Hansen-Hurwitz estimator reweights by 1/probability."""
     n = config.budget
     pi = _pi(pop, config, chi)
-    # pps_with_replacement(np.arange(N), pi, n, rng), on the kept cumulative sum.
     selected = rng.weighted_index(pop._derived(("cum", config.aux), lambda: np.cumsum(pi)), n)
     y = _estimand(pop, oracle.reveal_many(selected))
     estimate = float(np.sum(y / pi[selected])) / (n * pop.N)
@@ -351,6 +351,12 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     (step s has probability 1/(N - s)), and the estimate collapses to
     (1/n) * sum_j w_j * y_j with w_j = (N + n + 1 - 2j) / N for the j-th
     label.  It is unbiased, but it is not the plain sample mean.
+
+    At r = 1 the estimate is biased: a step that does not fall back picks
+    only above the threshold, so a record at or below it has step
+    probability 0 and that step's total misses its outcome.  On failures
+    [1, 0, 0, 1, 0], chi [0.1, 0.9, 0.3, 0.8, 0.5] and n = 3 the exact
+    oracle gives E = 0.32 against the truth 0.4; every r < 1 gives 0.4.
     """
     n, r = config.budget, config.r
     threshold, above_ids = pop._derived(
@@ -426,26 +432,21 @@ def ssrs_allocation(pm: PartitionMap, n: int) -> np.ndarray:
     A partition allocated zero draws contributes a hard 0 to the stratified
     estimate, which biases it whenever that partition's outcomes are not all
     zero.  When n >= P the floor restores exact unbiasedness by moving one
-    draw from the largest allocations into each empty partition.  The
-    per-partition sizes are cached on the map per budget, so they are
-    computed once per (map, n), and the array is read-only.
+    draw from the largest allocations into each empty partition.
     """
-    if n not in pm.allocations:
-        n_p = neyman_allocation(pm, n)
-        if n >= pm.P:
-            for p in np.flatnonzero(n_p == 0):
-                donor = int(np.argmax(n_p))
-                n_p[donor] -= 1
-                n_p[p] = 1
-        n_p.flags.writeable = False  # shared by every run that hits the cache
-        pm.allocations[n] = n_p
-    return pm.allocations[n]
+    n_p = neyman_allocation(pm, n)
+    if n >= pm.P:
+        for p in np.flatnonzero(n_p == 0):
+            donor = int(np.argmax(n_p))
+            n_p[donor] -= 1
+            n_p[p] = 1
+    return n_p
 
 
 def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws."""
     n, pm = config.budget, partition
-    alloc = ssrs_allocation(pm, n)
+    alloc = pop._derived((*_strata_key(config), n), lambda: ssrs_allocation(pm, n))
     draws = []
     probabilities = []
     members = pm.member_lists()
@@ -541,10 +542,11 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     swap-with-last pools are replayed on maps of the positions they moved.
     """
     n, pm = config.budget, partition
-    psi = _partition_shares(pm, config.aux, _pi(pop, config, chi))
+    pi = _pi(pop, config, chi)
+    psi = pop._derived((*_strata_key(config), "psi"), lambda: _partition_shares(pm, pi))
     members = pm.member_lists()
 
-    stage = pps_with_replacement(np.arange(pm.P), psi, n, rng)
+    stage = rng.weighted_index(np.cumsum(psi), n)
     # Draw t (from 0) on a partition of size s finds t % s of its pool
     # taken: the pool is restored after every s draws.
     counts = np.bincount(stage, minlength=pm.P)
@@ -573,19 +575,10 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     return Draws(selected, estimate, psi[stage] / remaining, "twoups", exhausted, knobs)
 
 
-def _partition_shares(pm: PartitionMap, aux, pi: np.ndarray) -> np.ndarray:
-    """Each partition's share of ``pi``, cached on the map per aux column; read-only.
-
-    An entry holds the ``pi`` it was computed from, so no other array can
-    share its identity: another population's ``pi`` computes the shares again.
-    """
-    cached = pm._psi.get(aux)
-    if cached is None or cached[0] is not pi:
-        psi = np.array([pi[m].sum() for m in pm.member_lists()])
-        psi = psi / psi.sum()
-        psi.flags.writeable = False
-        pm._psi[aux] = cached = (pi, psi)
-    return cached[1]
+def _partition_shares(pm: PartitionMap, pi: np.ndarray) -> np.ndarray:
+    """Each partition's share of ``pi``."""
+    psi = np.array([pi[m].sum() for m in pm.member_lists()])
+    return psi / psi.sum()
 
 
 @dataclass(frozen=True)
@@ -667,27 +660,26 @@ def _accepted_chi(pop: Population, config: TechniqueConfig) -> np.ndarray | None
 
 
 def run_technique(
-    pop: Population,
-    oracle: LabelingOracle,
-    config: TechniqueConfig,
-    rng: RandomStream,
-    partition: PartitionMap | None = None,
+    pop: Population, oracle: LabelingOracle, config: TechniqueConfig, rng: RandomStream
 ) -> TechniqueResult:
     """Run a configured technique: the one path from a config to a result.
 
     chi is the population's ``config.aux`` column.  A stratified technique
     stratifies on k-means over chi with ``config.k`` and
-    ``config.partition_seed``; callers share that map across runs by passing
-    it as ``partition``.  It raises :func:`refusal`'s reason, if any, before
-    any label.  The law draws; this function keeps its selection
-    probabilities and scheme tags, one per draw, adds the knobs every run
-    shares (``n``, and ``k`` and ``P`` if stratified) to the law's own, and
-    counts the failures among the labels the oracle revealed.
+    ``config.partition_seed``; the map is label-free, so ``pop`` keeps it
+    and every run with the same key shares it.  It raises :func:`refusal`'s
+    reason, if any, before any label.  The law draws; this function keeps
+    its selection probabilities and scheme tags, one per draw, adds the
+    knobs every run shares (``n``, and ``k`` and ``P`` if stratified) to the
+    law's own, and counts the failures among the labels the oracle revealed.
     """
     chi = _accepted_chi(pop, config)
     entry = REGISTRY[config.technique]
-    if entry.partitioned and partition is None:
-        partition = kmeans_1d(chi, config.k, config.partition_seed)
+    partition = None
+    if entry.partitioned:
+        partition = pop._derived(
+            _strata_key(config), lambda: kmeans_1d(chi, config.k, config.partition_seed)
+        )
     strata = {"k": config.k, "P": partition.P} if entry.partitioned else {}
     draws = entry.law(pop, oracle, config, rng, chi, partition)
 

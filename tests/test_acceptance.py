@@ -29,12 +29,7 @@ from opsample.population import (
     generate_synthetic,
     true_accuracy,
 )
-from opsample.techniques import (
-    REGISTRY,
-    TechniqueConfig,
-    run_technique,
-    ssrs_allocation,
-)
+from opsample.techniques import TechniqueConfig, run_technique, ssrs_allocation
 
 
 def report(num, ok, detail):
@@ -52,22 +47,12 @@ def main_pop():
     return generate_synthetic(config, 20260826)
 
 
-@pytest.fixture(scope="module")
-def main_chi(main_pop):
-    return main_pop.aux_vector("chi")
+def run_once(pop, config, seed):
+    return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
 
 
-@pytest.fixture(scope="module")
-def main_partition(main_chi):
-    return kmeans_1d(main_chi, 10, 0)
-
-
-def run_once(pop, config, seed, partition=None):
-    return run_technique(pop, LabelingOracle(pop), config, RandomStream(seed), partition)
-
-
-def estimates_for(pop, config, seeds, partition=None):
-    return np.array([run_once(pop, config, s, partition).estimate for s in seeds])
+def estimates_for(pop, config, seeds):
+    return np.array([run_once(pop, config, s).estimate for s in seeds])
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +108,7 @@ ALL_CONFIGS = {
 
 
 @pytest.mark.slow
-def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_partition):
+def test_criterion_2_monte_carlo_unbiasedness(main_pop):
     start = time.perf_counter()
     R = 10_000
     xi_true = true_accuracy(main_pop)
@@ -131,9 +116,8 @@ def test_criterion_2_monte_carlo_unbiasedness(main_pop, main_partition):
     ok = True
     for name, kwargs in ALL_CONFIGS.items():
         config = TechniqueConfig(budget=200, **kwargs)
-        partition = main_partition if REGISTRY[name].partitioned else None
         seeds = [derive_seed(0, "c2", name, rep) for rep in range(R)]
-        est = estimates_for(main_pop, config, seeds, partition)
+        est = estimates_for(main_pop, config, seeds)
         xi_hat = 1.0 - est
         se = xi_hat.std(ddof=1) / np.sqrt(R)
         dev = abs(xi_hat.mean() - xi_true)
@@ -180,8 +164,6 @@ def strata_pop():
 def test_criterion_4_stratification_efficiency(strata_pop):
     R = 2000
     xi_true = true_accuracy(strata_pop)
-    chi = strata_pop.aux_vector("chi")
-    partition = kmeans_1d(chi, 10, 0)
     srs_cfg = TechniqueConfig(technique="srs", budget=200)
     ssrs_cfg = TechniqueConfig(technique="ssrs", aux="chi", budget=200, k=10)
     srs_err = np.array([
@@ -190,7 +172,7 @@ def test_criterion_4_stratification_efficiency(strata_pop):
     ])
     ssrs_err = np.array([
         (xi_true - (1.0 - run_once(
-            strata_pop, ssrs_cfg, derive_seed(0, "c4", "ssrs", i), partition
+            strata_pop, ssrs_cfg, derive_seed(0, "c4", "ssrs", i)
         ).estimate)) ** 2
         for i in range(R)
     ])

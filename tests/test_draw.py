@@ -6,8 +6,6 @@ from opsample.draw import (
     EnumeratingStream,
     RandomStream,
     derive_seed,
-    pps_with_replacement,
-    srs_with_replacement,
     srs_without_replacement,
 )
 
@@ -26,20 +24,16 @@ def test_split_streams_differ_and_are_stable():
     assert derive_seed(7, "a") == root.split("a").seed
 
 
+# srs draws its ids with replacement as integers(0, N, size=n).
+
+
 def test_srs_wr_single_id():
-    out = srs_with_replacement([5], 3, RandomStream(0))
-    assert list(out) == [5, 5, 5]
-
-
-def test_srs_wr_errors():
-    with pytest.raises(ValueError):
-        srs_with_replacement([], 1, RandomStream(0))
-    with pytest.raises(ValueError):
-        srs_with_replacement([1, 2], 0, RandomStream(0))
+    out = RandomStream(0).integers(0, 1, size=3)
+    assert list(out) == [0, 0, 0]
 
 
 def test_srs_wr_frequencies():
-    draws = srs_with_replacement([0, 1], 100_000, RandomStream(3))
+    draws = RandomStream(3).integers(0, 2, size=100_000)
     freq = np.mean(draws == 0)
     sigma = 0.5 / np.sqrt(100_000)
     assert abs(freq - 0.5) < 3 * sigma
@@ -69,20 +63,23 @@ def test_srs_wor_pair_frequencies():
         assert abs(c / trials - 1 / 3) < 3 * sigma, pair
 
 
+# PPS with replacement draws weighted_index(np.cumsum(weights), n), as sups and twoups do.
+
+
 def test_pps_draw_degenerate_weight():
     for seed in range(20):
-        assert list(pps_with_replacement([10, 11], [1.0, 0.0], 1, RandomStream(seed))) == [10]
+        assert list(RandomStream(seed).weighted_index(np.cumsum([1.0, 0.0]), 1)) == [0]
 
 
 def test_pps_frequencies():
-    draws = pps_with_replacement([0, 1, 2], [2, 1, 1], 100_000, RandomStream(9))
+    draws = RandomStream(9).weighted_index(np.cumsum([2.0, 1.0, 1.0]), 100_000)
     for i, p in enumerate([0.5, 0.25, 0.25]):
         freq = np.mean(draws == i)
         assert abs(freq - p) < 3 * np.sqrt(p * (1 - p) / 100_000)
 
 
 def test_pps_equal_weights_uniform_chisquare():
-    draws = pps_with_replacement(np.arange(5), np.ones(5), 100_000, RandomStream(11))
+    draws = RandomStream(11).weighted_index(np.cumsum(np.ones(5)), 100_000)
     counts = np.bincount(draws, minlength=5)
     _, p_value = stats.chisquare(counts)
     assert p_value > 0.001
@@ -90,15 +87,8 @@ def test_pps_equal_weights_uniform_chisquare():
 
 def test_pps_concentrated_weight_dominates():
     weights = [1.0, 1e6, 1.0]
-    draws = pps_with_replacement([0, 1, 2], weights, 1000, RandomStream(2))
+    draws = RandomStream(2).weighted_index(np.cumsum(weights), 1000)
     assert np.mean(draws == 1) > 0.99
-
-
-def test_pps_errors():
-    with pytest.raises(ValueError):
-        pps_with_replacement([0, 1], [0.0, 0.0], 1, RandomStream(0))
-    with pytest.raises(ValueError):
-        pps_with_replacement([0, 1], [-1.0, 2.0], 1, RandomStream(0))
 
 
 def test_grouping_is_partition():
@@ -174,8 +164,6 @@ def test_enumerating_stream_replays_batched_forms_as_scalar_calls():
     "call, message",
     [
         (lambda rng: srs_without_replacement([1, 2, 3], -1, rng), "sample size must be >= 0"),
-        (lambda rng: pps_with_replacement([], [], 1, rng), "empty weight vector"),
-        (lambda rng: pps_with_replacement([1, 2], [1.0, 1.0], 0, rng), "sample size must be >= 1"),
     ],
 )
 def test_refusals(call, message):

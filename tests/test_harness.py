@@ -160,6 +160,18 @@ def test_enum_deepest_skips_zero_probability_branches(r):
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "r, expectation", [(0.0, 0.4), (0.5, 0.4), (0.8, 0.4), (0.99, 0.4), (1.0, 0.32)]
+)
+def test_enum_deepest_is_biased_only_at_r_1(r, expectation):
+    # At r = 1 a step that does not fall back never picks a record at or
+    # below the threshold, so its total misses that record's outcome.
+    pop = make_classification([1, 0, 0, 1, 0], [0.1, 0.9, 0.3, 0.8, 0.5])
+    config = TechniqueConfig(technique="deepest", aux="chi", budget=3, r=r)
+    assert 1.0 - true_accuracy(pop) == pytest.approx(0.4, abs=1e-12)
+    assert enumerate_expectation(pop, config) == pytest.approx(expectation, abs=1e-12)
+
+
 @pytest.mark.parametrize("draw", ["random", "permutation", "standard_normal"])
 def test_enumerating_stream_refuses_draws_outside_the_primitives(draw):
     with pytest.raises(NotEnumerableError):

@@ -1,10 +1,10 @@
 """Behavioral and hand-example tests for the eight sampling techniques."""
 
 import hashlib
+import itertools
 import json
 import pickle
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -420,36 +420,6 @@ def test_ssrs_respects_allocation_budget(pop6):
     assert len(np.unique(res.selected_ids)) == 4
 
 
-def test_ssrs_allocation_is_cached_per_chi_and_budget(monkeypatch):
-    rng = np.random.default_rng(3)
-    chi = rng.random(200)
-    other = chi**4  # other spreads per partition, so another allocation
-    pm = kmeans_1d(chi, 4, 0)
-
-    def fresh(n, values=chi):
-        return ssrs_allocation(replace(pm, values=values), n).tolist()  # an empty cache
-
-    assert fresh(20) != fresh(30)
-    assert fresh(20) != fresh(20, other)
-    calls = []
-    neyman = techniques.neyman_allocation
-    monkeypatch.setattr(
-        techniques, "neyman_allocation", lambda *args: calls.append(args) or neyman(*args)
-    )
-    for n in (20, 20, 30, 20, 30):
-        alloc = ssrs_allocation(pm, n)
-        assert alloc.tolist() == fresh(n)
-        assert not alloc.flags.writeable
-    assert sum(args[0] is pm for args in calls) == 2  # one per budget
-    assert ssrs_allocation(kmeans_1d(other, 4, 0), 20).tolist() != fresh(20)
-    # The map keeps its own copy of the scores: changing the caller's array
-    # after kmeans_1d does not change what it allocates.
-    mutated = chi.copy()
-    copied = kmeans_1d(mutated, 4, 0)
-    mutated[:] = other
-    assert ssrs_allocation(copied, 20).tolist() == fresh(20)
-
-
 # ---------------------------------------------------------------------------
 # Variance-gradient adaptive stratified sampling
 
@@ -773,12 +743,20 @@ def _memo_run(pop, name, budget, seed=5, **kwargs):
 
 
 def _warm_up(pop):
-    """Run every law under other aux columns and other deepest, ces and k knobs."""
+    """Run every law under other aux columns and other deepest, ces and strata knobs.
+
+    The strata pairs differ from the default (k=10, partition_seed=0) in one
+    field each, so a map key that left out k or the seed would be shared.
+    """
     for name in TECHNIQUES:
         for aux in ("other", "chi", None):
             if REGISTRY[name].needs_chi and aux is None:
                 continue
-            _memo_run(pop, name, 7, seed=1, aux=aux, threshold_quantile=0.4, ces_bins=4, k=3)
+            for k, partition_seed in ((3, 0), (10, 1)):
+                _memo_run(
+                    pop, name, 7, seed=1, aux=aux, threshold_quantile=0.4, ces_bins=4,
+                    k=k, partition_seed=partition_seed,
+                )
 
 
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
@@ -798,7 +776,10 @@ def test_kept_set_up_is_read_only_and_not_pickled():
     warm = Population(**columns)
     _warm_up(warm)
     kinds = {key[0] for key in warm._memo}
-    assert kinds == {"aux", "pi", "cum", "ces", "deepest"}
+    assert kinds == {"aux", "pi", "cum", "ces", "deepest", "strata"}
+    # Under ("strata", aux, k, partition_seed): the map, ssrs's allocation
+    # per budget and twoups's partition shares.
+    assert {key[4:] for key in warm._memo if key[0] == "strata"} == {(), (7,), ("psi",)}
     for value in warm._memo.values():
         for part in value if isinstance(value, tuple) else (value,):
             if isinstance(part, np.ndarray):
@@ -810,23 +791,44 @@ def test_kept_set_up_is_read_only_and_not_pickled():
     assert _memo_run(back, "deepest", 9).to_json() == _memo_run(warm, "deepest", 9).to_json()
 
 
-def test_one_map_serves_twoups_under_two_aux_columns_and_two_populations():
+def test_ssrs_allocation_is_cached_per_chi_and_budget(monkeypatch):
+    # One neyman_allocation call per (aux, k, partition_seed, budget) across
+    # the runs on one population, each kept read-only.
     columns = _memo_pool(CLASSIFICATION)
+    keys = list(itertools.product(("chi", "other"), (3, 4), (0, 1), (20, 30)))
+
+    def allocations(pop):
+        return [
+            _memo_run(pop, "ssrs", n, aux=aux, k=k, partition_seed=seed).knobs["allocation"]
+            for aux, k, seed, n in keys
+        ]
+
+    want = allocations(Population(**columns))
+    assert len({tuple(a) for a in want}) > 1
+    calls = []
+    neyman = techniques.neyman_allocation
+    monkeypatch.setattr(
+        techniques, "neyman_allocation", lambda *args: calls.append(args) or neyman(*args)
+    )
     pop = Population(**columns)
-    shifted = Population(**{**columns, "aux": {"chi": columns["aux"]["chi"] + 1.0}})
-    pm = kmeans_1d(pop.aux_vector("chi"), 4, 0)
-
-    def run(population, aux, partition):
-        config = TechniqueConfig(technique="twoups", aux=aux, budget=20, k=4)
-        oracle = LabelingOracle(population)
-        result = run_technique(population, oracle, config, RandomStream(2), partition)
-        return result.to_json(include_trace=True)
-
-    for population, aux in ((pop, "chi"), (pop, "other"), (shifted, "chi"), (pop, "chi")):
-        aux_columns = {a: population.aux_vector(a) for a in population.aux_names}
-        fresh = Population(**{**columns, "aux": aux_columns})
-        assert run(population, aux, pm) == run(fresh, aux, kmeans_1d(pop.aux_vector("chi"), 4, 0))
-    assert not any(psi.flags.writeable for _, psi in pm._psi.values())
+    assert allocations(pop) == want
+    assert allocations(pop) == want
+    assert len(calls) == len(keys)
+    for aux, k, seed, n in keys:
+        kept = pop._memo[("strata", aux, k, seed, n)]
+        assert not kept.flags.writeable
+        # ssrs_allocation itself keeps nothing: each call returns a new array.
+        fresh = ssrs_allocation(pop._memo[("strata", aux, k, seed)], n)
+        assert fresh.tolist() == kept.tolist() and fresh is not kept
+    assert len(calls) == 2 * len(keys)
+    # The map keeps its own copy of the scores: changing the caller's array
+    # after kmeans_1d does not change what it allocates.
+    chi, other = columns["aux"]["chi"].copy(), columns["aux"]["other"]
+    copied = kmeans_1d(chi, 4, 0)
+    before = ssrs_allocation(copied, 20).tolist()
+    assert ssrs_allocation(kmeans_1d(other, 4, 0), 20).tolist() != before
+    chi[:] = other
+    assert ssrs_allocation(copied, 20).tolist() == before
 
 
 def test_writing_the_callers_columns_after_construction_changes_no_run():
