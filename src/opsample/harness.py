@@ -149,6 +149,8 @@ class EvalConfig:
                 raise ValueError(f"{name} must not repeat an entry")
         if list(self.budgets) != sorted(self.budgets):
             raise ValueError("budgets must be strictly ascending")
+        if not np.isfinite(self.offset_thresholds).all():
+            raise ValueError("offset thresholds must be finite")
         if list(self.offset_thresholds) != sorted(self.offset_thresholds):
             raise ValueError("offset thresholds must be ascending")
         for technique, overrides in self.technique_overrides.items():
@@ -162,6 +164,8 @@ class EvalConfig:
                     raise ValueError(f"{where}: {key!r} is set by the grid")
                 if key not in _TECHNIQUE_FIELDS:
                     raise ValueError(f"{where}: unknown knob {key!r}")
+        for technique in self.techniques:
+            _make_config(self, technique, None, 1)  # refuses what each of its cells' configs would
 
 
 @dataclass
@@ -311,9 +315,18 @@ def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
     return TechniqueConfig(**kwargs)
 
 
-def _execute_cell_worker(args):
-    """Raw rows of one grid cell; the same function runs in-process and in pool workers."""
-    pop, config, tc = args
+_pool_grid = None  # a pool worker's (population, EvalConfig), set by _init_worker
+
+
+def _init_worker(pop, config):
+    """Hand a pool worker the grid once, so its cells share one population and its memo."""
+    global _pool_grid
+    _pool_grid = (pop, config)
+
+
+def _execute_cell_worker(tc, grid=None):
+    """Raw rows of one grid cell of ``grid``, (pop, config); a pool worker's is _init_worker's."""
+    pop, config = grid or _pool_grid
     technique, aux, budget = tc.technique, tc.aux, tc.budget
     rows = []
     for rep in range(config.repetitions):
@@ -341,12 +354,12 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
     """Execute the full grid with independently seeded repetitions.
 
     A cell that :func:`refusal` refuses is skipped with its reason, before
-    any run.  Cells that stratify alike share the map ``pop`` keeps; a
-    worker process receives ``pop`` without it and builds its own.
+    any run.  Cells that stratify alike share the map ``pop`` keeps; a pool
+    worker receives ``pop`` once, and keeps its own map across its cells.
     """
     xi = true_accuracy(pop)
     skipped = []
-    cell_args = []
+    cells = []
     for technique, aux, budget in itertools.product(config.techniques, config.aux, config.budgets):
         if not REGISTRY[technique].needs_chi and aux is not None:
             # SRS/CES ignore chi for selection probabilities; run them once
@@ -358,13 +371,13 @@ def run_experiment(pop: Population, config: EvalConfig) -> EvalReport:
         if reason is not None:
             skipped.append({"technique": technique, "aux": aux, "budget": budget, "reason": reason})
             continue
-        cell_args.append((pop, config, tc))
-    workers = min(config.jobs, os.cpu_count() or 1, len(cell_args))
+        cells.append(tc)
+    workers = min(config.jobs, os.cpu_count() or 1, len(cells))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            all_rows = list(pool_exec.map(_execute_cell_worker, cell_args))
+        with ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(pop, config)) as ex:
+            all_rows = list(ex.map(_execute_cell_worker, cells))
     else:
-        all_rows = list(map(_execute_cell_worker, cell_args))
+        all_rows = [_execute_cell_worker(tc, (pop, config)) for tc in cells]
 
     raw_rows = [row for rows in all_rows for row in rows]
     return EvalReport(

@@ -3,11 +3,11 @@
 Each technique is a sampling law: it consumes a population view
 (predictions and auxiliary values only), a labeling oracle, its
 :class:`TechniqueConfig` and a random stream, and returns its draws with
-their selection probabilities and the point estimate.  :func:`run_technique`
-is the one path that turns a law's draws into a :class:`TechniqueResult`
-with the trace and the failures exposed.  Estimates are reported raw: the
-unequal-probability estimators can leave [0, 1] on unlucky paths, and
-clamping would break unbiasedness.
+their selection probabilities and expansion factors v_s.  :func:`run_technique`
+is the one path that labels the draws, estimates sum(v_s y_s) / (N n) and
+builds a :class:`TechniqueResult` with the trace and the failures exposed.
+Estimates are reported raw: the unequal-probability estimators can leave
+[0, 1] on unlucky paths, and clamping would break unbiasedness.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ class TechniqueConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if not math.isfinite(self.failure_threshold):
+            raise ValueError("failure_threshold must be finite")
 
 
 @dataclass
@@ -88,9 +90,9 @@ class TechniqueResult:
     """Outcome of one technique run.
 
     Draw s selected ``selected_ids[s]`` with selection probability
-    ``probabilities[s]`` under the scheme tagged ``schemes[s]``: the trace
-    that audits the run's unbiasedness.  ``counts`` holds the law's
-    counters, each a nonnegative int under a fixed key.
+    ``probabilities[s]`` and expansion factor ``expansions[s]`` under the
+    scheme tagged ``schemes[s]``: the trace that audits the run and its
+    estimate.  ``counts`` holds the law's counters, nonnegative ints.
     """
 
     technique: str
@@ -100,6 +102,7 @@ class TechniqueResult:
     xi_hat: float
     failures: int
     probabilities: np.ndarray
+    expansions: np.ndarray
     schemes: list
     offsets: np.ndarray | None = None
     counts: dict = field(default_factory=dict)
@@ -119,20 +122,17 @@ class TechniqueResult:
         }
         if include_trace:
             payload["trace"] = [
-                {"step": s, "id": int(i), "probability": float(p), "scheme": tag}
-                for s, (i, p, tag) in enumerate(
-                    zip(self.selected_ids, self.probabilities, self.schemes)
+                {"step": s, "id": int(i), "probability": float(p), "expansion": float(v),
+                 "scheme": tag}
+                for s, (i, p, v, tag) in enumerate(
+                    zip(self.selected_ids, self.probabilities, self.expansions, self.schemes)
                 )
             ]
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _estimand(pop: Population, outcomes):
-    """Per-draw estimator contributions: z for classification, delta^2 for regression.
-
-    Takes an array of outcomes or one outcome; the square is a product, so
-    a scalar and an array element give the same float.
-    """
+    """The estimand y of an array of outcomes or of one: z, or delta^2 for regression."""
     if pop.task == CLASSIFICATION:
         return outcomes
     return outcomes * outcomes
@@ -142,12 +142,13 @@ class Draws(NamedTuple):
     """What a sampling law returns: its draws in order and what it counted.
 
     ``probabilities`` holds one selection probability per draw, and
+    ``expansions`` one v_s per draw: v_s times its label estimates the total.
     ``schemes`` is either one scheme tag for every draw or one tag per draw.
     ``knobs`` holds the law's own; :func:`run_technique` adds the shared ones.
     """
 
     selected: np.ndarray
-    estimate: float
+    expansions: np.ndarray
     probabilities: np.ndarray
     schemes: str | list
     counts: dict
@@ -156,10 +157,11 @@ class Draws(NamedTuple):
 
 # Every law has the signature law(pop, oracle, config, rng, chi, partition):
 # chi is pop.aux_vector(config.aux), or None when config.aux is None, and
-# partition the k-means map of the stratified techniques (or None).  What a
-# law derives from chi or the features alone it keeps with pop._derived,
-# keyed by config.aux and the knobs it reads, so a run pays for its draws;
-# the map is kept there too, under _strata_key(config).
+# partition the k-means map of the stratified techniques (or None); only gbs,
+# whose selection follows the labels, reads the oracle.  What a law derives
+# from chi or the features alone it keeps with pop._derived, keyed by
+# config.aux and the knobs it reads, so a run pays for its draws; the map is
+# kept there too, under _strata_key(config).
 
 
 def _pi(pop, config, chi) -> np.ndarray:
@@ -173,27 +175,24 @@ def _strata_key(config) -> tuple:
 
 
 def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
-    """Simple random sampling with replacement; estimate is the sample mean."""
+    """Simple random sampling with replacement; each draw expands by N (the sample mean)."""
     n = config.budget
     selected = rng.integers(0, pop.N, size=n)
-    y = _estimand(pop, oracle.reveal_many(selected))
-    return Draws(selected, y.mean(), np.full(n, 1.0 / pop.N), "srs-wr", {}, {})
+    return Draws(selected, np.full(n, float(pop.N)), np.full(n, 1.0 / pop.N), "srs-wr", {}, {})
 
 
 def _sups(pop, oracle, config, rng, chi, partition) -> Draws:
-    """PPS with replacement; Hansen-Hurwitz estimator reweights by 1/probability."""
+    """PPS with replacement; Hansen-Hurwitz: each draw expands by 1/probability."""
     n = config.budget
     pi = _pi(pop, config, chi)
     selected = rng.weighted_index(pop._derived(("cum", config.aux), lambda: np.cumsum(pi)), n)
-    y = _estimand(pop, oracle.reveal_many(selected))
-    estimate = float(np.sum(y / pi[selected])) / (n * pop.N)
-    return Draws(selected, estimate, pi[selected], "pps-wr", {}, {})
+    return Draws(selected, 1.0 / pi[selected], pi[selected], "pps-wr", {}, {})
 
 
 def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
     """Random grouping, one PPS draw per group, group-total reweighting.
 
-    The drawn unit in group r is rescaled by q_r/pi_r where q_r is the
+    The drawn unit in group r expands by n q_r/pi_r, where q_r is the
     group's total selection probability, which makes the scheme
     without-replacement overall while keeping the estimator unbiased.
     """
@@ -212,9 +211,7 @@ def _rhcs(pop, oracle, config, rng, chi, partition) -> Draws:
         q.append(w.sum(axis=1))
     selected, q = np.concatenate(picks), np.concatenate(q)
     pi_selected = pi[selected]
-    y = _estimand(pop, oracle.reveal_many(selected))
-    estimate = float(np.sum(y * (q / pi_selected))) / pop.N
-    return Draws(selected, estimate, pi_selected / q, "rhc-pps", {}, {})
+    return Draws(selected, n * (q / pi_selected), pi_selected / q, "rhc-pps", {}, {})
 
 
 def _ces_features(pop: Population, chi) -> np.ndarray:
@@ -267,7 +264,7 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     Starting from a random initial set, repeatedly add the candidate group
     (of ``candidates`` random proposals) that minimizes the average add-one
     smoothed cross-entropy between the operational and selected per-feature
-    histograms.  The estimate is the plain sample mean.
+    histograms.  The estimate is the plain sample mean (v_s = N).
 
     A step scores every candidate in a few whole-array passes: the
     candidates' per-cell counts from one ``bincount``, and their cells'
@@ -332,10 +329,9 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
             unselected.remove(rid)
 
     selected = np.array(selected, dtype=np.int64)
-    y = _estimand(pop, oracle.reveal_many(selected))
     schemes = ["ces-initial"] * initial + ["ces-group"] * (n - initial)
     knobs = {"initial": initial, "group": group, "candidates": candidates, "bins": bins}
-    return Draws(selected, y.mean(), probabilities, schemes, {}, knobs)
+    return Draws(selected, np.full(n, float(pop.N)), probabilities, schemes, {}, knobs)
 
 
 def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -343,14 +339,15 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
 
     The first example is uniform; each later step uses weight-based sampling
     with probability r (guided toward high-chi regions) and uniform sampling
-    otherwise, always without replacement.  Each selected example's marginal
-    step probability feeds a per-step Hansen-Hurwitz style total estimate;
-    the final estimate averages the step estimates.
+    otherwise, always without replacement.  Step k >= 1 estimates the
+    total by the labels before it plus its pick over its marginal step
+    probability q_k, step 0 by N y_0, and the estimate averages the n step
+    estimates.  Gathered per draw, the first pick expands by N + n - 1 and
+    pick j >= 1 by n - 1 - j + 1/q_j.
 
     At r = 0 selection degenerates to uniform sampling without replacement
-    (step s has probability 1/(N - s)), and the estimate collapses to
-    (1/n) * sum_j w_j * y_j with w_j = (N + n + 1 - 2j) / N for the j-th
-    label.  It is unbiased, but it is not the plain sample mean.
+    (step j has probability 1/(N - j)), and pick j expands by N + n - 1 - 2j.
+    The estimate is unbiased, but it is not the plain sample mean.
 
     At r = 1 the estimate is biased: a step that does not fall back picks
     only above the threshold, so a record at or below it has step
@@ -368,8 +365,6 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     unsel = _SwapPool(pop.N)
     above = _SwapPool(pop.N, above_ids)
 
-    # Selection reads chi and the pools only, so every label is revealed
-    # after it, in one call.
     first = int(rng.integers(0, pop.N))
     selected = [first]
     unsel.remove(first)
@@ -404,20 +399,12 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
         selected.append(pick)
         chi_sel_sum += float(chi[pick])
 
-    # Step k's total estimate takes the labels before it plus its pick over
-    # q; cumsum adds in step order, as running sums would.
-    y = _estimand(pop, oracle.reveal_many(selected)).astype(float)
-    q = np.array(probabilities[1:])
-    terms = np.cumsum(y)[:-1] + y[1:] / q
-    step_total = float(np.cumsum(terms)[-1]) if n > 1 else 0.0
-    estimate = (float(y[0]) + step_total / pop.N) / n
-    knobs = {
-        "r": r,
-        "threshold_quantile": config.threshold_quantile,
-        "threshold": threshold,
-    }
+    # Pick j's label enters step j over q_j and the n - 1 - j later steps once each.
+    expansions = n - 1 - np.arange(n) + 1.0 / np.array(probabilities)
+    expansions[0] = pop.N + n - 1
+    knobs = {"r": r, "threshold_quantile": config.threshold_quantile, "threshold": threshold}
     counts = {"uniform_fallbacks": fallbacks}
-    return Draws(np.array(selected), estimate, probabilities, schemes, counts, knobs)
+    return Draws(np.array(selected), expansions, probabilities, schemes, counts, knobs)
 
 
 def _above_quantile(chi, quantile: float) -> tuple:
@@ -444,25 +431,22 @@ def ssrs_allocation(pm: PartitionMap, n: int) -> np.ndarray:
 
 
 def _ssrs(pop, oracle, config, rng, chi, partition) -> Draws:
-    """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws."""
+    """Stratified SRS: k-means partitions, Neyman allocation, per-stratum WOR draws.
+
+    A draw in stratum p expands by n N_p / n_p: the stratified mean.
+    """
     n, pm = config.budget, partition
     alloc = pop._derived((*_strata_key(config), n), lambda: ssrs_allocation(pm, n))
-    draws = []
-    probabilities = []
+    draws, probabilities = [], []
     members = pm.member_lists()
     for p, n_p in enumerate(alloc.tolist()):
         draws.append(srs_without_replacement(members[p], n_p, rng))
         probabilities.append(1.0 / (pm.sizes[p] - np.arange(n_p)))
-    selected = np.concatenate(draws)
-    y = _estimand(pop, oracle.reveal_many(selected))
-    estimate = 0.0
-    for p, y_p in enumerate(np.split(y, np.cumsum(alloc)[:-1])):
-        if y_p.size:
-            estimate += pm.sizes[p] * y_p.mean()
-    estimate /= pop.N
+    expansions = n * np.repeat(pm.sizes, alloc) / np.repeat(alloc, alloc)
     knobs = {"allocation": alloc.tolist()}
     counts = {"zero_allocations": int(np.count_nonzero(alloc == 0))}
-    return Draws(selected, estimate, np.concatenate(probabilities), "ssrs-wor", counts, knobs)
+    probabilities = np.concatenate(probabilities)
+    return Draws(np.concatenate(draws), expansions, probabilities, "ssrs-wor", counts, knobs)
 
 
 def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -472,7 +456,8 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     draw to the partition whose extra draw most reduces the estimated
     variance of the stratified estimator.  Running within-partition
     variances are smoothed with one pseudo-observation and floored so
-    unexplored heterogeneity keeps every partition eligible.
+    unexplored heterogeneity keeps every partition eligible.  A draw in
+    partition p expands by n N_p / c_p, c_p its final draw count.
 
     A step changes one partition, so only that partition's gain is
     recomputed; counts, sums and gains are Python scalars, and every gain
@@ -489,7 +474,7 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     sq_sums = [0.0] * pm.P
     gains = [math.inf] * pm.P  # unexplored partitions first
     selected = []
-    probabilities = []
+    drawn = []  # each draw's partition
 
     def record(p, rid):
         y = _estimand(pop, oracle.reveal(rid))
@@ -497,7 +482,7 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
         sums[p] += y
         sq_sums[p] += y * y
         selected.append(rid)
-        probabilities.append(1.0 / sizes[p])
+        drawn.append(p)
         mean = sums[p] / c
         s2 = (c * (sq_sums[p] / c - mean * mean) + prior_variance) / (c + 1)
         gains[p] = weight_sq[p] * max(s2, floor) * (1.0 / c - 1.0 / (c + 1))
@@ -519,23 +504,20 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
             p = best[int(rng.integers(0, len(best)))]
         record(p, int(members[p][int(rng.integers(0, sizes[p]))]))
 
-    estimate = 0.0
-    for p in range(pm.P):
-        if counts[p]:  # only a truncated warm-up leaves a partition undrawn
-            estimate += sizes[p] * (sums[p] / counts[p])
-    estimate /= pop.N
+    drawn = np.array(drawn)
+    expansions = n * pm.sizes[drawn] / np.array(counts)[drawn]
     knobs = {"prior_variance": prior_variance}
     undrawn = {"undrawn_partitions": pm.P - warm}
-    return Draws(np.array(selected), estimate, probabilities, "gbs-wr", undrawn, knobs)
+    return Draws(np.array(selected), expansions, 1.0 / pm.sizes[drawn], "gbs-wr", undrawn, knobs)
 
 
 def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
     """Two-stage sampling: PPS over partitions, then WOR within the partition.
 
-    Partition selection probability is the partition's share of total
-    normalized chi.  Repeat hits on a partition keep drawing from its
-    shrinking without-replacement pool; an exhausted pool is restored, and
-    counted, falling back to with-replacement reuse.
+    Partition p is drawn with probability psi_p, its share of total
+    normalized chi; a draw in it expands by N_p / psi_p.  Repeat hits keep
+    drawing from its shrinking without-replacement pool; an exhausted pool
+    is restored, and counted, falling back to with-replacement reuse.
 
     The pool size at each draw follows from the stage-one partitions alone,
     so the within-partition positions are drawn in one call, and the
@@ -569,10 +551,8 @@ def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:
             pool.clear()
         selected[step] = members[p][pool.get(j, j)]
         pool[j] = pool.get(left - 1, left - 1)  # swap with the pool's last position
-    y = _estimand(pop, oracle.reveal_many(selected))
-    estimate = float(np.sum(y * (sizes / psi[stage]))) / (pop.N * n)
     knobs = {"psi": [float(x) for x in psi]}
-    return Draws(selected, estimate, psi[stage] / remaining, "twoups", exhausted, knobs)
+    return Draws(selected, sizes / psi[stage], psi[stage] / remaining, "twoups", exhausted, knobs)
 
 
 def _partition_shares(pm: PartitionMap, pi: np.ndarray) -> np.ndarray:
@@ -668,10 +648,12 @@ def run_technique(
     stratifies on k-means over chi with ``config.k`` and
     ``config.partition_seed``; the map is label-free, so ``pop`` keeps it
     and every run with the same key shares it.  It raises :func:`refusal`'s
-    reason, if any, before any label.  The law draws; this function keeps
-    its selection probabilities and scheme tags, one per draw, adds the
-    knobs every run shares (``n``, and ``k`` and ``P`` if stratified) to the
-    law's own, and counts the failures among the labels the oracle revealed.
+    reason, if any, before any label.  The law draws; this function labels
+    the draws in one call (gbs has labeled them already, and relabeling is
+    free), estimates sum(v_s y_s) / (N n), keeps the selection probabilities
+    and scheme tags, adds the knobs every run shares (``n``, and ``k`` and
+    ``P`` if stratified) to the law's own, and counts the failures among the
+    labels the oracle revealed.
     """
     chi = _accepted_chi(pop, config)
     entry = REGISTRY[config.technique]
@@ -682,6 +664,9 @@ def run_technique(
         )
     strata = {"k": config.k, "P": partition.P} if entry.partitioned else {}
     draws = entry.law(pop, oracle, config, rng, chi, partition)
+    y = _estimand(pop, oracle.reveal_many(draws.selected))
+    # With v = N, srs's and ces's estimates round as k / n does, on the 1/n lattice.
+    estimate = float(np.sum(draws.expansions * y)) / (pop.N * config.budget)
 
     schemes = draws.schemes
     if isinstance(schemes, str):
@@ -697,10 +682,11 @@ def run_technique(
         technique=config.technique,
         selected_ids=np.asarray(draws.selected),
         distinct_labeled=oracle.reveal_count,
-        estimate=float(draws.estimate),
-        xi_hat=1.0 - float(draws.estimate),
+        estimate=estimate,
+        xi_hat=1.0 - estimate,
         failures=failures,
         probabilities=np.asarray(draws.probabilities, dtype=float),
+        expansions=np.asarray(draws.expansions, dtype=float),
         schemes=schemes,
         offsets=offsets,
         counts=draws.counts,

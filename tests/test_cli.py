@@ -262,6 +262,30 @@ def test_eval_requires_population(tmp_path, capsys):
     assert "population" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "--techniques", "srs,bogus"], "unknown technique 'bogus'"),
+        (["eval", "--techniques", "srs", "--thresholds", "1,nan"],
+         "offset thresholds must be finite"),
+        (["eval", "--techniques", "srs", "--failure-threshold", "nan"],
+         "failure_threshold must be finite"),
+        (["run", "--technique", "srs", "--failure-threshold", "nan"],
+         "failure_threshold must be finite"),
+        (["run", "--technique", "srs", "--failure-threshold", "inf"],
+         "failure_threshold must be finite"),
+    ],
+)
+def test_unknown_techniques_and_non_finite_thresholds_are_refused(tmp_path, capsys, argv, message):
+    path = tmp_path / "pool.csv"
+    pop = make_regression(np.linspace(0.0, 0.9, 30), np.linspace(0.1, 1.0, 30))
+    write_population_csv(pop, path)
+    out = tmp_path / "out"
+    assert main([*argv, "--population", str(path), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ValueError"}
+    assert not out.exists()
+
+
 def test_eval_refuses_a_grid_whose_every_cell_is_skipped(tiny_csv, tmp_path, capsys):
     out = tmp_path / "eval"
     rc = main(

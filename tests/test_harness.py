@@ -2,6 +2,8 @@
 
 import csv
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from conftest import make_classification, make_regression, random_tiny_population
 
-from opsample import harness
+from opsample import harness, techniques
 from opsample.draw import EnumeratingStream, RandomStream, derive_seed
 from opsample.harness import (
     EvalConfig,
@@ -22,6 +24,7 @@ from opsample.harness import (
     rmse,
     run_experiment,
 )
+from opsample.partition import kmeans_1d
 from opsample.population import (
     CLASSIFICATION,
     REGRESSION,
@@ -237,6 +240,26 @@ def test_design_unbiasedness_deepest_at_the_size_limit():
     assert len(paths) == 10_626
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
     assert sum(p * estimate for p, estimate in paths) == pytest.approx(np.mean(z), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "name, knobs",
+    [
+        ("srs", {}), ("sups", {}), ("rhcs", {}), ("ssrs", {"k": 2}), ("twoups", {"k": 2}),
+        ("deepest", {"r": 0.0}), ("deepest", {"r": 0.5}), ("deepest", {"r": 0.99}),
+    ],
+)
+def test_label_free_laws_are_unbiased_for_every_outcome_vector(name, knobs, n):
+    # These laws select without reading a label, so each path's probability
+    # is label-free and its estimate sum(v_s * y_s) / (N n) is linear in the
+    # outcomes.  E = 1/N on every one-failure population e_i therefore gives
+    # E = mean(y) for every outcome vector y on this chi.
+    chi = [0.1, 0.5, 0.2, 0.9, 0.05, 0.4]
+    config = TechniqueConfig(technique=name, aux="chi", budget=n, **knobs)
+    for i in range(len(chi)):
+        pop = make_classification(np.eye(len(chi), dtype=int)[i], chi)
+        assert enumerate_expectation(pop, config) == pytest.approx(1 / len(chi), abs=1e-12)
 
 
 def test_design_unbiasedness_regression():
@@ -466,6 +489,31 @@ def test_parallel_jobs_match_serial(grid_pop, monkeypatch):
     assert serial.raw_rows == parallel.raw_rows
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the counting patch reaches forked workers only",
+)
+def test_each_pool_worker_builds_a_map_once(grid_pop, monkeypatch, tmp_path):
+    # Every stratified cell below stratifies alike, so a worker that keeps
+    # the population across its cells builds the k-means map once.
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    log = tmp_path / "kmeans.log"
+
+    def counted(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return kmeans_1d(*args)
+
+    monkeypatch.setattr(techniques, "kmeans_1d", counted)
+    config = EvalConfig(
+        techniques=["ssrs", "gbs", "twoups"], aux=["chi"], budgets=[5, 8, 12], repetitions=2,
+        jobs=2,
+    )
+    run_experiment(grid_pop, config)
+    pids = log.read_text().split()
+    assert len(pids) == len(set(pids)) <= 2
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("techniques", ["srs", "srs"]), ("aux", [None, "chi", None]), ("budgets", [5, 5])],
@@ -496,8 +544,9 @@ def test_pool_size_is_bounded(grid_pop, monkeypatch, budgets, cpus, expected):
     class FakePool:
         """Records the requested pool size and runs cells in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             created.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -509,6 +558,7 @@ def test_pool_size_is_bounded(grid_pop, monkeypatch, budgets, cpus, expected):
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_pool_grid", None)  # FakePool's initializer sets it
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     base = dict(techniques=["srs"], aux=[None], budgets=budgets, repetitions=2)
     huge = run_experiment(grid_pop, EvalConfig(**base, jobs=10_000))
@@ -522,6 +572,10 @@ def test_pool_size_is_bounded(grid_pop, monkeypatch, budgets, cpus, expected):
         ({"repetitions": 0}, "repetitions must be >= 1"),
         ({"budgets": [10, 5]}, "budgets must be strictly ascending"),
         ({"offset_thresholds": [2.5, 0.0]}, "offset thresholds must be ascending"),
+        ({"offset_thresholds": [1.0, float("nan")]}, "offset thresholds must be finite"),
+        ({"offset_thresholds": [0.0, float("inf")]}, "offset thresholds must be finite"),
+        ({"techniques": ["srs", "bogus"]}, "unknown technique 'bogus'"),
+        ({"failure_threshold": float("nan")}, "failure_threshold must be finite"),
     ],
 )
 def test_eval_config_refusals(kwargs, message):

@@ -255,10 +255,9 @@ def reference_ces(pop, oracle, config, rng, chi, partition):
             unselected.remove(rid)
 
     selected = np.array(selected, dtype=np.int64)
-    y = techniques._estimand(pop, oracle.reveal_many(selected))
     schemes = ["ces-initial"] * initial + ["ces-group"] * (n - initial)
     knobs = {"initial": initial, "group": group, "candidates": candidates, "bins": bins}
-    return techniques.Draws(selected, y.mean(), probabilities, schemes, [], knobs)
+    return techniques.Draws(selected, np.full(n, float(pop.N)), probabilities, schemes, [], knobs)
 
 
 def _pool_with_features(task):
@@ -301,7 +300,7 @@ def test_ces_matches_the_reference_law(task, features, budget, kwargs):
         assert got.selected.tolist() == want.selected.tolist()
         assert got.probabilities == want.probabilities
         assert got.schemes == want.schemes
-        assert got.estimate == want.estimate
+        assert got.expansions.tolist() == want.expansions.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +358,6 @@ def test_deepest_counts_every_uniform_fallback(pop6):
         assert res.schemes == ["srs-first"] + ["srs-step"] * 3
 
 
-@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
-def test_deepest_estimate_equals_running_step_sums(task):
-    # deepest labels after it selects and sums the steps by cumsum; the
-    # per-step running sums give the same float.
-    rng = np.random.default_rng(3)
-    chi = rng.random(40)
-    if task == CLASSIFICATION:
-        pop = make_classification((rng.random(40) < 0.3).astype(int), chi)
-    else:
-        pop = make_regression(rng.random(40), chi)
-    res = run_named("deepest", pop, 15, 2, chi=chi)
-    outcomes = pop._true_outcomes()
-    y = [float(outcomes[i] if task == CLASSIFICATION else outcomes[i] ** 2)
-         for i in res.selected_ids]
-    y_sel_sum, step_total = y[0], 0.0
-    for y_pick, q in zip(y[1:], res.probabilities[1:].tolist()):
-        step_total += y_sel_sum + y_pick / q
-        y_sel_sum += y_pick
-    assert res.estimate == (y[0] + step_total / pop.N) / 15
 
 # ---------------------------------------------------------------------------
 # Stratified sampling with variance-optimal allocation
@@ -576,6 +556,15 @@ def test_every_law_but_gbs_labels_its_sample_in_one_call(name, task, pop6):
     run_technique(pop, oracle, config, RandomStream(3))
     assert oracle.calls == {"reveal": 0, "reveal_many": 1}
 
+
+def test_gbs_labels_draw_by_draw_and_relabeling_is_free(pop6):
+    # run_technique labels gbs's sample once more to estimate; that costs nothing.
+    oracle = CountingOracle(pop6)
+    config = TechniqueConfig(technique="gbs", aux="chi", budget=5, k=3)
+    res = run_technique(pop6, oracle, config, RandomStream(3))
+    assert oracle.calls == {"reveal": 5, "reveal_many": 1}
+    assert res.distinct_labeled == len(set(res.selected_ids.tolist()))
+
 @pytest.mark.parametrize(
     "knob, value",
     [
@@ -587,6 +576,9 @@ def test_every_law_but_gbs_labels_its_sample_in_one_call(name, task, pop6):
         ("gbs_prior_variance", -0.25),
         ("gbs_variance_floor", -1e-6),
         ("gbs_variance_floor", float("nan")),
+        ("failure_threshold", float("nan")),
+        ("failure_threshold", float("inf")),
+        ("failure_threshold", float("-inf")),
     ],
 )
 def test_config_refuses_bad_knob_values(knob, value):
@@ -719,6 +711,85 @@ def test_result_json_round_trip(pop6):
     assert len(payload["trace"]) == 3
     assert "trace" not in json.loads(res.to_json())
     assert payload["xi_hat"] == pytest.approx(1.0 - payload["estimate"])
+
+
+# ---------------------------------------------------------------------------
+# One estimator: run_technique estimates sum(v_s * y_s) / (N * n) from the
+# expansion factors v_s that each law returns.
+
+
+def _estimands(pop, ids):
+    """z, or delta squared, of each record in ``ids``."""
+    y = pop._true_outcomes()[np.asarray(ids, dtype=np.int64)]
+    return y if pop.task == CLASSIFICATION else y * y
+
+
+def reference_estimate(pop, config, res):
+    """Each law's estimator as written before the laws returned expansion factors.
+
+    The formulas are kept as they were, float order included; the strata and
+    the selection probabilities are recomputed from chi and the result.
+    """
+    n, selected = config.budget, res.selected_ids
+    y = _estimands(pop, selected)
+    name = config.technique
+    if name in ("srs", "ces"):
+        return y.mean()
+    chi = pop.aux_vector("chi")
+    pi = selection_probabilities(chi)
+    if name == "sups":
+        return float(np.sum(y / pi[selected])) / (n * pop.N)
+    if name == "rhcs":
+        pi_selected = pi[selected]
+        q = pi_selected / res.probabilities  # each draw's group total
+        return float(np.sum(y * (q / pi_selected))) / pop.N
+    if name == "deepest":  # the per-step running sums
+        y = [float(v) for v in y]
+        y_sel_sum, step_total = y[0], 0.0
+        for y_pick, q in zip(y[1:], res.probabilities[1:].tolist()):
+            step_total += y_sel_sum + y_pick / q
+            y_sel_sum += y_pick
+        return (y[0] + step_total / pop.N) / n
+    pm = kmeans_1d(chi, config.k, config.partition_seed)
+    stage = pm.assignment[selected]
+    if name == "twoups":
+        psi = np.array(res.knobs["psi"])
+        return float(np.sum(y * (pm.sizes[stage] / psi[stage]))) / (pop.N * n)
+    estimate = 0.0
+    for p in range(pm.P):  # ssrs and gbs: the stratified mean
+        y_p = y[stage == p]
+        if y_p.size:
+            # gbs summed its labels one by one as it drew them.
+            mean = y_p.mean() if name == "ssrs" else sum(y_p.tolist()) / y_p.size
+            estimate += pm.sizes[p] * mean
+    return estimate / pop.N
+
+
+def _estimator_runs(task, name):
+    """(population, config, result) of several budgets and seeds on an N=300 pool."""
+    pop = generate_synthetic(SyntheticConfig(task=task, N=300), seed=4)
+    aux = "chi" if REGISTRY[name].needs_chi else None
+    for budget in (3, 11, 60):
+        config = TechniqueConfig(technique=name, aux=aux, budget=budget, k=5, **SMALL_CES)
+        for seed in range(4):
+            yield pop, config, run_technique(pop, LabelingOracle(pop), config, RandomStream(seed))
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@pytest.mark.parametrize("name", TECHNIQUES)
+def test_estimate_is_recomputed_exactly_from_the_trace(task, name):
+    for pop, config, res in _estimator_runs(task, name):
+        payload = json.loads(res.to_json(include_trace=True))
+        v = np.array([entry["expansion"] for entry in payload["trace"]])
+        y = _estimands(pop, [entry["id"] for entry in payload["trace"]])
+        assert payload["estimate"] == float(np.sum(v * y)) / (pop.N * config.budget)
+
+
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+@pytest.mark.parametrize("name", TECHNIQUES)
+def test_estimate_matches_the_law_s_own_estimator(task, name):
+    for pop, config, res in _estimator_runs(task, name):
+        assert res.estimate == pytest.approx(reference_estimate(pop, config, res), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -859,10 +930,13 @@ def test_ces_runs_finite_on_features_at_the_bound():
 # Golden outputs: the draws, estimates and traces of every law, pinned byte
 # for byte.  A change to how a law consumes its random stream, or to the
 # float operations behind an estimate or a selection probability, changes
-# these digests.  The draws and estimates they pin date from before the
-# per-draw loops were batched.  They were re-recorded once when the result's
-# free-text flags became counters: every field but those, and deepest's two
-# deleted knob keys, was checked equal to the old output run by run.
+# these digests.  The draws they pin date from before the per-draw loops were
+# batched.  They were re-recorded when the result's free-text flags became
+# counters: every field but those, and deepest's two deleted knob keys, was
+# checked equal to the old output run by run.  They were re-recorded again
+# when one estimator replaced the laws' own: over 1,600 runs every field but
+# the estimate, xi_hat and the new trace key "expansion" was checked equal,
+# and the estimates agreed within 1.7e-15 relative.
 
 
 def _golden_population(task):
@@ -877,22 +951,22 @@ def _sha256(chunks):
 
 
 GOLDEN_RUNS = {
-    (CLASSIFICATION, "srs"): "74b86c601c779cc7caf8271a1ab78da7db36c94a972d2b703cd7c870da2fd1b4",
-    (CLASSIFICATION, "sups"): "53faa05b28af540240456c144a7979c3c89c0c21a0c5dd6fae4a81d10c21b8c5",
-    (CLASSIFICATION, "rhcs"): "48aaf447d1ddeb45a44d2c34b98d12634eac5d88613ae4652e11f8ca3599029c",
-    (CLASSIFICATION, "ces"): "c4ab7704f18c1e9ab308a1738d06cea8a636669cf3b082db222d2d7e6a4e15e8",
-    (CLASSIFICATION, "deepest"): "82234a254b6334f46ada3b0c38c9081f179ee0d851a84518ef3f1a46a61f1eec",
-    (CLASSIFICATION, "ssrs"): "6188651f77d9341c83cda47320513bab92170b2fd2724b37a1b0b6880bca7998",
-    (CLASSIFICATION, "gbs"): "405fba9f890e22afc5eab3eeee2a7121898f792a1a754543bd4750482e24b57d",
-    (CLASSIFICATION, "twoups"): "fea5956c9c9f6dd33ecad82dc74f5507ee22f90992287c3e6878b1d4b3250aae",
-    (REGRESSION, "srs"): "b8c6415e96de084b133d3073b002ff3c50e171c06e15024a264901d81bb6bc0d",
-    (REGRESSION, "sups"): "2d9b8ce4b458f49bbc494e62dfd042f9fb71b305f3f2950c4dd7319b8c0ef895",
-    (REGRESSION, "rhcs"): "0a07bd41e4464cda6ef707b6c7e6f17ba161b75ad79d30b9ff7554bce057fffd",
-    (REGRESSION, "ces"): "56570d3851ece290ff65eb28f8fd20ad628e7a6ea3c701d0942f3e52dd18e79c",
-    (REGRESSION, "deepest"): "b6b1efc30b86f7d9ba7db338e0e1764f28761db478632e60d8a5458e3a1935fd",
-    (REGRESSION, "ssrs"): "d3b49389f9481bf7715c94778449eb06f612181f4676f4de8115ec3f828a16bf",
-    (REGRESSION, "gbs"): "4952a59e4ae8eee8b24f4e2bb61600046317b93265f6bf834fa8fd02ff0d14e9",
-    (REGRESSION, "twoups"): "b2f16cbea3b8dd5fa9bc5e9ac553c057889af12b81593a195362cb578edf79d5",
+    (CLASSIFICATION, "srs"): "c1f607a4735b68eb0a25748c0acf4ef87b0f606fd772d27c177cb9fc392b7fd1",
+    (CLASSIFICATION, "sups"): "f5a59cd31df8e944f527492dd91f6575d82e6bda08c91523d06559b15304e4ad",
+    (CLASSIFICATION, "rhcs"): "2e618324239a04fc7a5a61b02714faf1725e822e1a7fa7e7d631354915c72f6f",
+    (CLASSIFICATION, "ces"): "715925e6d8b7e2cc8e73282a51ba9ebde3c1b114f105464e8b7fea764a7ecd97",
+    (CLASSIFICATION, "deepest"): "de5903cfe83eb3254f1d42e6198f6e17295e65ba5ae2497ebef93d084c02f43c",
+    (CLASSIFICATION, "ssrs"): "efe81fcc0b6ffae9322277c6abc272de1aeb235aaae2c54199b89729ff993a58",
+    (CLASSIFICATION, "gbs"): "05bd18e4a2c4524bf2edbb95ba513ba426b15e8519a34e08512be8142601fbe5",
+    (CLASSIFICATION, "twoups"): "316322e9426c4eeee54da028a75411e78d991c686f604b879de2b85f26d84c65",
+    (REGRESSION, "srs"): "d02bd59a3daa978e350d54d7675c05e321d1e01c43b7d5b2a21e34aaffd25b37",
+    (REGRESSION, "sups"): "fa446bcd63e135324efcd5c0588c3abc426bbc4db345cec61dab8ae0f107a9de",
+    (REGRESSION, "rhcs"): "1939a54218be4abcdc08bbcb81487930c1afd34d9a9894b58f28bde0a24e4b74",
+    (REGRESSION, "ces"): "f83084b8cf2aadb7ccf7d188ef42324977315b15ce5084e2b76edead104f6af9",
+    (REGRESSION, "deepest"): "2d0148587f57e5acb29cab6bcdc9b26c3d567530a84981892f05dd73702f64fc",
+    (REGRESSION, "ssrs"): "909110ec63e49c042e959eb65a15dca2730a1b3b715bef7d2e16c6455bd08e90",
+    (REGRESSION, "gbs"): "ddf623b28a825dc7129fbd85c9ae267dd8b01e409da487b1d42f14dd863cec9f",
+    (REGRESSION, "twoups"): "56bba5639b7d255735be1aceb4d95be902edc5375311532025c1366c9ea6bb8a",
 }
 
 
@@ -919,12 +993,12 @@ def test_golden_run_outputs(task, name):
 
 GOLDEN_EVAL = {
     CLASSIFICATION: (
-        "d3b4486d25f774ff2ea46b39b9064a5d63d10e17097d2e271078acae1045b0ca",
-        "2ce12b37524f958fe0d3855a866a6a15095505cf792c7a157b76b5dbecb448e7",
+        "48dc1058001ee2822c7be7939078c003b9527822445ff11cadc46f4b7e51191b",
+        "d79638e44d683bfc3ca51030a23b18c10c57877f2009b097f26c907eb153f92b",
     ),
     REGRESSION: (
-        "83b85d17e2287b40d28be91e77c38fa45c48fca77d3a7bd552922b5b1185a759",
-        "0883f6b9879ed89724a7d59173a9db97248db151128737450859e44fede52971",
+        "a8a36323dd5b20a11161913a8946fdc5863943ca29a111e0b66adbad4d5b2620",
+        "b5d6a3faed4c8ced3ffb060c3f2e1636f5a8b87e90e377b804fe0d01b7cedbd8",
     ),
 }
 
@@ -950,9 +1024,9 @@ def test_golden_eval_outputs(task, tmp_path):
 
 # ces bins every feature column in one vectorized pass.  The draws this
 # digest pins date from when it still binned them column by column (it was
-# re-recorded with the golden runs above); the constant column takes the
-# zero-width fallback.
-GOLDEN_CES_FEATURES = "98620d62b6bf63293595c66567a7731745bb6c93fc7ecf7547bbc0fa8d32f281"
+# re-recorded with the golden runs above, both times); the constant column
+# takes the zero-width fallback.
+GOLDEN_CES_FEATURES = "9f50c1403aaf108c3d7f3807074029feefd3793b061917945432c470f5c61bfe"
 
 
 def test_golden_ces_on_several_feature_columns():
