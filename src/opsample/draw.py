@@ -1,19 +1,29 @@
 """Seedable random-selection primitives shared by all sampling techniques.
 
-Every random choice a technique makes goes through four primitives of
-:class:`RandomStream`: a uniform index (``integers``), a Bernoulli trial,
-an index by a cumulative weight vector and a random grouping into given
-sizes.  A run is fully determined by its seed on every platform: the
-generator is Philox, whose output does not depend on machine word size or
-threading.  :class:`EnumeratingStream` makes each primitive a branch point
-with exact probabilities, so the exact oracle can replay a technique's own
-law over every sample path.
+Every random choice a technique makes goes through five primitives of
+:class:`RandomStream`: a uniform index (``integers``), a uniform index
+outside an excluded set (``index``), a Bernoulli trial, an index by a
+cumulative weight vector and a random grouping into given sizes.  A run is
+fully determined by its seed on every platform: the generator is Philox,
+whose output does not depend on machine word size or threading.
+:class:`EnumeratingStream` makes each primitive a branch point with exact
+probabilities, so the exact oracle can replay a technique's own law over
+every sample path.
 
 The batched forms of ``integers`` (array bounds) and ``weighted_index`` (a
 2-D ``cum``, one index per row) consume the stream exactly as the
 element-by-element calls would, in C order, so a law may batch its draws
 without changing a single result, and the enumerating stream replays them
 as those element-by-element calls.
+
+``index`` and ``bernoulli`` serve laws that draw one value per step, where
+the next step depends on the last: they read their iid draws from chunks of
+``_CHUNK`` values, refilled through ``integers`` (one chunk per bound) and
+``random``, so such a law pays numpy's per-call cost once per chunk rather
+than once per step.  ``index`` rejects excluded values, which leaves each
+accepted value uniform over the admissible ones, and its bound can stay
+fixed while the excluded set grows.  A chunk's unread values stay with the
+stream for its next call.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ __all__ = [
 ]
 
 _KEY_MASK = (1 << 256) - 1
+_CHUNK = 64  # draws per refill of an index or Bernoulli chunk
+_EXHAUSTED = iter(())
 
 
 def derive_seed(*parts) -> int:
@@ -53,6 +65,8 @@ class RandomStream:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.Philox(key=self.seed & _KEY_MASK))
+        self._chunks = {}  # bound -> iterator over the unread iid draws below it
+        self._uniforms = _EXHAUSTED
 
     def split(self, *tags) -> "RandomStream":
         """Child stream keyed by this stream's seed plus the given tags."""
@@ -71,9 +85,27 @@ class RandomStream:
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
 
+    def index(self, high: int, excluded=()) -> int:
+        """Uniform int in [0, high) that is not in the set ``excluded``.
+
+        Rejection over iid draws read from ``high``'s chunk.
+        """
+        if len(excluded) >= high:
+            _require_admissible(high, excluded)
+        chunk = self._chunks.get(high, _EXHAUSTED)
+        while True:
+            for i in chunk:
+                if i not in excluded:
+                    return i
+            chunk = self._chunks[high] = iter(self.integers(0, high, size=_CHUNK).tolist())
+
     def bernoulli(self, p: float) -> bool:
-        """True with probability p."""
-        return self.random() < p
+        """True with probability p: a uniform read from the chunk is below p."""
+        u = next(self._uniforms, None)
+        if u is None:
+            self._uniforms = iter(self.random(_CHUNK).tolist())
+            u = next(self._uniforms)
+        return u < p
 
     def weighted_index(self, cum, size=None):
         """Index i with probability (cum[i] - cum[i-1]) / cum[-1]; ``size`` draws a vector.
@@ -161,6 +193,12 @@ class EnumeratingStream:
         p = [1.0 / (high - low)] * (high - low)
         return self._vector(lambda: low + self._choose(p), size)
 
+    def index(self, high: int, excluded=()) -> int:
+        """Branches over the admissible values, each with probability 1 / their count."""
+        _require_admissible(high, excluded)
+        admissible = [i for i in range(high) if i not in excluded]
+        return admissible[self._choose([1.0 / len(admissible)] * len(admissible))]
+
     def bernoulli(self, p: float) -> bool:
         return self.weighted_index([p, 1.0]) == 0  # weights p and 1 - p
 
@@ -191,6 +229,12 @@ class EnumeratingStream:
         raise NotEnumerableError("draw bypasses the enumerable primitives")
 
     random = permutation = standard_normal = _refuse
+
+
+def _require_admissible(high: int, excluded) -> None:
+    """Refuse an ``index`` call whose ``excluded`` covers all of [0, high)."""
+    if set(range(high)) <= set(excluded):
+        raise ValueError(f"every value in [0, {high}) is excluded")
 
 
 def srs_without_replacement(ids, n: int, rng: RandomStream) -> np.ndarray:

@@ -224,14 +224,12 @@ def _ces_features(pop: Population, chi) -> np.ndarray:
 
 
 class _SwapPool:
-    """The ids not drawn yet, ``ids[:size]``: all N ids, or a copy of the ``ids`` given."""
+    """The ids in range(N) not drawn yet, ``ids[:size]``."""
 
-    def __init__(self, N: int, ids: np.ndarray | None = None):
-        self.ids = np.arange(N) if ids is None else ids.copy()
+    def __init__(self, N: int):
+        self.ids = np.arange(N)
         self.pos = np.arange(N)  # pos[i] is id i's place in ids while i is in the pool
-        if ids is not None:
-            self.pos[ids] = np.arange(ids.size)
-        self.size = self.ids.size
+        self.size = N
 
     def remove(self, rid):
         """Swap ``rid``, which must be in the pool, with the pool's last id, and drop it."""
@@ -354,38 +352,43 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
     probability 0 and that step's total misses its outcome.  On failures
     [1, 0, 0, 1, 0], chi [0.1, 0.9, 0.3, 0.8, 0.5] and n = 3 the exact
     oracle gives E = 0.32 against the truth 0.4; every r < 1 gives 0.4.
+
+    A uniform step draws ``rng.index(N, taken)`` over the ids not drawn yet,
+    and a wbs step ``rng.index(A, taken_above)`` over the positions in the
+    A above-threshold ids; both read chunked draws, so a run holds no
+    N-wide array and makes a handful of generator calls.
     """
-    n, r = config.budget, config.r
+    n, r, N = config.budget, config.r, pop.N
     threshold, above_ids = pop._derived(
         ("deepest", config.aux, config.threshold_quantile),
         lambda: _above_quantile(chi, config.threshold_quantile),
     )
     fallbacks = 0
 
-    unsel = _SwapPool(pop.N)
-    above = _SwapPool(pop.N, above_ids)
-
-    first = int(rng.integers(0, pop.N))
-    selected = [first]
-    unsel.remove(first)
+    # taken_above holds the positions in above_ids of the above ids drawn.
+    first = rng.index(N)
+    selected, taken, taken_above = [first], {first}, set()
     if chi[first] > threshold:
-        above.remove(first)
-    probabilities = [1.0 / pop.N]
+        taken_above.add(int(np.searchsorted(above_ids, first)))
+    probabilities = [1.0 / N]
     schemes = ["srs-first"]
     chi_sel_sum = float(chi[first])
 
     for _ in range(n - 1):
-        u, n_above = unsel.size, above.size
+        u, n_above = N - len(taken), above_ids.size - len(taken_above)
         # Determine the branch, then the marginal probability of the pick.
         fallback = n_above == 0 or chi_sel_sum <= 0
-        use_wbs = (not fallback) and rng.bernoulli(r)
-        if use_wbs:
-            pick = int(above.ids[int(rng.integers(0, n_above))])
+        if (not fallback) and rng.bernoulli(r):
+            position = rng.index(above_ids.size, taken_above)
+            taken_above.add(position)
+            pick, is_above = int(above_ids[position]), True
             schemes.append("wbs")
         else:
-            pick = int(unsel.ids[int(rng.integers(0, u))])
+            pick = rng.index(N, taken)
+            is_above = chi[pick] > threshold
+            if is_above:
+                taken_above.add(int(np.searchsorted(above_ids, pick)))
             schemes.append("srs-step")
-        is_above = chi[pick] > threshold
         if fallback:
             q = 1.0 / u
             fallbacks += 1
@@ -393,9 +396,7 @@ def _deepest(pop, oracle, config, rng, chi, partition) -> Draws:
             wbs_p = (1.0 / n_above) if is_above else 0.0
             q = r * wbs_p + (1.0 - r) / u
         probabilities.append(q)
-        unsel.remove(pick)
-        if is_above:
-            above.remove(pick)
+        taken.add(pick)
         selected.append(pick)
         chi_sel_sum += float(chi[pick])
 
@@ -461,7 +462,10 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
 
     A step changes one partition, so only that partition's gain is
     recomputed; counts, sums and gains are Python scalars, and every gain
-    takes the same float operations as the elementwise array formula.
+    takes the same float operations as the elementwise array formula.  The
+    warm-up draws its members in one batched call; each later step draws
+    ``members[p][rng.index(N_p)]`` (and breaks a tie in gain by
+    ``rng.index``), reading one chunk of draws per partition size.
     """
     n, pm, prior_variance = config.budget, partition, config.gbs_prior_variance
     floor = config.gbs_variance_floor
@@ -501,8 +505,8 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
         p = gains.index(top)
         if gains.count(top) > 1:
             best = [p for p, gain in enumerate(gains) if gain == top]
-            p = best[int(rng.integers(0, len(best)))]
-        record(p, int(members[p][int(rng.integers(0, sizes[p]))]))
+            p = best[rng.index(len(best))]
+        record(p, int(members[p][rng.index(sizes[p])]))
 
     drawn = np.array(drawn)
     expansions = n * pm.sizes[drawn] / np.array(counts)[drawn]

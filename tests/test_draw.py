@@ -160,6 +160,62 @@ def test_enumerating_stream_replays_batched_forms_as_scalar_calls():
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
 
 
+# ---------------------------------------------------------------------------
+# index: a uniform int in [0, high) outside an excluded set, read from chunks
+
+
+def test_index_never_returns_an_excluded_value():
+    rng = RandomStream(4)
+    excluded = {0, 2, 3, 5, 8}
+    draws = [rng.index(10, excluded) for _ in range(2000)]
+    assert set(draws) == {1, 4, 6, 7, 9}
+    # A growing excluded set, as a without-replacement law grows it.
+    taken = set()
+    for _ in range(30):
+        taken.add(rng.index(30, taken))
+    assert taken == set(range(30))
+
+
+def test_index_is_uniform_over_the_admissible_values_across_refills():
+    # 20,000 draws at a third rejected span hundreds of chunk refills.
+    rng = RandomStream(12)
+    excluded = {1, 4, 7}
+    draws = np.array([rng.index(9, excluded) for _ in range(20_000)])
+    counts = np.bincount(draws, minlength=9)
+    assert counts[sorted(excluded)].sum() == 0
+    _, p_value = stats.chisquare(np.delete(counts, sorted(excluded)))
+    assert p_value > 0.001
+
+
+def test_index_and_bernoulli_repeat_for_the_same_seed():
+    def sequence(seed):
+        rng = RandomStream(seed)
+        return [(rng.index(7, {2}), rng.index(1000), rng.bernoulli(0.3)) for _ in range(300)]
+
+    assert sequence(8) == sequence(8)
+    assert sequence(8) != sequence(9)
+
+
+def test_bernoulli_frequency_across_refills():
+    rng = RandomStream(6)
+    trials = 20_000
+    freq = np.mean([rng.bernoulli(0.3) for _ in range(trials)])
+    assert abs(freq - 0.3) < 4 * np.sqrt(0.3 * 0.7 / trials)
+
+
+def test_enumerating_index_branches_equally_over_the_admissible_values():
+    paths = _paths(lambda stream: stream.index(6, {0, 3}))
+    assert [outcome for _, outcome in paths] == [1, 2, 4, 5]
+    assert all(p == 0.25 for p, _ in paths)
+
+
+@pytest.mark.parametrize("stream", [RandomStream(0), EnumeratingStream()])
+@pytest.mark.parametrize("high, excluded", [(3, {0, 1, 2}), (2, {0, 1, 5}), (0, ())])
+def test_index_refuses_an_excluded_set_covering_the_range(stream, high, excluded):
+    with pytest.raises(ValueError, match=f"every value in \\[0, {high}\\) is excluded"):
+        stream.index(high, excluded)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
