@@ -119,7 +119,7 @@ def enumerate_expectation(pop: Population, config: TechniqueConfig) -> float:
 DEFAULT_BUDGETS = (50, 100, 200, 400, 800)
 DEFAULT_THRESHOLDS = tuple(2.5 * i for i in range(11))  # 0 to 25 step 2.5
 _TECHNIQUE_FIELDS = {f.name for f in fields(TechniqueConfig)}
-_GRID_KEYS = ("technique", "aux", "budget", "partition_seed")
+_GRID_KEYS = ("technique", "aux", "budget")
 
 
 @dataclass
@@ -144,11 +144,15 @@ class EvalConfig:
             raise ValueError("jobs must be >= 1")
         for name in ("techniques", "aux", "budgets"):
             values = list(getattr(self, name))
+            if not values:
+                raise ValueError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 # A repeated entry would run the same cells with the same seeds twice.
                 raise ValueError(f"{name} must not repeat an entry")
         if list(self.budgets) != sorted(self.budgets):
             raise ValueError("budgets must be strictly ascending")
+        if min(self.budgets) < 1:
+            raise ValueError("budgets must be >= 1")
         if not np.isfinite(self.offset_thresholds).all():
             raise ValueError("offset thresholds must be finite")
         if list(self.offset_thresholds) != sorted(self.offset_thresholds):
@@ -159,8 +163,7 @@ class EvalConfig:
             where = f"technique_overrides[{technique!r}]"
             for key in overrides:
                 if key in _GRID_KEYS:
-                    # The grid sets these per cell (the partition seed comes from
-                    # the master seed), so an override would be ignored or break it.
+                    # The grid sets these per cell, so an override would break it.
                     raise ValueError(f"{where}: {key!r} is set by the grid")
                 if key not in _TECHNIQUE_FIELDS:
                     raise ValueError(f"{where}: unknown knob {key!r}")
@@ -311,7 +314,6 @@ def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
         failure_threshold=config.failure_threshold,
     )
     kwargs.update(config.technique_overrides.get(technique, {}))
-    kwargs["partition_seed"] = derive_seed(config.master_seed, "partition", aux, kwargs["k"])
     return TechniqueConfig(**kwargs)
 
 

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .draw import RandomStream
-
 __all__ = ["PartitionMap", "kmeans_1d", "neyman_allocation"]
 
 _EPS = np.finfo(float).eps
@@ -104,10 +102,11 @@ def _boundaries(s: np.ndarray, c: np.ndarray, hi_wins_tie: np.ndarray) -> np.nda
         b = np.where(right, np.searchsorted(s, at, "right"), b)
 
 
-def kmeans_1d(chi, k: int, seed: int = 0) -> PartitionMap:
+def kmeans_1d(chi, k: int) -> PartitionMap:
     """Lloyd's algorithm on scalar chi values.
 
-    Farthest-point seeding from a seeded random start; if fewer than k
+    Farthest-point seeding (Gonzalez 1985) that starts from the smallest
+    distinct value, so the map depends on chi and k alone; if fewer than k
     distinct values exist, the partition count drops to the distinct count.
     Empty clusters are re-seeded to the point farthest from its centroid.
     Lloyd stops when the assignment repeats, or after 300 iterations.
@@ -135,9 +134,8 @@ def kmeans_1d(chi, k: int, seed: int = 0) -> PartitionMap:
     distinct = np.unique(values)
     p = min(k, distinct.size)
 
-    rng = RandomStream(seed)
     centroids = np.empty(p)
-    centroids[0] = distinct[int(rng.integers(0, distinct.size))]
+    centroids[0] = distinct[0]
     gaps = np.abs(distinct - centroids[0])
     for j in range(1, p):
         centroids[j] = distinct[int(np.argmax(gaps))]

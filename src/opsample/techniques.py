@@ -39,6 +39,10 @@ __all__ = [
 #: Auxiliary variables that only make sense for classification tasks.
 CLASSIFICATION_ONLY_AUX = {"confidence", "dsa"}
 
+#: gbs's prior variance (one pseudo-observation per partition) and variance floor.
+GBS_PRIOR_VARIANCE = 0.25
+GBS_VARIANCE_FLOOR = 1e-6
+
 
 @dataclass
 class TechniqueConfig:
@@ -57,9 +61,6 @@ class TechniqueConfig:
     ces_bins: int = 10
     # Partition-based
     k: int = 10
-    partition_seed: int = 0
-    gbs_prior_variance: float = 0.25
-    gbs_variance_floor: float = 1e-6
     # Result shaping
     failure_threshold: float = 12.5
 
@@ -76,9 +77,6 @@ class TechniqueConfig:
             raise ValueError("CES sizes must be >= 1")
         if self.ces_bins < 1:
             raise ValueError("ces_bins must be >= 1")
-        for name in ("gbs_prior_variance", "gbs_variance_floor"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not math.isfinite(self.failure_threshold):
@@ -171,7 +169,7 @@ def _pi(pop, config, chi) -> np.ndarray:
 
 def _strata_key(config) -> tuple:
     """The key of ``config``'s k-means map: every input :func:`kmeans_1d` reads."""
-    return ("strata", config.aux, config.k, config.partition_seed)
+    return ("strata", config.aux, config.k)
 
 
 def _srs(pop, oracle, config, rng, chi, partition) -> Draws:
@@ -467,8 +465,7 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     ``members[p][rng.index(N_p)]`` (and breaks a tie in gain by
     ``rng.index``), reading one chunk of draws per partition size.
     """
-    n, pm, prior_variance = config.budget, partition, config.gbs_prior_variance
-    floor = config.gbs_variance_floor
+    n, pm = config.budget, partition
     members = pm.member_lists()
     sizes = pm.sizes.tolist()
     weight_sq = ((pm.sizes / pop.N) ** 2).tolist()
@@ -488,8 +485,8 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
         selected.append(rid)
         drawn.append(p)
         mean = sums[p] / c
-        s2 = (c * (sq_sums[p] / c - mean * mean) + prior_variance) / (c + 1)
-        gains[p] = weight_sq[p] * max(s2, floor) * (1.0 / c - 1.0 / (c + 1))
+        s2 = (c * (sq_sums[p] / c - mean * mean) + GBS_PRIOR_VARIANCE) / (c + 1)
+        gains[p] = weight_sq[p] * max(s2, GBS_VARIANCE_FLOOR) * (1.0 / c - 1.0 / (c + 1))
 
     warm = pm.P
     if n < pm.P:
@@ -510,7 +507,7 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
 
     drawn = np.array(drawn)
     expansions = n * pm.sizes[drawn] / np.array(counts)[drawn]
-    knobs = {"prior_variance": prior_variance}
+    knobs = {"prior_variance": GBS_PRIOR_VARIANCE}
     undrawn = {"undrawn_partitions": pm.P - warm}
     return Draws(np.array(selected), expansions, 1.0 / pm.sizes[drawn], "gbs-wr", undrawn, knobs)
 
@@ -649,23 +646,20 @@ def run_technique(
     """Run a configured technique: the one path from a config to a result.
 
     chi is the population's ``config.aux`` column.  A stratified technique
-    stratifies on k-means over chi with ``config.k`` and
-    ``config.partition_seed``; the map is label-free, so ``pop`` keeps it
-    and every run with the same key shares it.  It raises :func:`refusal`'s
-    reason, if any, before any label.  The law draws; this function labels
-    the draws in one call (gbs has labeled them already, and relabeling is
-    free), estimates sum(v_s y_s) / (N n), keeps the selection probabilities
-    and scheme tags, adds the knobs every run shares (``n``, and ``k`` and
-    ``P`` if stratified) to the law's own, and counts the failures among the
-    labels the oracle revealed.
+    stratifies on k-means over chi with ``config.k``; the map is label-free,
+    so ``pop`` keeps it and every run with the same key shares it.  It
+    raises :func:`refusal`'s reason, if any, before any label.  The law
+    draws; this function labels the draws in one call (gbs has labeled them
+    already, and relabeling is free), estimates sum(v_s y_s) / (N n), keeps
+    the selection probabilities and scheme tags, adds the knobs every run
+    shares (``n``, and ``k`` and ``P`` if stratified) to the law's own, and
+    counts the failures among the labels the oracle revealed.
     """
     chi = _accepted_chi(pop, config)
     entry = REGISTRY[config.technique]
     partition = None
     if entry.partitioned:
-        partition = pop._derived(
-            _strata_key(config), lambda: kmeans_1d(chi, config.k, config.partition_seed)
-        )
+        partition = pop._derived(_strata_key(config), lambda: kmeans_1d(chi, config.k))
     strata = {"k": config.k, "P": partition.P} if entry.partitioned else {}
     draws = entry.law(pop, oracle, config, rng, chi, partition)
     y = _estimand(pop, oracle.reveal_many(draws.selected))

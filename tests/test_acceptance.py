@@ -77,7 +77,7 @@ def test_criterion_1_exact_oracle_unbiasedness():
         pops += 1
         for name in techniques:
             if name == "ssrs":
-                if (ssrs_allocation(kmeans_1d(chi, 2, 0), n) == 0).any():
+                if (ssrs_allocation(kmeans_1d(chi, 2), n) == 0).any():
                     # Happens only when n < P: a zero-allocation stratum
                     # contributes its mean as 0, which breaks exact
                     # unbiasedness by design, so such configurations are

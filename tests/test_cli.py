@@ -21,7 +21,7 @@ from opsample.population import (
     load_population,
     write_population_csv,
 )
-from opsample.techniques import TechniqueConfig
+from opsample.techniques import TECHNIQUES, TechniqueConfig
 
 
 @pytest.fixture
@@ -274,6 +274,7 @@ def test_eval_requires_population(tmp_path, capsys):
          "failure_threshold must be finite"),
         (["run", "--technique", "srs", "--failure-threshold", "inf"],
          "failure_threshold must be finite"),
+        (["eval", "--techniques", "srs", "--budgets", ""], "budgets must not be empty"),
     ],
 )
 def test_unknown_techniques_and_non_finite_thresholds_are_refused(tmp_path, capsys, argv, message):
@@ -445,6 +446,35 @@ def test_eval_rerun_is_byte_identical(tiny_csv, tmp_path):
     assert main(args + ["--out", str(out_b)]) == 0
     for name in ("summary.csv", "raw.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_run_reproduces_every_eval_row(tmp_path):
+    # A stratified row's map depends on the scores and k alone, so `run` with
+    # a row's technique, aux, budget and seed rebuilds the row's grid cell.
+    path = tmp_path / "pool.csv"
+    write_population_csv(generate_synthetic(SyntheticConfig(N=300), seed=4), path)
+    out = tmp_path / "eval"
+    rc = main(
+        ["eval", "--population", str(path), "--techniques", ",".join(TECHNIQUES),
+         "--aux", "none,chi", "--budgets", "40", "--reps", "2", "--seed", "0",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    with open(out / "raw.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert sorted({row["technique"] for row in rows}) == sorted(TECHNIQUES)
+    for i, row in enumerate(rows):
+        aux = ["--aux", row["aux"]] if row["aux"] else []
+        run_out = tmp_path / f"run{i}"
+        rc = main(
+            ["run", "--population", str(path), "--technique", row["technique"], *aux,
+             "--budget", row["budget"], "--seed", row["seed"], "--out", str(run_out)]
+        )
+        assert rc == 0
+        result = json.loads((run_out / f"result_{row['technique']}.json").read_text())
+        assert (row["xi_hat"], row["failures"], row["distinct"]) == (
+            repr(result["xi_hat"]), str(result["failures"]), str(result["distinct_labeled"])
+        ), row
 
 
 def test_oracle_exact_expectation(micro_csv, capsys):

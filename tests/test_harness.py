@@ -4,6 +4,7 @@ import csv
 import json
 import multiprocessing
 import os
+import pickle
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from conftest import make_classification, make_regression, random_tiny_population
 
 from opsample import harness, techniques
-from opsample.draw import EnumeratingStream, RandomStream, derive_seed
+from opsample.draw import EnumeratingStream, RandomStream
 from opsample.harness import (
     EvalConfig,
     IntractableError,
@@ -437,8 +438,8 @@ def test_k_override_stratifies_on_its_own_k(grid_pop):
 
 
 def test_raw_rows_are_reproduced_by_their_cell_config(grid_pop, tmp_path):
-    # A cell's config carries everything its runs read, the partition seed
-    # included, so run_technique alone rebuilds the grid's map and each row.
+    # A cell's config carries everything its runs read, so run_technique
+    # alone rebuilds the grid's map and each row.
     config = EvalConfig(
         techniques=["ssrs", "gbs", "twoups"], aux=["chi"], budgets=[5, 12], repetitions=3,
         master_seed=6, technique_overrides={"ssrs": {"k": 3}},
@@ -450,10 +451,7 @@ def test_raw_rows_are_reproduced_by_their_cell_config(grid_pop, tmp_path):
     assert len(rows) == 3 * 2 * 3
     for row in rows:
         k = 3 if row["technique"] == "ssrs" else config.k
-        tc = TechniqueConfig(
-            technique=row["technique"], aux="chi", budget=int(row["budget"]), k=k,
-            partition_seed=derive_seed(config.master_seed, "partition", "chi", k),
-        )
+        tc = TechniqueConfig(technique=row["technique"], aux="chi", budget=int(row["budget"]), k=k)
         res = run_technique(grid_pop, LabelingOracle(grid_pop), tc, RandomStream(int(row["seed"])))
         assert (row["xi_hat"], row["failures"], row["distinct"]) == (
             repr(res.xi_hat), str(res.failures), str(res.distinct_labeled)
@@ -495,7 +493,10 @@ def test_parallel_jobs_match_serial(grid_pop, monkeypatch):
 )
 def test_each_pool_worker_builds_a_map_once(grid_pop, monkeypatch, tmp_path):
     # Every stratified cell below stratifies alike, so a worker that keeps
-    # the population across its cells builds the k-means map once.
+    # the population across its cells builds the k-means map once.  The
+    # unpickled copy keeps no map: a forked worker inherits the memo of the
+    # module's population, which earlier runs under the same key may have filled.
+    pop = pickle.loads(pickle.dumps(grid_pop))
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     log = tmp_path / "kmeans.log"
 
@@ -509,7 +510,7 @@ def test_each_pool_worker_builds_a_map_once(grid_pop, monkeypatch, tmp_path):
         techniques=["ssrs", "gbs", "twoups"], aux=["chi"], budgets=[5, 8, 12], repetitions=2,
         jobs=2,
     )
-    run_experiment(grid_pop, config)
+    run_experiment(pop, config)
     pids = log.read_text().split()
     assert len(pids) == len(set(pids)) <= 2
 
@@ -520,6 +521,21 @@ def test_each_pool_worker_builds_a_map_once(grid_pop, monkeypatch, tmp_path):
 )
 def test_eval_config_refuses_repeated_grid_entries(field, value):
     with pytest.raises(ValueError, match=f"^{field} must not repeat"):
+        EvalConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("techniques", [], "techniques must not be empty"),
+        ("aux", [], "aux must not be empty"),
+        ("budgets", [], "budgets must not be empty"),
+        ("budgets", [0], "budgets must be >= 1"),
+        ("budgets", [-3, 5], "budgets must be >= 1"),
+    ],
+)
+def test_eval_config_refuses_an_empty_grid_axis_or_a_budget_below_one(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         EvalConfig(**{field: value})
 
 

@@ -412,7 +412,7 @@ def test_gbs_single_partition_is_with_replacement_mean(pop6):
 
 def test_gbs_warm_up_covers_every_partition(pop6):
     # With budget >= P the warm-up gives every partition a draw.
-    pm = kmeans_1d(CHI, 3, 0)
+    pm = kmeans_1d(CHI, 3)
     for n in (3, 6):
         res = run_named("gbs", pop6, n, 4, chi=CHI, k=3)
         assert res.knobs["P"] == 3
@@ -422,7 +422,7 @@ def test_gbs_warm_up_covers_every_partition(pop6):
 
 def test_gbs_truncated_warm_up_flagged(pop6):
     # A budget n below P leaves exactly P - n partitions undrawn.
-    pm = kmeans_1d(CHI, 3, 0)
+    pm = kmeans_1d(CHI, 3)
     for n in (1, 2):
         res = run_named("gbs", pop6, n, 4, chi=CHI, k=3)
         assert len(res.selected_ids) == n
@@ -463,7 +463,7 @@ def test_twoups_estimate_matches_two_stage_formula(pop6):
     # brute-force the per-record partition by matching psi share
     from opsample.partition import kmeans_1d
 
-    pm = kmeans_1d(CHI, 2, 0)
+    pm = kmeans_1d(CHI, 2)
     total = sum(
         Z[i] * pm.sizes[pm.assignment[i]] / psi[pm.assignment[i]] for i in res.selected_ids
     )
@@ -473,7 +473,7 @@ def test_twoups_estimate_matches_two_stage_formula(pop6):
 def test_twoups_pool_exhaustion_flagged():
     chi = np.array([0.1, 0.9])
     pop = make_classification([0, 1], chi)
-    pm = kmeans_1d(chi, 2, 0)
+    pm = kmeans_1d(chi, 2)
     seen = set()
     for seed in range(30):
         res = run_named("twoups", pop, 2, seed, chi=chi, k=2)
@@ -525,7 +525,7 @@ def test_run_technique_records_the_shared_knobs(name, pop6):
     assert res.knobs["n"] == 4
     if REGISTRY[name].partitioned:
         assert res.knobs["k"] == 2
-        assert res.knobs["P"] == kmeans_1d(CHI, 2, 0).P
+        assert res.knobs["P"] == kmeans_1d(CHI, 2).P
     else:
         assert "k" not in res.knobs and "P" not in res.knobs
 
@@ -573,9 +573,6 @@ def test_gbs_labels_draw_by_draw_and_relabeling_is_free(pop6):
         ("threshold_quantile", -0.1),
         ("threshold_quantile", 1.5),
         ("threshold_quantile", float("nan")),
-        ("gbs_prior_variance", -0.25),
-        ("gbs_variance_floor", -1e-6),
-        ("gbs_variance_floor", float("nan")),
         ("failure_threshold", float("nan")),
         ("failure_threshold", float("inf")),
         ("failure_threshold", float("-inf")),
@@ -591,7 +588,6 @@ def test_config_accepts_knob_bounds():
         {"ces_bins": 1},
         {"threshold_quantile": 0.0},
         {"threshold_quantile": 1.0},
-        {"gbs_prior_variance": 0.0, "gbs_variance_floor": 0.0},
     ):
         TechniqueConfig(technique="srs", **kwargs)
 
@@ -750,7 +746,7 @@ def reference_estimate(pop, config, res):
             step_total += y_sel_sum + y_pick / q
             y_sel_sum += y_pick
         return (y[0] + step_total / pop.N) / n
-    pm = kmeans_1d(chi, config.k, config.partition_seed)
+    pm = kmeans_1d(chi, config.k)
     stage = pm.assignment[selected]
     if name == "twoups":
         psi = np.array(res.knobs["psi"])
@@ -816,17 +812,16 @@ def _memo_run(pop, name, budget, seed=5, **kwargs):
 def _warm_up(pop):
     """Run every law under other aux columns and other deepest, ces and strata knobs.
 
-    The strata pairs differ from the default (k=10, partition_seed=0) in one
-    field each, so a map key that left out k or the seed would be shared.
+    The strata runs take k=3 beside the default k=10, so a map key that left
+    out k would be shared.
     """
     for name in TECHNIQUES:
         for aux in ("other", "chi", None):
             if REGISTRY[name].needs_chi and aux is None:
                 continue
-            for k, partition_seed in ((3, 0), (10, 1)):
+            for k in (3, 10):
                 _memo_run(
-                    pop, name, 7, seed=1, aux=aux, threshold_quantile=0.4, ces_bins=4,
-                    k=k, partition_seed=partition_seed,
+                    pop, name, 7, seed=1, aux=aux, threshold_quantile=0.4, ces_bins=4, k=k
                 )
 
 
@@ -848,9 +843,9 @@ def test_kept_set_up_is_read_only_and_not_pickled():
     _warm_up(warm)
     kinds = {key[0] for key in warm._memo}
     assert kinds == {"aux", "pi", "cum", "ces", "deepest", "strata"}
-    # Under ("strata", aux, k, partition_seed): the map, ssrs's allocation
-    # per budget and twoups's partition shares.
-    assert {key[4:] for key in warm._memo if key[0] == "strata"} == {(), (7,), ("psi",)}
+    # Under ("strata", aux, k): the map, ssrs's allocation per budget and
+    # twoups's partition shares.
+    assert {key[3:] for key in warm._memo if key[0] == "strata"} == {(), (7,), ("psi",)}
     for value in warm._memo.values():
         for part in value if isinstance(value, tuple) else (value,):
             if isinstance(part, np.ndarray):
@@ -863,15 +858,14 @@ def test_kept_set_up_is_read_only_and_not_pickled():
 
 
 def test_ssrs_allocation_is_cached_per_chi_and_budget(monkeypatch):
-    # One neyman_allocation call per (aux, k, partition_seed, budget) across
-    # the runs on one population, each kept read-only.
+    # One neyman_allocation call per (aux, k, budget) across the runs on one
+    # population, each kept read-only.
     columns = _memo_pool(CLASSIFICATION)
-    keys = list(itertools.product(("chi", "other"), (3, 4), (0, 1), (20, 30)))
+    keys = list(itertools.product(("chi", "other"), (3, 4), (20, 30)))
 
     def allocations(pop):
         return [
-            _memo_run(pop, "ssrs", n, aux=aux, k=k, partition_seed=seed).knobs["allocation"]
-            for aux, k, seed, n in keys
+            _memo_run(pop, "ssrs", n, aux=aux, k=k).knobs["allocation"] for aux, k, n in keys
         ]
 
     want = allocations(Population(**columns))
@@ -885,19 +879,19 @@ def test_ssrs_allocation_is_cached_per_chi_and_budget(monkeypatch):
     assert allocations(pop) == want
     assert allocations(pop) == want
     assert len(calls) == len(keys)
-    for aux, k, seed, n in keys:
-        kept = pop._memo[("strata", aux, k, seed, n)]
+    for aux, k, n in keys:
+        kept = pop._memo[("strata", aux, k, n)]
         assert not kept.flags.writeable
         # ssrs_allocation itself keeps nothing: each call returns a new array.
-        fresh = ssrs_allocation(pop._memo[("strata", aux, k, seed)], n)
+        fresh = ssrs_allocation(pop._memo[("strata", aux, k)], n)
         assert fresh.tolist() == kept.tolist() and fresh is not kept
     assert len(calls) == 2 * len(keys)
     # The map keeps its own copy of the scores: changing the caller's array
     # after kmeans_1d does not change what it allocates.
     chi, other = columns["aux"]["chi"].copy(), columns["aux"]["other"]
-    copied = kmeans_1d(chi, 4, 0)
+    copied = kmeans_1d(chi, 4)
     before = ssrs_allocation(copied, 20).tolist()
-    assert ssrs_allocation(kmeans_1d(other, 4, 0), 20).tolist() != before
+    assert ssrs_allocation(kmeans_1d(other, 4), 20).tolist() != before
     chi[:] = other
     assert ssrs_allocation(copied, 20).tolist() == before
 
@@ -977,7 +971,7 @@ GOLDEN_RUNS = {
 def _golden_run_digest(task, name):
     """sha256 over the traced result JSON of 3 budgets x 3 seeds."""
     pop = _golden_population(task)
-    P = kmeans_1d(pop.aux_vector("chi"), 10, 0).P
+    P = kmeans_1d(pop.aux_vector("chi"), 10).P
     blobs = []
     for budget in (P - 1, 50, 200):  # P - 1 truncates gbs's warm-up
         kwargs = {"aux": "chi"} if REGISTRY[name].needs_chi else {}
