@@ -16,7 +16,6 @@ from .harness import (
     EvalConfig,
     EvalReport,
     IntractableError,
-    NotEnumerableError,
     enumerate_expectation,
     enumerate_paths,
     offset_histogram,

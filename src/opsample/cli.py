@@ -195,6 +195,10 @@ def _add_technique_flags(p):
     p.add_argument("--k", type=int)
     p.add_argument("--r", type=float)
     p.add_argument("--threshold-quantile", type=float)
+    p.add_argument("--ces-initial", type=int)
+    p.add_argument("--ces-group", type=int)
+    p.add_argument("--ces-candidates", type=int)
+    p.add_argument("--ces-bins", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,10 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one technique once")
     _add_technique_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ces-initial", type=int)
-    p.add_argument("--ces-group", type=int)
-    p.add_argument("--ces-candidates", type=int)
-    p.add_argument("--ces-bins", type=int)
     p.add_argument("--failure-threshold", type=float)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out", default=None)

@@ -1,11 +1,11 @@
 """Seedable random-selection primitives shared by all sampling techniques.
 
-Every random choice a technique makes goes through five primitives of
+Every random choice a technique makes goes through six primitives of
 :class:`RandomStream`: a uniform index (``integers``), a uniform index
 outside an excluded set (``index``), a Bernoulli trial, an index by a
-cumulative weight vector and a random grouping into given sizes.  A run is
-fully determined by its seed on every platform: the generator is Philox,
-whose output does not depend on machine word size or threading.
+cumulative weight vector, a random grouping and rows of distinct indices.
+A run is fully determined by its seed on every platform: the generator is
+Philox, whose output does not depend on machine word size or threading.
 :class:`EnumeratingStream` makes each primitive a branch point with exact
 probabilities, so the exact oracle can replay a technique's own law over
 every sample path.
@@ -23,7 +23,8 @@ the next step depends on the last: they read their iid draws from chunks of
 than once per step.  ``index`` rejects excluded values, which leaves each
 accepted value uniform over the admissible ones, and its bound can stay
 fixed while the excluded set grows.  A chunk's unread values stay with the
-stream for its next call.
+stream for its next call.  ``distinct_rows`` redraws each row holding a
+repeat, which leaves it uniform over the ordered tuples of distinct values.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 __all__ = [
     "RandomStream",
     "EnumeratingStream",
-    "NotEnumerableError",
     "derive_seed",
     "srs_without_replacement",
 ]
@@ -67,6 +67,7 @@ class RandomStream:
         self._gen = np.random.Generator(np.random.Philox(key=self.seed & _KEY_MASK))
         self._chunks = {}  # bound -> iterator over the unread iid draws below it
         self._uniforms = _EXHAUSTED
+        self._pairs = {}  # width -> its column pairs (i, j), i < j, for distinct_rows
 
     def split(self, *tags) -> "RandomStream":
         """Child stream keyed by this stream's seed plus the given tags."""
@@ -130,12 +131,18 @@ class RandomStream:
         """
         return self.permutation(size)
 
+    def distinct_rows(self, high: int, rows: int, width: int) -> np.ndarray:
+        """``rows`` rows of ``width`` distinct ints in [0, high); rows with a repeat are redrawn."""
+        if width not in self._pairs:
+            self._pairs[width] = np.triu_indices(width, 1)
+        left, right = self._pairs[width]
+        idx = self.integers(0, high, size=(rows, width))
+        while (dup := (idx[:, left] == idx[:, right]).any(axis=1)).any():
+            idx[dup] = self.integers(0, high, size=(np.count_nonzero(dup), width))
+        return idx
+
     def __repr__(self):
         return f"RandomStream(seed={self.seed})"
-
-
-class NotEnumerableError(ValueError):
-    """Technique whose path space cannot be enumerated; use Monte Carlo."""
 
 
 class EnumeratingStream:
@@ -147,9 +154,8 @@ class EnumeratingStream:
     one past its end), and :meth:`next_path` advances the prefix like an
     odometer, so re-running a law until :meth:`next_path` returns False
     visits every path once, depth first.  ``probability`` is the product of
-    the current path's branch probabilities.  Draws that bypass the
-    primitives (``random``, ``permutation``, ``standard_normal``) raise
-    :class:`NotEnumerableError`.
+    the current path's branch probabilities.  It has no raw draws, such as
+    ``random``, so a law that bypasses the primitives fails loudly.
     """
 
     def __init__(self):
@@ -225,10 +231,12 @@ class EnumeratingStream:
             rest = [i for i in rest if i not in block]
         return np.array(order, dtype=np.int64)
 
-    def _refuse(self, *args, **kwargs):
-        raise NotEnumerableError("draw bypasses the enumerable primitives")
-
-    random = permutation = standard_normal = _refuse
+    def distinct_rows(self, high: int, rows: int, width: int) -> np.ndarray:
+        """Each entry is an ``index`` outside its row so far: each ordered tuple at 1 / (high)_width."""
+        out = np.empty((rows, width), dtype=np.int64)
+        for i, j in np.ndindex(rows, width):
+            out[i, j] = self.index(high, out[i, :j].tolist())
+        return out
 
 
 def _require_admissible(high: int, excluded) -> None:

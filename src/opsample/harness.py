@@ -12,13 +12,15 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .draw import EnumeratingStream, NotEnumerableError, RandomStream, derive_seed
+from .draw import EnumeratingStream, RandomStream, derive_seed
 from .partition import kmeans_1d  # noqa: F401  bench/spans.py traces opsample.harness.kmeans_1d
 from .population import REGRESSION, LabelingOracle, Population, true_accuracy
 from .techniques import REGISTRY, TechniqueConfig, refusal, run_technique
@@ -33,8 +35,6 @@ __all__ = [
     "summarize",
     "enumerate_expectation",
     "enumerate_paths",
-    "require_enumerable",
-    "NotEnumerableError",
     "IntractableError",
 ]
 
@@ -71,23 +71,30 @@ class IntractableError(ValueError):
     """Population/budget too large for exhaustive path enumeration."""
 
 
-def require_enumerable(technique: str) -> None:
-    """Refuse ces: its rejection-sampled candidate groups have an unbounded path space."""
-    if technique == "ces":
-        raise NotEnumerableError("ces is not enumerable; use Monte Carlo")
+MAX_CES_PATHS = 10**5  # ces's path count grows as a power of its candidate count
 
 
 def enumerate_paths(pop: Population, config: TechniqueConfig):
-    """Yield (probability, estimate) for every sample path of the technique.
+    """Yield (probability, :class:`TechniqueResult`) for every sample path of the technique.
 
     The technique's own law runs through :func:`run_technique` under an
     :class:`EnumeratingStream`, once per sample path, so the oracle checks
     the code that runs; ``pop`` keeps the partition map, so it is built once.
+    ces is refused before any path runs if it has too many paths.
     """
-    require_enumerable(config.technique)
     if pop.N > 10 or config.budget > 4:
         raise IntractableError("enumeration supports N <= 10, n <= 4")
+    if config.technique == "ces" and _ces_paths(pop.N, config) > MAX_CES_PATHS:
+        raise IntractableError(f"ces has more than {MAX_CES_PATHS} sample paths")
     return _replay(pop, config)
+
+
+def _ces_paths(N: int, config: TechniqueConfig) -> int:
+    """ces's path count: the ordered initial set, then ``candidates`` ordered groups per step."""
+    initial, group, n = config.ces_initial, config.ces_group, config.budget
+    # max(..., 0): a budget above N has no path, and the first run refuses it.
+    groups = (math.perm(max(N - s, 0), min(group, n - s)) for s in range(initial, n, group))
+    return math.perm(N, initial) * math.prod(groups) ** config.ces_candidates
 
 
 def _replay(pop, config):
@@ -95,7 +102,7 @@ def _replay(pop, config):
     stream = EnumeratingStream()
     while True:
         result = run_technique(pop, LabelingOracle(pop), config, stream)
-        yield stream.probability, result.estimate
+        yield stream.probability, result
         if not stream.next_path():
             return
 
@@ -104,9 +111,9 @@ def enumerate_expectation(pop: Population, config: TechniqueConfig) -> float:
     """Exact E[estimator] over all sample paths; probabilities must sum to 1."""
     total_prob = 0.0
     expectation = 0.0
-    for prob, est in enumerate_paths(pop, config):
+    for prob, result in enumerate_paths(pop, config):
         total_prob += prob
-        expectation += prob * est
+        expectation += prob * result.estimate
     if abs(total_prob - 1.0) > 1e-12:
         raise AssertionError(f"path probabilities sum to {total_prob!r}, not 1")
     return expectation
@@ -142,6 +149,20 @@ class EvalConfig:
             raise ValueError("repetitions must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        for name in ("techniques", "aux", "budgets", "offset_thresholds"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                # A string would be iterated character by character.
+                raise ValueError(f"{name} must be a list")
+        for name, kind, what in (
+            ("budgets", numbers.Integral, "integers"),
+            ("offset_thresholds", numbers.Real, "numbers"),
+        ):
+            # bool is a numbers.Integral, but JSON's true is no budget or threshold.
+            if not all(isinstance(x, kind) and not isinstance(x, bool) for x in getattr(self, name)):
+                raise ValueError(f"{name} must hold {what}")
+        overrides = self.technique_overrides
+        if not isinstance(overrides, dict) or not all(isinstance(o, dict) for o in overrides.values()):
+            raise ValueError("technique_overrides must map each technique to an object of knobs")
         for name in ("techniques", "aux", "budgets"):
             values = list(getattr(self, name))
             if not values:

@@ -408,8 +408,9 @@ def load_population(path) -> Population:
     The columns are id and either true_label and predicted_label or
     true_value and predicted_value.  Any other column is an auxiliary variable, except feat_0..feat_m which form
     the feature matrix.  A non-finite value, a CSV row whose field count
-    differs from the header's and a JSON row whose keys differ from row 0's
-    are refused with their row number (0-based, header excluded).
+    differs from the header's, a JSON row that is no object and a JSON row
+    whose keys differ from row 0's are refused with their row number
+    (0-based, header excluded).
 
     numpy parses a CSV body in one pass; a file it refuses is parsed cell
     by cell, which gives the same values and names the first bad cell or row.
@@ -418,8 +419,13 @@ def load_population(path) -> Population:
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as fh:
             rows = json.load(fh)
+        if not isinstance(rows, list):
+            raise ValueError(f"JSON population must be a list of objects, not {type(rows).__name__}")
         if not rows:
             raise ValueError("empty population file")
+        k = next((k for k, row in enumerate(rows) if not isinstance(row, dict)), None)
+        if k is not None:
+            raise ValueError(f"JSON population must be a list of objects; row {k} is not one")
         keys = rows[0].keys()
         k = next((k for k, row in enumerate(rows) if row.keys() != keys), None)
         if k is not None:

@@ -260,7 +260,8 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
     Starting from a random initial set, repeatedly add the candidate group
     (of ``candidates`` random proposals) that minimizes the average add-one
     smoothed cross-entropy between the operational and selected per-feature
-    histograms.  The estimate is the plain sample mean (v_s = N).
+    histograms.  The estimate is the plain sample mean (v_s = N), biased by
+    the selection; the exact oracle replays the groups' ``rng.distinct_rows``.
 
     A step scores every candidate in a few whole-array passes: the
     candidates' per-cell counts from one ``bincount``, and their cells'
@@ -294,17 +295,9 @@ def _ces(pop, oracle, config, rng, chi, partition) -> Draws:
             row_starts = row_starts.reshape(candidates, -1)  # candidate c's cells in delta
             # Cell c's row in the term table, for each candidate's cells in delta.
             cell_rows = np.tile(np.arange(n_cells) * (g + 1), (candidates, 1))
-            left, right = np.nonzero(np.less.outer(np.arange(g), np.arange(g)))  # column pairs
         pool = unselected.ids[:unselected.size]
-        # Candidate groups: iid index draws, and every row holding a
-        # duplicate redrawn whole, equivalent to SRS without replacement
-        # per group.
-        idx = rng.integers(0, pool.size, size=(candidates, g))
-        dup = (idx[:, left] == idx[:, right]).any(axis=1)
-        while dup.any():
-            idx[dup] = rng.integers(0, pool.size, size=(np.count_nonzero(dup), g))
-            dup = (idx[:, left] == idx[:, right]).any(axis=1)
-        cand = pool.take(idx)
+        # Candidate groups: SRS without replacement per group.
+        cand = pool.take(rng.distinct_rows(pool.size, candidates, g))
         cells = flat_idx.take(cand, axis=0).reshape(candidates, -1)  # (C, g * n_dims)
         cells += row_starts
         delta = np.bincount(cells.ravel(), minlength=candidates * n_cells)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_classification, make_regression
 
+from opsample import harness
 from opsample.cli import build_parser, main
 from opsample.harness import EvalConfig
 from opsample.population import (
@@ -256,6 +257,29 @@ def test_eval_refuses_unknown_override_knob(tiny_csv, tmp_path, capsys):
     assert "unknown knob 'trace'" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("techniques", "srs", "techniques must be a list"),
+        ("aux", "chi", "aux must be a list"),
+        ("budgets", 5, "budgets must be a list"),
+        ("budgets", ["5"], "budgets must hold integers"),
+        ("budgets", [True], "budgets must hold integers"),
+        ("offset_thresholds", ["a"], "offset_thresholds must hold numbers"),
+        ("technique_overrides", {"ssrs": 5}, "technique_overrides must map each technique to an object of knobs"),
+        ("technique_overrides", [1], "technique_overrides must map each technique to an object of knobs"),
+    ],
+)
+def test_eval_refuses_config_values_of_the_wrong_type(tiny_csv, tmp_path, capsys, key, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(out)])
+    assert rc == 1
+    assert json.loads(capsys.readouterr().err) == {"error": message, "type": "ValueError"}
+    assert not out.exists()
+
+
 def test_eval_requires_population(tmp_path, capsys):
     rc = main(["eval", "--techniques", "srs", "--out", str(tmp_path)])
     assert rc == 1
@@ -490,23 +514,31 @@ def test_oracle_exact_expectation(micro_csv, capsys):
     assert gap < 1e-12
 
 
-def test_oracle_rejects_non_enumerable(micro_csv, capsys):
+def test_oracle_enumerates_ces_at_small_knobs(micro_csv, capsys):
+    # 3 initial draws, then 2 one-record candidates among the 2 records left: 12 paths.
     rc = main(
-        ["oracle", "--population", micro_csv, "--technique", "ces",
-         "--aux", "chi", "--budget", "30"]
+        ["oracle", "--population", micro_csv, "--technique", "ces", "--aux", "chi",
+         "--ces-initial", "1", "--ces-candidates", "2", "--ces-group", "1", "--ces-bins", "2"]
+    )
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    # ces's plain mean is biased: 1/4 against the truth 1/3.
+    assert float(lines[0].split("=")[1]) == pytest.approx(0.25, abs=1e-12)
+    assert float(lines[1].split("=")[1]) == pytest.approx(1 / 3, abs=1e-12)
+
+
+def test_oracle_refuses_intractable_ces_before_any_path(micro_csv, capsys, monkeypatch):
+    # The default 300 candidates give 3 * 2**300 paths at the default budget 2.
+    runs = []
+    monkeypatch.setattr(harness, "run_technique", lambda *args: runs.append(args))
+    rc = main(
+        ["oracle", "--population", micro_csv, "--technique", "ces", "--aux", "chi",
+         "--ces-initial", "1"]
     )
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
-    assert "not enumerable" in err["error"]
-
-
-def test_oracle_refuses_ces_at_the_default_budget(micro_csv, capsys):
-    rc = main(["oracle", "--population", micro_csv, "--technique", "ces", "--aux", "chi"])
-    assert rc == 1
-    err = json.loads(capsys.readouterr().err)
-    assert (err["type"], err["error"]) == (
-        "NotEnumerableError", "ces is not enumerable; use Monte Carlo"
-    )
+    assert (err["type"], err["error"]) == ("IntractableError", "ces has more than 100000 sample paths")
+    assert runs == []
 
 
 def test_oracle_enumerates_gbs(micro_csv, capsys):

@@ -2,11 +2,11 @@
 
 The exact oracle replays each law under :class:`EnumeratingStream`, while
 production runs draw through :class:`RandomStream`, whose batched
-primitives are separate code.  For every enumerable law on one fixed
-6-record population, the frequencies of the ordered selected-id tuple over
-fixed seeds must match the enumerated path probabilities under a G-test.
+primitives are separate code.  For every law on one fixed 6-record
+population, the frequencies of the ordered selected-id tuple over fixed
+seeds must match the enumerated path probabilities under a G-test.
 Ordered tuples cover the laws whose estimate depends on draw order
-(deepest, twoups).
+(deepest, twoups, ces).
 """
 
 import numpy as np
@@ -15,12 +15,13 @@ from scipy import stats
 
 from conftest import make_classification
 
-from opsample.draw import EnumeratingStream, RandomStream, derive_seed
+from opsample.draw import RandomStream, derive_seed
+from opsample.harness import enumerate_paths
 from opsample.population import LabelingOracle
 from opsample.techniques import REGISTRY, TECHNIQUES, TechniqueConfig, run_technique
 
-#: Every law but ces, whose rejection-sampled candidate groups the oracle cannot enumerate.
-ENUMERABLE = [name for name in TECHNIQUES if name != "ces"]
+#: ces's knobs, small enough for its 2,400 paths.
+CES_KNOBS = {"ces_initial": 1, "ces_candidates": 2, "ces_group": 1, "ces_bins": 2}
 SEEDS = 15_000
 #: Per-law threshold.  The seeds are fixed, so the outcome is deterministic;
 #: a correct law falls below it with probability 1e-4 over seed sets.
@@ -36,22 +37,20 @@ def _population():
 
 def _config(name):
     aux = "chi" if REGISTRY[name].needs_chi else None
-    return TechniqueConfig(technique=name, aux=aux, budget=3, k=2)
+    knobs = CES_KNOBS if name == "ces" else {}
+    return TechniqueConfig(technique=name, aux=aux, budget=3, k=2, **knobs)
 
 
 def _path_law(pop, config):
     """Exact probability of each ordered selected-id tuple, summed over the paths giving it."""
     law = {}
-    stream = EnumeratingStream()
-    while True:
-        result = run_technique(pop, LabelingOracle(pop), config, stream)
+    for probability, result in enumerate_paths(pop, config):
         key = tuple(result.selected_ids.tolist())
-        law[key] = law.get(key, 0.0) + stream.probability
-        if not stream.next_path():
-            return law
+        law[key] = law.get(key, 0.0) + probability
+    return law
 
 
-@pytest.mark.parametrize("name", ENUMERABLE)
+@pytest.mark.parametrize("name", TECHNIQUES)
 def test_random_stream_draws_the_enumerated_law(name):
     pop, config = _population(), _config(name)
     law = _path_law(pop, config)

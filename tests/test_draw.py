@@ -216,6 +216,36 @@ def test_index_refuses_an_excluded_set_covering_the_range(stream, high, excluded
         stream.index(high, excluded)
 
 
+# ---------------------------------------------------------------------------
+# distinct_rows: rows of distinct uniform ints, each an SRS without replacement
+
+
+def test_distinct_rows_hold_distinct_entries_uniformly():
+    rng = RandomStream(3)
+    rows = np.concatenate([rng.distinct_rows(5, 200, 3) for _ in range(50)])
+    assert rows.shape == (10_000, 3) and rows.min() >= 0 and rows.max() < 5
+    assert all(len(set(row)) == 3 for row in rows.tolist())
+    # Each of the 5 * 4 * 3 ordered tuples, uniformly.
+    codes = (rows * [25, 5, 1]).sum(axis=1)
+    counts = np.bincount(codes, minlength=125)[np.unique(codes)]
+    assert counts.size == 60
+    assert stats.chisquare(counts).pvalue > 0.001
+
+
+def test_distinct_rows_at_width_one_are_plain_iid_draws():
+    # No column pair at width 1, so nothing is redrawn.
+    a, b = RandomStream(5), RandomStream(5)
+    assert a.distinct_rows(7, 30, 1).ravel().tolist() == b.integers(0, 7, size=30).tolist()
+
+
+def test_enumerating_distinct_rows_visits_each_ordered_tuple_once():
+    paths = _paths(lambda stream: tuple(map(tuple, stream.distinct_rows(4, 2, 2).tolist())))
+    assert len(paths) == len({outcome for _, outcome in paths}) == (4 * 3) ** 2
+    assert all(len(set(row)) == 2 for _, outcome in paths for row in outcome)
+    assert all(p == pytest.approx(1 / 144, abs=1e-15) for p, _ in paths)
+    assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

@@ -17,7 +17,6 @@ from opsample.draw import EnumeratingStream, RandomStream
 from opsample.harness import (
     EvalConfig,
     IntractableError,
-    NotEnumerableError,
     enumerate_expectation,
     enumerate_paths,
     offset_histogram,
@@ -110,13 +109,6 @@ def test_enum_all_zero_outcomes_give_zero():
         assert enumerate_expectation(pop, config) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_enum_rejects_non_enumerable_techniques():
-    pop = make_classification([1, 0], [0.2, 0.8])
-    config = TechniqueConfig(technique="ces", aux="chi", budget=2, ces_initial=1)
-    with pytest.raises(NotEnumerableError):
-        enumerate_expectation(pop, config)
-
-
 def test_enum_rejects_intractable_sizes():
     pop = make_classification(np.zeros(12, dtype=int), np.linspace(0.1, 1.0, 12))
     with pytest.raises(IntractableError):
@@ -151,7 +143,7 @@ def test_enum_replays_batched_draws_over_every_path(name, N, n, n_paths):
     paths = list(enumerate_paths(pop, config))
     assert len(paths) == n_paths
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
-    expectation = sum(p * estimate for p, estimate in paths)
+    expectation = sum(p * result.estimate for p, result in paths)
     assert expectation == pytest.approx(np.mean(z), abs=1e-12)
 
 
@@ -178,7 +170,7 @@ def test_enum_deepest_is_biased_only_at_r_1(r, expectation):
 
 @pytest.mark.parametrize("draw", ["random", "permutation", "standard_normal"])
 def test_enumerating_stream_refuses_draws_outside_the_primitives(draw):
-    with pytest.raises(NotEnumerableError):
+    with pytest.raises(AttributeError):
         getattr(EnumeratingStream(), draw)(3)
 
 
@@ -191,6 +183,47 @@ def test_enum_gbs_exact_bias_on_a_fixed_population(n, bias, n_paths):
     assert len(list(enumerate_paths(pop, config))) == n_paths
     truth = 1.0 - true_accuracy(pop)
     assert enumerate_expectation(pop, config) - truth == pytest.approx(bias, abs=1e-12)
+
+
+def test_enum_ces_exact_bias_on_a_fixed_population():
+    # 6 initial records, then per step 2 one-record candidates among the 5
+    # and then 4 left: 6 * 5**2 * 4**2 paths.  ces's plain mean of its
+    # feature-matched sample is biased: 0.35 against the truth 1/3.
+    pop = make_classification([0, 0, 1, 0, 1, 0], [0.1, 0.2, 0.8, 0.85, 0.9, 0.95])
+    config = TechniqueConfig(
+        technique="ces", aux="chi", budget=3, ces_initial=1, ces_candidates=2, ces_group=1,
+        ces_bins=2,
+    )
+    paths = list(enumerate_paths(pop, config))
+    assert len(paths) == 2400 == harness._ces_paths(pop.N, config)
+    assert 1.0 - true_accuracy(pop) == pytest.approx(1 / 3, abs=1e-12)
+    assert enumerate_expectation(pop, config) == pytest.approx(0.35, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "knobs, n_paths", [({"ces_group": 2}, 6 * 20**2), ({"ces_initial": 2}, 30 * 4**2)]
+)
+def test_enum_ces_path_count_matches_the_replay(knobs, n_paths):
+    pop = make_classification([0, 0, 1, 0, 1, 0], [0.1, 0.2, 0.8, 0.85, 0.9, 0.95])
+    config = TechniqueConfig(
+        technique="ces", aux="chi", budget=3, ces_candidates=2, ces_bins=2,
+        **{"ces_initial": 1, "ces_group": 1, **knobs},
+    )
+    paths = list(enumerate_paths(pop, config))
+    assert len(paths) == n_paths == harness._ces_paths(pop.N, config)
+    assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_enum_refuses_intractable_ces_before_any_path():
+    pop = make_classification([0, 0, 1, 0, 1, 0], [0.1, 0.2, 0.8, 0.85, 0.9, 0.95])
+    # One step of 300 one-record candidates among 5 records: 6 * 5**300 paths.
+    config = TechniqueConfig(technique="ces", aux="chi", budget=2, ces_initial=1)
+    with pytest.raises(IntractableError, match="ces has more than 100000 sample paths"):
+        enumerate_paths(pop, config)
+    # A budget above N is left to run_technique's refusal.
+    config = TechniqueConfig(technique="ces", aux="chi", budget=4, ces_initial=1)
+    with pytest.raises(ValueError, match="budget 4 exceeds population size 3"):
+        enumerate_expectation(make_classification([0, 1, 0], [0.1, 0.2, 0.3]), config)
 
 
 def test_enum_needs_the_configured_aux_for_chi_techniques():
@@ -240,7 +273,7 @@ def test_design_unbiasedness_deepest_at_the_size_limit():
     paths = list(enumerate_paths(pop, config))
     assert len(paths) == 10_626
     assert sum(p for p, _ in paths) == pytest.approx(1.0, abs=1e-12)
-    assert sum(p * estimate for p, estimate in paths) == pytest.approx(np.mean(z), abs=1e-12)
+    assert sum(p * result.estimate for p, result in paths) == pytest.approx(np.mean(z), abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3])

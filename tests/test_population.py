@@ -570,6 +570,13 @@ def _reference_intercept(u, v, target):
          "chi correlation must lie in [-1, 1]"),
         (lambda tmp: load_population(_write(tmp / "pop.json", "[]")), ValueError,
          "empty population file"),
+        (lambda tmp: load_population(_write(tmp / "pop.json", '{"id": [0, 1]}')), ValueError,
+         "JSON population must be a list of objects, not dict"),
+        (lambda tmp: load_population(_write(tmp / "pop.json", "[1, 2]")), ValueError,
+         "JSON population must be a list of objects; row 0 is not one"),
+        (lambda tmp: load_population(
+            _write(tmp / "pop.json", '[{"id": 0, "true_label": 1, "predicted_label": 1}, [0, 1, 1]]')),
+         ValueError, "JSON population must be a list of objects; row 1 is not one"),
         (lambda tmp: load_population(_write(tmp / "pop.csv", "id,true_label,predicted_label\n")),
          ValueError, "empty population file"),
     ],
