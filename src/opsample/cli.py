@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -122,9 +123,12 @@ def cmd_eval(args) -> int:
     out = _out_dir(args)
     report.write_summary_csv(os.path.join(out, "summary.csv"))
     report.write_raw_csv(os.path.join(out, "raw.csv"))
-    # The manifest must be able to reproduce this run byte-for-byte.
+    with open(pop_path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    # The manifest must be able to reproduce this run byte-for-byte, and names its input.
     report.write_manifest_json(
-        os.path.join(out, "manifest.json"), population=os.path.abspath(pop_path)
+        os.path.join(out, "manifest.json"), population=os.path.abspath(pop_path),
+        population_sha256=digest, population_N=pop.N, population_task=pop.task,
     )
     print(f"wrote {out}/summary.csv, {out}/raw.csv, {out}/manifest.json")
     if report.skipped:

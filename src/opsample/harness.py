@@ -308,8 +308,8 @@ class EvalReport:
                     out += [int(x) for x in row["offset_counts"]]
                 writer.writerow(out)
 
-    def write_manifest_json(self, path, population=None):
-        """Write the run's manifest; ``population`` (a CSV path) is recorded when given."""
+    def write_manifest_json(self, path, **inputs):
+        """Write the run's manifest, with ``inputs`` (what names the population read) as keys."""
         manifest = {
             "config": asdict(self.config),
             "true_xi": self.true_xi,
@@ -318,9 +318,8 @@ class EvalReport:
                 {"technique": c.technique, "aux": c.aux, "budget": c.budget}
                 for c in self.cells
             ],
+            **inputs,
         }
-        if population is not None:
-            manifest["population"] = population
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -76,8 +76,8 @@ class Population:
         if aux:
             stacked = np.vstack(list(aux.values()))
             _refuse_rows(~np.isfinite(stacked), "non-finite auxiliary value")
-            # Below this bound a sum over N values and kmeans_1d's N^2-sized
-            # rounding slack stay finite.
+            # Below this bound a sum over N values stays finite, with a factor
+            # of 16 N to spare.
             _refuse_rows(np.abs(stacked) > np.finfo(float).max / (16 * N * N),
                          "auxiliary value too large")
         if features is not None:

@@ -455,8 +455,8 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     recomputed; counts, sums and gains are Python scalars, and every gain
     takes the same float operations as the elementwise array formula.  The
     warm-up draws its members in one batched call; each later step draws
-    ``members[p][rng.index(N_p)]`` (and breaks a tie in gain by
-    ``rng.index``), reading one chunk of draws per partition size.
+    ``members[p][rng.index(N_p)]``, from one chunk of draws per partition
+    size, after a tie in gain is broken by ``rng.index`` (traced as 1/ties).
     """
     n, pm = config.budget, partition
     members = pm.member_lists()
@@ -490,19 +490,22 @@ def _gbs(pop, oracle, config, rng, chi, partition) -> Draws:
     for p, j in zip(order.tolist(), rng.integers(0, pm.sizes[order]).tolist()):
         record(p, int(members[p][j]))
 
+    ties = np.ones(n)  # each draw's count of partitions tied at its step's top gain
     while len(selected) < n:
         top = max(gains)
         p = gains.index(top)
         if gains.count(top) > 1:
             best = [p for p, gain in enumerate(gains) if gain == top]
+            ties[len(selected)] = len(best)
             p = best[rng.index(len(best))]
         record(p, int(members[p][rng.index(sizes[p])]))
 
     drawn = np.array(drawn)
     expansions = n * pm.sizes[drawn] / np.array(counts)[drawn]
+    probabilities = 1.0 / (pm.sizes[drawn] * ties)
     knobs = {"prior_variance": GBS_PRIOR_VARIANCE}
     undrawn = {"undrawn_partitions": pm.P - warm}
-    return Draws(np.array(selected), expansions, 1.0 / pm.sizes[drawn], "gbs-wr", undrawn, knobs)
+    return Draws(np.array(selected), expansions, probabilities, "gbs-wr", undrawn, knobs)
 
 
 def _twoups(pop, oracle, config, rng, chi, partition) -> Draws:

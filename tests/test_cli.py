@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 from dataclasses import asdict, fields
 
@@ -192,6 +193,9 @@ def test_eval_flags_and_outputs(tiny_csv, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["master_seed"] == 7
     assert manifest["population"] == tiny_csv
+    with open(tiny_csv, "rb") as fh:
+        assert manifest["population_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    assert (manifest["population_N"], manifest["population_task"]) == (40, CLASSIFICATION)
 
 
 def test_eval_config_file_with_flag_override(tiny_csv, tmp_path):

@@ -185,6 +185,22 @@ def test_enum_gbs_exact_bias_on_a_fixed_population(n, bias, n_paths):
     assert enumerate_expectation(pop, config) - truth == pytest.approx(bias, abs=1e-12)
 
 
+def test_enum_gbs_traces_each_tuple_probability_with_its_tie_breaks():
+    # Every outcome is 0, so every gain ties and each later step breaks the
+    # tie by a uniform pick among the partitions: its 1/2 is traced with the draw.
+    pop = make_classification([0] * 6, [0.1, 0.11, 0.12, 0.9, 0.91, 0.92])
+    config = TechniqueConfig(technique="gbs", aux="chi", budget=4, k=2)
+    law, traced = {}, {}
+    for probability, result in enumerate_paths(pop, config):
+        key = tuple(result.selected_ids.tolist())
+        law[key] = law.get(key, 0.0) + probability
+        traced.setdefault(key, set()).add(float(np.prod(result.probabilities)))
+    assert len(law) == 162
+    for key, probability in law.items():
+        (product,) = traced[key]
+        assert probability == pytest.approx(product, rel=1e-12, abs=0)
+
+
 def test_enum_ces_exact_bias_on_a_fixed_population():
     # 6 initial records, then per step 2 one-record candidates among the 5
     # and then 4 left: 6 * 5**2 * 4**2 paths.  ces's plain mean of its

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from opsample import partition
 from opsample.partition import (
     PartitionMap,
     _argmin_step,
-    _boundaries,
     kmeans_1d,
     neyman_allocation,
 )
@@ -34,10 +35,12 @@ def brute_force_best_split_sizes(values, k):
 
 
 def reference_kmeans_1d(values, k, max_iter=300):
-    """Lloyd with the full N x k distance matrix: (assignment, centroids, sizes).
+    """Lloyd with the full N x k distance matrix: (assignment, centroids, sizes, margin).
 
-    The O(N k)-per-iteration form that kmeans_1d's sort-once Lloyd must
-    reproduce: same seeding, same argmin tie-break, same re-seeding.
+    The O(N k)-per-iteration form whose map kmeans_1d's sorted Lloyd gives
+    wherever no value lies within rounding of a midpoint: same seeding, same
+    re-seeding.  ``margin`` is the smallest ``| |v - c_hi| - |v - c_lo| |``
+    over the run, c_lo and c_hi the two centroids nearest a value v.
     """
     n = values.size
     distinct = np.unique(values)
@@ -49,8 +52,13 @@ def reference_kmeans_1d(values, k, max_iter=300):
         centroids[j] = distinct[int(np.argmax(gaps))]
     centroids.sort()
     assignment = np.full(n, -1, dtype=np.int64)
+    margin = np.inf
     for _ in range(max_iter):
-        new_assignment = np.argmin(np.abs(values[:, None] - centroids[None, :]), axis=1)
+        dist = np.abs(values[:, None] - centroids[None, :])
+        if p > 1:
+            nearest = np.partition(dist, 1, axis=1)
+            margin = min(margin, float(np.min(nearest[:, 1] - nearest[:, 0])))
+        new_assignment = np.argmin(dist, axis=1)
         for j in range(p):
             mask = new_assignment == j
             if not np.any(mask):
@@ -67,7 +75,31 @@ def reference_kmeans_1d(values, k, max_iter=300):
     relabel = np.empty(p, dtype=np.int64)
     relabel[order] = np.arange(p)
     assignment = relabel[assignment]
-    return assignment, centroids[order], np.bincount(assignment, minlength=p)
+    return assignment, centroids[order], np.bincount(assignment, minlength=p), margin
+
+
+def lloyd_slack(values):
+    """How far kmeans_1d may stray from the distance-matrix Lloyd near a midpoint.
+
+    A prefix sum over n values errs by at most about n eps sum|v| (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 4.2), so
+    a prefix-sum mean lies within about 3 n eps sum|v| of the mean summed in
+    index order; twice that, plus the rounding of a float midpoint, bounds
+    how much nearer a value may be to another centroid than to its own.
+    """
+    return 8 * np.finfo(float).eps * values.size * np.abs(values).sum()
+
+
+def assert_lloyd_fixed_point(values, k):
+    """Clusters nonempty, centroids their members' index-order means, values near their own."""
+    pm = kmeans_1d(values, k)
+    assert np.all(pm.sizes > 0)
+    assert np.all(np.diff(pm.centroids) >= 0)
+    for j in range(pm.P):
+        assert pm.centroids[j] == values[pm.assignment == j].mean()
+    dist = np.abs(values[:, None] - pm.centroids[None, :])
+    own = dist[np.arange(values.size), pm.assignment]
+    assert np.all(own <= dist.min(axis=1) + lloyd_slack(values))
 
 
 def reference_neyman_allocation(pm, n):
@@ -193,35 +225,76 @@ def chi_vectors(draw):
 class TestKmeans1D:
     @settings(max_examples=300, deadline=None)
     @given(values=chi_vectors(), k=st.integers(1, 12))
-    @example(values=np.array([0.0, 1.0, 2.0]), k=2)  # 1.0 ties between 0 and 2
-    # The prefix sum rounds the mean of the two 1 + 4 ulp values down to 1.0.
-    @example(values=np.array([1.0] * 20 + [1.0000000000000009] * 2), k=2)
-    # Prefix-sum means that would settle a boundary element on the wrong side.
-    @example(values=np.array([5 / 3, 2 / 3, 1 / 3, 4 / 3, 0.0, 4 / 3, 5 / 3, 4 / 3, 4 / 3, 1.0]),
-             k=3)
-    @example(values=np.array([7 / 3, 7 / 3, 2.0, 0.7299015178694915, 4 / 3, 0.7299015178694915,
-                              5 / 3, 0.7299015178694915, -3e7, -3e7, -3e7]), k=4)
-    def test_matches_distance_matrix_lloyd(self, values, k):
-        assignment, centroids, sizes = reference_kmeans_1d(values, k)
+    def test_matches_distance_matrix_lloyd_away_from_midpoints(self, values, k):
+        assignment, centroids, sizes, margin = reference_kmeans_1d(values, k)
+        if margin <= lloyd_slack(values):
+            return  # a value lies within rounding of a midpoint: the fixed-point test covers it
         pm = kmeans_1d(values, k)
         np.testing.assert_array_equal(pm.assignment, assignment)
         np.testing.assert_array_equal(pm.sizes, sizes)
         np.testing.assert_array_equal(pm.centroids, centroids)
 
     @settings(max_examples=300, deadline=None)
+    @given(values=chi_vectors(), k=st.integers(1, 12))
+    @example(values=np.array([0.0, 1.0, 2.0]), k=2)  # 1.0 ties between 0 and 2
+    # The prefix sum rounds the mean of the two 1 + 4 ulp values down to 1.0.
+    @example(values=np.array([1.0] * 20 + [1.0000000000000009] * 2), k=2)
+    # Prefix-sum means that put a boundary element on the other side of a tie.
+    @example(values=np.array([5 / 3, 2 / 3, 1 / 3, 4 / 3, 0.0, 4 / 3, 5 / 3, 4 / 3, 4 / 3, 1.0]),
+             k=3)
+    @example(values=np.array([7 / 3, 7 / 3, 2.0, 0.7299015178694915, 4 / 3, 0.7299015178694915,
+                              5 / 3, 0.7299015178694915, -3e7, -3e7, -3e7]), k=4)
+    def test_ends_at_a_lloyd_fixed_point(self, values, k):
+        assert_lloyd_fixed_point(values, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "case", ["[a, b]", "[a, b, a, b, 5.0]", "[1.0, a, b, b + ulp]", "[a, b, b + ulp]"]
+    )
+    def test_adjacent_floats_end_with_every_cluster_nonempty(self, case, k):
+        # The midpoint of adjacent floats a and b rounds onto b, so b's run is
+        # empty and a distance-matrix step has to place it.
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert 0.5 * (a + b) == b
+        values = np.array(eval(case, {"a": a, "b": b, "ulp": np.nextafter(b, 2.0) - b}))
+        assert_lloyd_fixed_point(values, k)
+
+    def test_alternating_search_and_argmin_steps_stop_at_a_repeat(self, monkeypatch):
+        # On three adjacent floats at k = 2 a prefix-sum mean rounds past the
+        # top value, so every other search empties a run and an argmin step
+        # fills it: each kind of step repeats its last one every other step.
+        steps = []
+
+        def counted(values, centroids):
+            steps.append(centroids.copy())
+            return _argmin_step(values, centroids)
+
+        monkeypatch.setattr(partition, "_argmin_step", counted)
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        values = np.array([a, b, np.nextafter(b, 2.0)])
+        assert_lloyd_fixed_point(values, 2)
+        assert len(steps) <= 2
+
+    @settings(max_examples=300, deadline=None)
     @given(
         values=st.lists(st.integers(0, 16), min_size=1, max_size=60),
-        centroids=st.lists(st.integers(0, 16), min_size=1, max_size=6, unique=True),
+        k=st.integers(1, 6),
     )
-    def test_boundaries_match_argmin_in_any_centroid_order(self, values, centroids):
-        # Halves keep every distance exact, so values often tie between two
-        # centroids; centroids in any index order reach the tie-break both ways.
-        s = np.sort(np.array(values) / 2.0)
-        c = np.array(centroids) / 2.0
-        ranked = np.argsort(c, kind="stable")
-        inner = _boundaries(s, c[ranked], ranked[1:] < ranked[:-1])
-        labels = np.repeat(ranked, np.diff(np.concatenate(([0], inner, [s.size]))))
-        np.testing.assert_array_equal(labels, np.argmin(np.abs(s[:, None] - c[None, :]), axis=1))
+    def test_a_value_at_a_midpoint_goes_to_the_lower_centroid(self, values, k):
+        # Halves keep every sum exact, so each value's distances to the final
+        # centroids compare exactly as fractions, and many values tie.
+        values = np.array(values) / 2.0
+        pm = kmeans_1d(values, k)
+        means = [Fraction(values[pm.assignment == j].sum()) / int(pm.sizes[j]) for j in range(pm.P)]
+        for v, label in zip(values.tolist(), pm.assignment.tolist()):
+            gaps = [abs(Fraction(v) - c) for c in means]
+            assert label == gaps.index(min(gaps))  # the first nearest is the lowest centroid
+
+    def test_a_value_at_a_midpoint_goes_to_the_lower_centroid_by_hand(self):
+        # Centroids 0 and 2 start; 1.0 lies on their midpoint.
+        assert kmeans_1d(np.array([0.0, 1.0, 2.0]), 2).assignment.tolist() == [0, 0, 1]
 
     def test_argmin_step_reseeds_an_empty_cluster_at_the_worst_fit_value(self):
         # Centroid 1 owns no value.  After centroid 0 moves to 0.5, the worst
