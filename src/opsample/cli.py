@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 
 from .draw import RandomStream
@@ -36,7 +37,7 @@ from .population import (
     true_accuracy,
     write_population_csv,
 )
-from .techniques import TECHNIQUES, TechniqueConfig, run_technique
+from .techniques import TECHNIQUES, Knobs, TechniqueConfig, run_technique
 
 
 def _out_dir(args) -> str:
@@ -168,6 +169,15 @@ def cmd_report(args) -> int:
         raise ValueError("empty raw file")
     with open(args.manifest) as fh:
         manifest = json.load(fh)
+    # Rows of another grid would be scored against this manifest's true_xi.
+    reps = manifest["config"]["repetitions"]
+    expected = {(c["technique"], c["aux"] or "", c["budget"]): reps for c in manifest["cells"]}
+    counts = Counter((r["technique"], r["aux"], r["budget"]) for r in rows)
+    for cell in [*expected, *counts]:
+        want = expected.get(cell, 0)
+        if counts[cell] != want:
+            name = "/".join(str(x or "none") for x in cell)
+            raise ValueError(f"{counts[cell]} raw rows of cell {name}, not the manifest's {want}")
     cells = sorted(
         summarize(rows, manifest["true_xi"]), key=lambda c: (c.technique, c.aux, c.budget)
     )
@@ -190,19 +200,19 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _add_knob_flags(p):
+    """``--<name>`` for each field of :class:`Knobs`: run, oracle and eval take the same knobs."""
+    for f in fields(Knobs):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default))
+
+
 def _add_technique_flags(p):
-    """The population and technique flags that run and oracle share."""
+    """The population, technique and knob flags that run and oracle share."""
     p.add_argument("--population", required=True)
     p.add_argument("--technique", choices=TECHNIQUES, required=True)
     p.add_argument("--aux")
     p.add_argument("--budget", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--threshold-quantile", type=float)
-    p.add_argument("--ces-initial", type=int)
-    p.add_argument("--ces-group", type=int)
-    p.add_argument("--ces-candidates", type=int)
-    p.add_argument("--ces-bins", type=int)
+    _add_knob_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one technique once")
     _add_technique_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--failure-threshold", type=float)
     p.add_argument("--trace", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
@@ -247,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", dest="repetitions", type=int)
     p.add_argument("--seed", dest="master_seed", type=int)
     p.add_argument("--thresholds", dest="offset_thresholds", type=_float_list)
-    p.add_argument("--failure-threshold", type=float)
-    p.add_argument("--k", type=int)
+    _add_knob_flags(p)
     p.add_argument("--jobs", type=int)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)

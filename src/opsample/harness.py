@@ -23,7 +23,7 @@ import numpy as np
 from .draw import EnumeratingStream, RandomStream, derive_seed
 from .partition import kmeans_1d  # noqa: F401  bench/spans.py traces opsample.harness.kmeans_1d
 from .population import REGRESSION, LabelingOracle, Population, true_accuracy
-from .techniques import REGISTRY, TechniqueConfig, refusal, run_technique
+from .techniques import REGISTRY, Knobs, TechniqueConfig, refusal, run_technique
 
 __all__ = [
     "EvalConfig",
@@ -125,13 +125,11 @@ def enumerate_expectation(pop: Population, config: TechniqueConfig) -> float:
 
 DEFAULT_BUDGETS = (50, 100, 200, 400, 800)
 DEFAULT_THRESHOLDS = tuple(2.5 * i for i in range(11))  # 0 to 25 step 2.5
-_TECHNIQUE_FIELDS = {f.name for f in fields(TechniqueConfig)}
-_GRID_KEYS = ("technique", "aux", "budget")
 
 
 @dataclass
-class EvalConfig:
-    """One experiment grid: techniques x auxiliary variables x budgets."""
+class EvalConfig(Knobs):
+    """One experiment grid: techniques x auxiliary variables x budgets, every cell at its knobs."""
 
     techniques: list = field(default_factory=lambda: ["srs"])
     aux: list = field(default_factory=lambda: [None])
@@ -139,9 +137,6 @@ class EvalConfig:
     repetitions: int = 30
     master_seed: int = 0
     offset_thresholds: list = field(default_factory=lambda: list(DEFAULT_THRESHOLDS))
-    failure_threshold: float = TechniqueConfig.failure_threshold
-    k: int = TechniqueConfig.k
-    technique_overrides: dict = field(default_factory=dict)
     jobs: int = 1
 
     def __post_init__(self):
@@ -160,9 +155,6 @@ class EvalConfig:
             # bool is a numbers.Integral, but JSON's true is no budget or threshold.
             if not all(isinstance(x, kind) and not isinstance(x, bool) for x in getattr(self, name)):
                 raise ValueError(f"{name} must hold {what}")
-        overrides = self.technique_overrides
-        if not isinstance(overrides, dict) or not all(isinstance(o, dict) for o in overrides.values()):
-            raise ValueError("technique_overrides must map each technique to an object of knobs")
         for name in ("techniques", "aux", "budgets"):
             values = list(getattr(self, name))
             if not values:
@@ -178,16 +170,6 @@ class EvalConfig:
             raise ValueError("offset thresholds must be finite")
         if list(self.offset_thresholds) != sorted(self.offset_thresholds):
             raise ValueError("offset thresholds must be ascending")
-        for technique, overrides in self.technique_overrides.items():
-            if technique not in REGISTRY:
-                raise ValueError(f"technique_overrides: unknown technique {technique!r}")
-            where = f"technique_overrides[{technique!r}]"
-            for key in overrides:
-                if key in _GRID_KEYS:
-                    # The grid sets these per cell, so an override would break it.
-                    raise ValueError(f"{where}: {key!r} is set by the grid")
-                if key not in _TECHNIQUE_FIELDS:
-                    raise ValueError(f"{where}: unknown knob {key!r}")
         for technique in self.techniques:
             _make_config(self, technique, None, 1)  # refuses what each of its cells' configs would
 
@@ -326,15 +308,8 @@ class EvalReport:
 
 
 def _make_config(config: EvalConfig, technique, aux, budget) -> TechniqueConfig:
-    kwargs = dict(
-        technique=technique,
-        aux=aux,
-        budget=budget,
-        k=config.k,
-        failure_threshold=config.failure_threshold,
-    )
-    kwargs.update(config.technique_overrides.get(technique, {}))
-    return TechniqueConfig(**kwargs)
+    knobs = {f.name: getattr(config, f.name) for f in fields(Knobs)}
+    return TechniqueConfig(technique=technique, aux=aux, budget=budget, **knobs)
 
 
 _pool_grid = None  # a pool worker's (population, EvalConfig), set by _init_worker

@@ -92,10 +92,7 @@ def kmeans_1d(chi, k: int) -> PartitionMap:
     # Rounding can alternate the two kinds of step; each ends Lloyd on repeating its last.
     last_bounds = last_labels = None
     for _ in range(300):
-        # Labels keep their order across iterations; only a re-seed unsorts them.
-        ranked = np.argsort(centroids, kind="stable")
-        c = centroids[ranked]
-        mid = 0.5 * (c[:-1] + c[1:])
+        mid = 0.5 * (centroids[:-1] + centroids[1:])
         inner = np.searchsorted(s, mid, "right")
         bounds = np.concatenate(([0], inner, [s.size]))
         counts = np.diff(bounds)
@@ -104,7 +101,7 @@ def kmeans_1d(chi, k: int) -> PartitionMap:
             if np.array_equal(bounds, last_bounds):
                 break
             last_bounds = bounds
-            centroids[ranked] = (prefix[bounds[1:]] - prefix[bounds[:-1]]) / counts
+            centroids[:] = (prefix[bounds[1:]] - prefix[bounds[:-1]]) / counts
         else:
             current = _argmin_step(values, centroids)
             if np.array_equal(current, last_labels):
@@ -112,7 +109,7 @@ def kmeans_1d(chi, k: int) -> PartitionMap:
             last_labels = current
     assignment = current
     if current is bounds:  # each value's run, by the same midpoints and tie rule
-        assignment = ranked[np.searchsorted(mid, values)]
+        assignment = np.searchsorted(mid, values)
     centroids = np.array([values[assignment == j].mean() for j in range(p)])
 
     by_centroid = np.argsort(centroids, kind="stable")

@@ -26,6 +26,7 @@ from .population import CLASSIFICATION, REGRESSION, LabelingOracle, Population
 
 __all__ = [
     "CLASSIFICATION_ONLY_AUX",
+    "Knobs",
     "REGISTRY",
     "TECHNIQUES",
     "Technique",
@@ -45,12 +46,9 @@ GBS_VARIANCE_FLOOR = 1e-6
 
 
 @dataclass
-class TechniqueConfig:
-    """All technique knobs with their documented defaults."""
+class Knobs:
+    """The design knobs a run and a grid share, with their documented defaults."""
 
-    technique: str = "srs"
-    aux: str | None = None
-    budget: int = 200
     # DeepEST
     r: float = 0.8
     threshold_quantile: float = 0.7
@@ -65,10 +63,6 @@ class TechniqueConfig:
     failure_threshold: float = 12.5
 
     def __post_init__(self):
-        if self.technique not in TECHNIQUES:
-            raise ValueError(f"unknown technique {self.technique!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("r must lie in [0, 1]")
         if not 0.0 <= self.threshold_quantile <= 1.0:
@@ -84,13 +78,33 @@ class TechniqueConfig:
 
 
 @dataclass
+class TechniqueConfig(Knobs):
+    """One run: a technique, its score column and budget, and the knobs."""
+
+    technique: str = "srs"
+    aux: str | None = None
+    budget: int = 200
+
+    def __post_init__(self):
+        if self.technique not in TECHNIQUES:
+            raise ValueError(f"unknown technique {self.technique!r}")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
+        super().__post_init__()
+
+
+@dataclass
 class TechniqueResult:
     """Outcome of one technique run.
 
-    Draw s selected ``selected_ids[s]`` with selection probability
-    ``probabilities[s]`` and expansion factor ``expansions[s]`` under the
-    scheme tagged ``schemes[s]``: the trace that audits the run and its
-    estimate.  ``counts`` holds the law's counters, nonnegative ints.
+    Draw s selected ``selected_ids[s]`` with probability ``probabilities[s]``
+    and expansion factor ``expansions[s]`` under the scheme tagged
+    ``schemes[s]``: the trace that audits the run and its estimate.  For
+    srs, sups, deepest, ssrs, gbs and twoups, entry s is the probability of
+    draw s given the draws before it; for rhcs, the within-group pi_s/q_r
+    (so probability times expansion is n); for ces, a proposal probability:
+    1/N in the initial set and 1/(pool size) for each group draw.
+    ``counts`` holds the law's counters, nonnegative ints.
     """
 
     technique: str

@@ -23,7 +23,7 @@ from opsample.population import (
     load_population,
     write_population_csv,
 )
-from opsample.techniques import TECHNIQUES, TechniqueConfig
+from opsample.techniques import TECHNIQUES, Knobs, TechniqueConfig
 
 
 @pytest.fixture
@@ -228,11 +228,19 @@ def test_eval_unset_keys_take_eval_config_defaults(tiny_csv, tmp_path):
 def test_eval_refuses_unknown_config_keys(tiny_csv, tmp_path, capsys):
     # Misspelt keys used to be dropped, and the grid ran the default budgets.
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"techniques": ["srs"], "budget": [7], "repetition": 2}))
+    # technique_overrides and partition_seed are gone, and trace is a flag of run:
+    # the grid runs every cell at its own knobs and writes no traces.
+    cfg.write_text(json.dumps({
+        "techniques": ["srs"], "budget": [7], "repetition": 2,
+        "technique_overrides": {"ssrs": {"k": 3}}, "partition_seed": 4, "trace": True,
+    }))
     rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
     assert rc == 1
     err = json.loads(capsys.readouterr().err)["error"]
-    assert "'budget'" in err and "'repetition'" in err
+    assert err == (
+        "unknown EvalConfig keys: ['budget', 'partition_seed', 'repetition', "
+        "'technique_overrides', 'trace']"
+    )
     assert not (tmp_path / "raw.csv").exists()
 
 
@@ -244,23 +252,6 @@ def test_eval_refuses_a_config_file_that_is_no_object(tiny_csv, tmp_path, capsys
     assert json.loads(capsys.readouterr().err)["error"] == "the config file must hold a JSON object"
 
 
-def test_eval_refuses_ignored_override(tiny_csv, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"technique_overrides": {"ssrs": {"partition_seed": 4}}}))
-    rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
-    assert rc == 1
-    assert "'partition_seed'" in json.loads(capsys.readouterr().err)["error"]
-
-
-def test_eval_refuses_unknown_override_knob(tiny_csv, tmp_path, capsys):
-    # `trace` is a flag of `run`, not a TechniqueConfig knob: the grid writes no traces.
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"technique_overrides": {"srs": {"trace": True}}}))
-    rc = main(["eval", "--config", str(cfg), "--population", tiny_csv, "--out", str(tmp_path)])
-    assert rc == 1
-    assert "unknown knob 'trace'" in json.loads(capsys.readouterr().err)["error"]
-
-
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -270,8 +261,6 @@ def test_eval_refuses_unknown_override_knob(tiny_csv, tmp_path, capsys):
         ("budgets", ["5"], "budgets must hold integers"),
         ("budgets", [True], "budgets must hold integers"),
         ("offset_thresholds", ["a"], "offset_thresholds must hold numbers"),
-        ("technique_overrides", {"ssrs": 5}, "technique_overrides must map each technique to an object of knobs"),
-        ("technique_overrides", [1], "technique_overrides must map each technique to an object of knobs"),
     ],
 )
 def test_eval_refuses_config_values_of_the_wrong_type(tiny_csv, tmp_path, capsys, key, value, message):
@@ -628,6 +617,55 @@ def test_every_config_flag_names_a_field_and_defaults_to_none():
                 assert parser.get_default(action.dest) == (2 if small else None), (
                     command, action.dest
                 )
+
+
+def test_run_oracle_and_eval_take_every_knob_as_a_flag():
+    # One knob vocabulary: a grid takes every knob a run takes, by the same flag.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "oracle", "eval"):
+        options = {
+            option: action.dest
+            for action in sub.choices[command]._actions
+            for option in action.option_strings
+        }
+        for f in fields(Knobs):
+            flag = "--" + f.name.replace("_", "-")
+            assert options.get(flag) == f.name, (command, flag)
+
+
+def _eval_for_report(population, out, seed):
+    assert main(
+        ["eval", "--population", population, "--techniques", "srs,ssrs", "--aux", "none,chi",
+         "--budgets", "5,8", "--reps", "3", "--seed", str(seed), "--out", str(out)]
+    ) == 0
+
+
+def test_report_refuses_a_truncated_raw_file(tiny_csv, tmp_path, capsys):
+    out = tmp_path / "eval"
+    _eval_for_report(tiny_csv, out, 1)
+    raw = out / "raw.csv"
+    lines = raw.read_text().splitlines(keepends=True)
+    raw.write_text("".join(lines[:-1]))  # drops the last ssrs/chi/8 repetition
+    rc = main(["report", "--raw", str(raw), "--manifest", str(out / "manifest.json"),
+               "--out", str(tmp_path / "report")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "2 raw rows of cell ssrs/chi/8, not the manifest's 3"
+    assert not (tmp_path / "report").exists()
+
+
+def test_report_refuses_raw_rows_of_another_grid(tiny_csv, tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _eval_for_report(tiny_csv, a, 1)
+    assert main(
+        ["eval", "--population", tiny_csv, "--techniques", "srs", "--budgets", "5,10",
+         "--reps", "3", "--seed", "1", "--out", str(b)]
+    ) == 0
+    rc = main(["report", "--raw", str(a / "raw.csv"), "--manifest", str(b / "manifest.json"),
+               "--out", str(tmp_path / "report")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == "0 raw rows of cell srs/none/10, not the manifest's 3"
 
 
 def test_report_refuses_an_empty_raw_file(tmp_path, capsys):

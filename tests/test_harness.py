@@ -32,7 +32,7 @@ from opsample.population import (
     Population,
     true_accuracy,
 )
-from opsample.techniques import TechniqueConfig, run_technique
+from opsample.techniques import REGISTRY, TECHNIQUES, TechniqueConfig, run_technique
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,39 @@ def test_enum_gbs_traces_each_tuple_probability_with_its_tie_breaks():
     for key, probability in law.items():
         (product,) = traced[key]
         assert probability == pytest.approx(product, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("make", [make_classification, make_regression])
+@pytest.mark.parametrize(
+    "chi",
+    [[0.1, 0.2, 0.8, 0.85, 0.9, 0.95], [0.1, 0.1, 0.5, 0.5, 0.9, 0.9]],
+    ids=["distinct", "tied"],
+)
+@pytest.mark.parametrize("name", TECHNIQUES)
+def test_enum_traced_probabilities_mean_what_the_result_states(name, chi, make):
+    # TechniqueResult's docstring: the six chain laws trace each draw's
+    # probability given the draws before it, rhcs its within-group pi_s/q_r,
+    # and ces its proposal probability.
+    pop = make([0, 0, 1, 0, 1, 0], chi)
+    ces = {"ces_initial": 1, "ces_candidates": 2, "ces_group": 1, "ces_bins": 2}
+    config = TechniqueConfig(
+        technique=name, aux="chi" if REGISTRY[name].needs_chi else None, budget=3, k=2,
+        **(ces if name == "ces" else {}),
+    )
+    law, traced = {}, {}
+    for probability, result in enumerate_paths(pop, config):
+        p = result.probabilities
+        if name == "rhcs":
+            np.testing.assert_allclose(p * result.expansions, 3.0, rtol=1e-12, atol=0)
+        elif name == "ces":
+            assert p.tolist() == [1 / 6, 1 / 5, 1 / 4]
+        else:
+            key = tuple(result.selected_ids.tolist())
+            law[key] = law.get(key, 0.0) + probability
+            traced.setdefault(key, set()).add(float(np.prod(p)))
+    for key, probability in law.items():
+        (product,) = traced[key]
+        assert probability == pytest.approx(product, rel=1e-12, abs=0), key
 
 
 def test_enum_ces_exact_bias_on_a_fixed_population():
@@ -468,59 +501,26 @@ def test_manifest_round_trip(grid_pop, tmp_path):
     assert manifest["cells"] == [{"technique": "srs", "aux": None, "budget": 5}]
 
 
-def test_k_override_stratifies_on_its_own_k(grid_pop):
-    base = dict(
-        techniques=["ssrs", "twoups"], aux=["chi"], budgets=[5, 10], repetitions=4, master_seed=3,
-    )
-    overridden = run_experiment(
-        grid_pop, EvalConfig(**base, technique_overrides={"ssrs": {"k": 3}})
-    )
-    grid_k3 = run_experiment(grid_pop, EvalConfig(**base, k=3))
-    grid_k10 = run_experiment(grid_pop, EvalConfig(**base))
-
-    def rows(report, technique):
-        return [r for r in report.raw_rows if r["technique"] == technique]
-
-    assert rows(overridden, "ssrs") == rows(grid_k3, "ssrs")
-    assert rows(overridden, "ssrs") != rows(grid_k10, "ssrs")
-    assert rows(overridden, "twoups") == rows(grid_k10, "twoups")
-
-
 def test_raw_rows_are_reproduced_by_their_cell_config(grid_pop, tmp_path):
     # A cell's config carries everything its runs read, so run_technique
-    # alone rebuilds the grid's map and each row.
+    # alone, at the grid's knobs, rebuilds the grid's map and each row.
     config = EvalConfig(
-        techniques=["ssrs", "gbs", "twoups"], aux=["chi"], budgets=[5, 12], repetitions=3,
-        master_seed=6, technique_overrides={"ssrs": {"k": 3}},
+        techniques=["ssrs", "gbs", "twoups", "deepest"], aux=["chi"], budgets=[5, 12],
+        repetitions=3, master_seed=6, k=3, r=0.5,
     )
     path = tmp_path / "raw.csv"
     run_experiment(grid_pop, config).write_raw_csv(path)
     with path.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 3 * 2 * 3
+    assert len(rows) == 4 * 2 * 3
     for row in rows:
-        k = 3 if row["technique"] == "ssrs" else config.k
-        tc = TechniqueConfig(technique=row["technique"], aux="chi", budget=int(row["budget"]), k=k)
+        tc = TechniqueConfig(
+            technique=row["technique"], aux="chi", budget=int(row["budget"]), k=3, r=0.5
+        )
         res = run_technique(grid_pop, LabelingOracle(grid_pop), tc, RandomStream(int(row["seed"])))
         assert (row["xi_hat"], row["failures"], row["distinct"]) == (
             repr(res.xi_hat), str(res.failures), str(res.distinct_labeled)
         )
-
-
-@pytest.mark.parametrize(
-    "overrides, key",
-    [
-        ({"ssrs": {"technique": "srs"}}, "technique"),
-        ({"ssrs": {"aux": "chi"}}, "aux"),
-        ({"ssrs": {"budget": 5}}, "budget"),
-        ({"ssrs": {"partition_seed": 1}}, "partition_seed"),
-        ({"stratified": {"k": 3}}, "stratified"),
-        ({"ssrs": {"clusters": 3}}, "clusters"),
-    ],
-)
-def test_eval_config_refuses_overrides_the_grid_ignores(overrides, key):
-    with pytest.raises(ValueError, match=f"'{key}'"):
-        EvalConfig(technique_overrides=overrides)
 
 
 def test_parallel_jobs_match_serial(grid_pop, monkeypatch):

@@ -244,6 +244,10 @@ class TestKmeans1D:
              k=3)
     @example(values=np.array([7 / 3, 7 / 3, 2.0, 0.7299015178694915, 4 / 3, 0.7299015178694915,
                               5 / 3, 0.7299015178694915, -3e7, -3e7, -3e7]), k=4)
+    # Adjacent floats a < b < c: a re-seed leaves the centroids unsorted, and
+    # Lloyd steps on them without sorting them first.
+    @example(values=np.array([1 + 2**-52] * 3 + [5.0, 1 + 2**-51, 1 + 2**-52, 1 + 3 * 2**-52]),
+             k=3)
     def test_ends_at_a_lloyd_fixed_point(self, values, k):
         assert_lloyd_fixed_point(values, k)
 
